@@ -29,7 +29,7 @@ Presets (default: all of them, in this order):
   distributed  daemon/worker SIGKILL smoke test (docs/ROBUSTNESS.md)
   chaos        daemon SIGKILL + --serve --resume recovery under
                injected network faults (docs/ROBUSTNESS.md)
-  pdes         --sim-threads 1/2/4/8 determinism matrix
+  pdes         --sim-threads 1/2/3/4/8 determinism matrix
                (docs/PERFORMANCE.md, "Parallel simulation (PDES)")
 EOF
     exit 0
@@ -90,7 +90,7 @@ run_preset() {
     fi
     if [ "$preset" = pdes ]; then
         # PDES determinism matrix (docs/PERFORMANCE.md): the same
-        # simulations at --sim-threads 1/2/4/8 must write
+        # simulations at --sim-threads 1/2/3/4/8 must write
         # byte-identical artifacts.
         cmake -B "$dir" -G Ninja "${flags[@]}"
         cmake --build "$dir" -j --target thrifty_sim figure6_time

@@ -32,8 +32,10 @@ Policy:
   (``--speedup-floor``, default 1.5) — enforced only when the metric
   line reports ``threads >= 4``, because the target cannot hold on
   smaller hosts.
-* Metrics with unit "ratio" (null-message/stall overhead) are
-  host-timing diagnostics: printed for the reviewer, never gated.
+* Metrics with unit "ratio" (PDES synchronisation overhead: null
+  messages, always 0 under the round-synchronous engine, and stall
+  rounds per event) are diagnostics: printed for the reviewer, never
+  gated.
 * Supervised campaigns emit one counter line per run
   (``"kind": "supervisor"``: retries, timeouts, isolated crashes,
   journaled resumes — see docs/ROBUSTNESS.md). Counters found in the
@@ -227,8 +229,8 @@ def main():
                   f"{cur_val:>12.4g} {'--':>8}  {status}")
             continue
         if unit == "ratio":
-            # Host-timing diagnostic (null-message/stall overhead):
-            # informational only.
+            # PDES synchronisation diagnostic (null messages, stall
+            # rounds): informational only.
             print(f"{name:<28} {base_val:>12.4g} {cur_val:>12.4g} "
                   f"{cur_val:>12.4g} {'--':>8}  info (not gated)")
             continue

@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # PDES determinism matrix (docs/PERFORMANCE.md, "Parallel simulation"):
-# two sweeps over --sim-threads 1, 2, 4 and 8, requiring every artifact
-# to be byte-identical to the serial (--sim-threads 1) reference.
+# two sweeps over --sim-threads 1, 2, 3, 4 and 8, requiring every
+# artifact to be byte-identical to the serial (--sim-threads 1)
+# reference. 3 threads gives uneven partition ownership (3/3/2 of the
+# 8 clusters); each run's wall time is logged so an oversubscribed
+# slowdown (8 threads on a smaller host) is visible.
 #
 # Sweep 1 — serial plan: one representative single simulation
 # (thrifty_sim with --trace/--stats-json, which force the serial plan)
@@ -30,7 +33,7 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR=${BUILD_DIR:-build}
 OUT_DIR=${OUT_DIR:-pdes_determinism}
-THREADS=${THREADS:-1 2 4 8}
+THREADS=${THREADS:-1 2 3 4 8}
 
 sim=$BUILD_DIR/tools/thrifty_sim
 fig=$BUILD_DIR/bench/figure6_time
@@ -44,20 +47,33 @@ done
 rm -rf "$OUT_DIR"
 mkdir -p "$OUT_DIR"
 
+# Run a command and log its wall time on stderr (stdout may be
+# redirected into an artifact): timed LABEL CMD...
+timed() {
+    local label=$1
+    shift
+    local t0 t1
+    t0=$(date +%s%N)
+    "$@"
+    t1=$(date +%s%N)
+    echo "  $label: $(( (t1 - t0) / 1000000 )) ms" >&2
+}
+
 for t in $THREADS; do
     d=$OUT_DIR/t$t
     mkdir -p "$d"
     echo "==== --sim-threads $t (serial plan) ===="
-    "$sim" --app Volrend --config T --dim 4 --sim-threads "$t" --json \
-        --stats-json "$d/sim_stats.json" --trace "$d/sim_trace.json" \
-        > "$d/sim_result.json"
-    "$fig" --sim-threads "$t" --out "$d/figure6.out" \
+    timed thrifty_sim "$sim" --app Volrend --config T --dim 4 \
+        --sim-threads "$t" --json --stats-json "$d/sim_stats.json" \
+        --trace "$d/sim_trace.json" > "$d/sim_result.json"
+    timed figure6_time "$fig" --sim-threads "$t" --out "$d/figure6.out" \
         --stats-json "$d/figure6_stats.jsonl" \
         --trace "$d/figure6_trace.json" > /dev/null
     echo "==== --sim-threads $t (partitioned plan) ===="
-    "$sim" --app Volrend --config T --dim 4 --sim-partitions 4 \
-        --sim-threads "$t" --json > "$d/sim_partitioned.json"
-    "$fig" --sim-threads "$t" --sim-partitions 8 \
+    timed thrifty_sim "$sim" --app Volrend --config T --dim 4 \
+        --sim-partitions 4 --sim-threads "$t" --json \
+        > "$d/sim_partitioned.json"
+    timed figure6_time "$fig" --sim-threads "$t" --sim-partitions 8 \
         --out "$d/figure6_partitioned.out" > /dev/null
 done
 

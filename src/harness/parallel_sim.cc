@@ -46,7 +46,7 @@ runMachinePdes(Machine& machine, unsigned threads)
 
     // Partitioned machine: every cluster queue becomes a managed
     // engine partition. This path is taken even with one worker — the
-    // cluster queues must be drained together under the LBTS protocol
+    // cluster queues must be drained together under the round protocol
     // regardless of host parallelism, which is also what makes the
     // one-worker run the plan's bit-exact reference.
     const unsigned parts = machine.partitions();

@@ -21,11 +21,11 @@
  * per-simulation analogue of what --jobs guarantees per sweep point.
  * Cluster queues run keyed (cluster, local order) event ordering, so
  * merge timing and host scheduling cannot reorder anything. The CI
- * pdes-determinism job diffs partitioned-machine artifacts at 1/2/4/8
- * threads. The partition count itself IS part of the plan: the serial
- * (1-partition) and partitioned plans order some barrier bookkeeping
- * differently (docs/PERFORMANCE.md), so artifacts are compared across
- * threads, never across partition counts.
+ * pdes-determinism job diffs partitioned-machine artifacts at
+ * 1/2/3/4/8 threads. The partition count itself IS part of the plan:
+ * the serial (1-partition) and partitioned plans order some barrier
+ * bookkeeping differently (docs/PERFORMANCE.md), so artifacts are
+ * compared across threads, never across partition counts.
  */
 
 #ifndef TB_HARNESS_PARALLEL_SIM_HH_
@@ -61,7 +61,7 @@ struct PdesRunReport
  * its accounting intervals. A serial (1-partition) machine with
  * threads <= 1 is exactly Machine::run(); a partitioned machine is
  * always engine-driven — its per-cluster queues must be drained
- * together under the LBTS protocol even with one worker. Results are
+ * together under the round protocol even with one worker. Results are
  * byte-identical at any thread count (see file comment).
  */
 PdesRunReport runMachinePdes(Machine& machine, unsigned threads);

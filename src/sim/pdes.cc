@@ -9,6 +9,10 @@
 #include <algorithm>
 #include <thread>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
+
 namespace tb {
 namespace pdes {
 
@@ -61,8 +65,51 @@ Partition::push(Channel& c, ChannelMsg&& m)
               " violates conservative lookahead: when=", m.when,
               " < now=", now(), " + lookahead=", c.lookahead);
     }
-    LockGuard g(c.mu);
-    c.mailbox.push_back(std::move(m));
+    c.minSent[parity_] = std::min(c.minSent[parity_], m.when);
+    c.mailbox[parity_].push_back(std::move(m));
+}
+
+void
+Partition::merge(unsigned parity)
+{
+    // Merge order cannot reorder execution: each entry carries its
+    // origin (partition, seq) key.
+    for (Channel* c : ins_) {
+        for (ChannelMsg& m : c->mailbox[parity]) {
+            switch (m.kind) {
+            case ChannelMsg::Kind::Payload:
+                ++stats_.merged;
+                eq_->scheduleKeyed(m.when, m.priority, c->src, m.seq,
+                                   std::move(m.fn));
+                break;
+            case ChannelMsg::Kind::Cancelable: {
+                ++stats_.merged;
+                const std::uint64_t key = remoteKey(c->src, m.seq);
+                EventHandle h = eq_->scheduleKeyed(
+                    m.when, m.priority, c->src, m.seq,
+                    [this, key, fn = std::move(m.fn)]() mutable {
+                        remotePending_.erase(key);
+                        fn();
+                    });
+                remotePending_.emplace(key, h);
+                break;
+            }
+            case ChannelMsg::Kind::Cancel: {
+                const std::uint64_t key = remoteKey(c->src, m.target);
+                eq_->scheduleKeyed(
+                    m.when, m.priority, c->src, m.seq, [this, key]() {
+                        auto it = remotePending_.find(key);
+                        if (it != remotePending_.end()) {
+                            it->second.cancel();
+                            remotePending_.erase(it);
+                        }
+                    });
+                break;
+            }
+            }
+        }
+        c->mailbox[parity].clear();
+    }
 }
 
 void
@@ -205,186 +252,154 @@ Engine::connect(PartitionId src, PartitionId dst, Tick lookahead)
     c.src = src;
     c.dst = dst;
     c.lookahead = lookahead;
-    // The sender sits at tick 0 before run(), so lookahead itself is
-    // the initial conservative bound.
-    c.clock.store(lookahead, std::memory_order_relaxed);
     parts_[src]->outs_.push_back(&c);
     parts_[dst]->ins_.push_back(&c);
 }
 
-void
-Engine::publishWake()
+namespace detail {
+
+namespace {
+
+/**
+ * Polls of the phase word before a waiter blocks. A poll with a pause
+ * costs tens of nanoseconds, so a waiter spins for tens of
+ * microseconds: longer than a typical round on a 64-node machine, far
+ * shorter than a scheduler time slice.
+ */
+constexpr unsigned kSpinPolls = 2048;
+
+inline void
+cpuRelax()
 {
-    // Pairs with the park path: the parker loads wakeVersion_ after
-    // its fruitless sweep and re-checks it under the monitor before
-    // waiting; we bump wakeVersion_ and then peek at the parked
-    // count. Both atomics are seq_cst, so either the parker sees the
-    // new version (and skips the wait) or we see its parked count
-    // (and notify under the monitor) — no lost wake-up.
-    wakeVersion_.fetch_add(1);
-    if (parkedPeek_.load() > 0) {
-        std::lock_guard<std::mutex> g(monitorMu_);
-        parkCv_.notify_all();
-    }
+#if defined(__x86_64__) || defined(__i386__)
+    _mm_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
 }
 
-bool
-Engine::step(Partition& p)
+/**
+ * With more workers than host threads a spinning waiter holds the CPU
+ * a worker still in its round needs (a 64-node Volrend run at 8
+ * workers on 4 cores took 14 s spinning, under 2 s blocking at
+ * once), so oversubscribed runs block immediately.
+ */
+unsigned
+spinPollsFor(unsigned parties)
 {
-    bool progress = false;
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw != 0 && parties > hw ? 0 : kSpinPolls;
+}
 
-    // 1. Per input channel: read the conservative bound FIRST
-    // (acquire), then drain the mailbox. Every message below the
-    // bound was pushed before the bound was published, so this order
-    // guarantees the fire loop never trusts a bound whose messages it
-    // has not merged. Merge timing cannot reorder execution: each
-    // entry carries its origin (partition, seq) key.
-    Tick lbts = kTickNever;
-    for (Channel* c : p.ins_) {
-        lbts = std::min(lbts, c->clock.load(std::memory_order_acquire));
-        {
-            LockGuard g(c->mu);
-            if (!c->mailbox.empty())
-                p.mergeBuf_.swap(c->mailbox);
-        }
-        Partition* self = &p;
-        for (ChannelMsg& m : p.mergeBuf_) {
-            progress = true;
-            switch (m.kind) {
-            case ChannelMsg::Kind::Payload:
-                ++p.stats_.merged;
-                p.eq_->scheduleKeyed(m.when, m.priority, c->src, m.seq,
-                                     std::move(m.fn));
-                break;
-            case ChannelMsg::Kind::Cancelable: {
-                ++p.stats_.merged;
-                const std::uint64_t key =
-                    Partition::remoteKey(c->src, m.seq);
-                EventHandle h = p.eq_->scheduleKeyed(
-                    m.when, m.priority, c->src, m.seq,
-                    [self, key, fn = std::move(m.fn)]() mutable {
-                        self->remotePending_.erase(key);
-                        fn();
-                    });
-                p.remotePending_.emplace(key, h);
-                break;
-            }
-            case ChannelMsg::Kind::Cancel: {
-                const std::uint64_t key =
-                    Partition::remoteKey(c->src, m.target);
-                p.eq_->scheduleKeyed(
-                    m.when, m.priority, c->src, m.seq, [self, key]() {
-                        auto it = self->remotePending_.find(key);
-                        if (it != self->remotePending_.end()) {
-                            it->second.cancel();
-                            self->remotePending_.erase(it);
-                        }
-                    });
-                break;
-            }
-            }
-        }
-        p.mergeBuf_.clear();
-    }
+} // namespace
 
-    // 2. Fire everything strictly below the LBTS. Events at exactly
-    // the bound must wait: a message timestamped at it may yet arrive.
-    const Tick next = p.eq_->nextTick();
-    if (next < lbts) {
-        const std::uint64_t before = p.eq_->eventsExecuted();
-        p.eq_->run(lbts == kTickNever ? kTickNever : lbts - 1);
-        p.stats_.fired += p.eq_->eventsExecuted() - before;
-        progress = true;
-    } else if (next != kTickNever) {
-        ++p.stats_.stallRounds;
-    }
-
-    // 3. Null messages: everything below lbts is done here, so the
-    // earliest future send is bounded by min(lbts, next local event).
-    // Publish that plus the per-channel lookahead.
-    const Tick safe = std::min(lbts, p.eq_->nextTick());
-    bool advanced = false;
-    for (Channel* c : p.outs_) {
-        const Tick bound = satAdd(safe, c->lookahead);
-        if (bound > c->clock.load(std::memory_order_relaxed)) {
-            c->clock.store(bound, std::memory_order_release);
-            ++p.stats_.nullPublishes;
-            advanced = true;
-        }
-    }
-    if (advanced)
-        publishWake();
-    return progress;
+RoundBarrier::RoundBarrier(unsigned parties)
+    : parties_(parties), spinPolls_(spinPollsFor(parties))
+{
 }
 
 void
-Engine::worker(unsigned tid, const std::vector<Partition*>& mine)
+RoundBarrier::arriveAndWait()
 {
-    (void)tid;
-    while (!done_.load()) {
-        bool progress = false;
-        for (Partition* p : mine)
-            progress |= step(*p);
-        if (progress)
-            continue;
-
-        // Fruitless sweep (only clock publishes, if anything): park
-        // until some clock advances. The version is sampled after the
-        // sweep, so this worker's own publishes do not keep it awake
-        // — without that, lookahead creep across an idle window would
-        // busy-spin instead of converging through GVT rescues. A
-        // publish racing between this load and the re-check under the
-        // monitor is caught by the re-check; one racing after it is
-        // caught by publishWake()'s parked-count peek.
-        const std::uint64_t version = wakeVersion_.load();
-        std::unique_lock<std::mutex> lk(monitorMu_);
-        ++parkedWorkers_;
-        parkedPeek_.store(parkedWorkers_);
-        if (parkedWorkers_ == threadsUsed_ && !done_.load())
-            rescueLocked();
-        while (!done_.load() && wakeVersion_.load() == version)
-            parkCv_.wait(lk);
-        --parkedWorkers_;
-        parkedPeek_.store(parkedWorkers_);
-    }
-}
-
-void
-Engine::rescueLocked()
-{
-    // Every other worker is blocked in parkCv_.wait (they released
-    // monitorMu_, which this thread holds), so all partitions and
-    // mailboxes are quiescent and safe to scan from here.
-    Tick gvt = kTickNever;
-    for (auto& p : parts_)
-        gvt = std::min(gvt, p->eq_->nextTick());
-    for (auto& c : channels_) {
-        LockGuard g(c->mu);
-        for (const ChannelMsg& m : c->mailbox)
-            gvt = std::min(gvt, m.when);
-    }
-
-    if (gvt == kTickNever) {
-        // No pending event, no in-flight message anywhere: done.
-        done_.store(true);
-        parkCv_.notify_all();
+    if (parties_ == 1)
+        return;
+    // The phase cannot advance before this thread arrives, so this
+    // load reads the current phase. Arrivals form one release
+    // sequence on arrived_; the last arriver acquires it, so its
+    // release store of the new phase publishes every worker's round.
+    const std::uint32_t phase = phase_.load(std::memory_order_acquire);
+    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+        parties_) {
+        arrived_.store(0, std::memory_order_relaxed);
+        phase_.store(phase + 1, std::memory_order_release);
+        phase_.notify_all();
         return;
     }
-
-    // Lookahead creep stalled the fleet short of the globally
-    // earliest pending work. No event below gvt exists anywhere, so
-    // every future send is bounded by gvt + lookahead — force the
-    // clocks there. The owner of the gvt event had LBTS <= gvt (it
-    // stalled), so its minimum input clock strictly advances past gvt
-    // and the next sweep fires that event: guaranteed progress.
-    ++gvtRescues_;
-    for (auto& c : channels_) {
-        const Tick bound = satAdd(gvt, c->lookahead);
-        if (bound > c->clock.load(std::memory_order_relaxed))
-            c->clock.store(bound, std::memory_order_release);
+    for (unsigned i = 0; i < spinPolls_; ++i) {
+        if (phase_.load(std::memory_order_acquire) != phase)
+            return;
+        cpuRelax();
     }
-    wakeVersion_.fetch_add(1);
-    parkCv_.notify_all();
+    while (phase_.load(std::memory_order_acquire) == phase)
+        phase_.wait(phase, std::memory_order_acquire);
+}
+
+} // namespace detail
+
+void
+Engine::computeDistances()
+{
+    // Floyd-Warshall with an infinite diagonal: the result is the
+    // shortest path of at least one edge, so D[p][p] is p's shortest
+    // cycle. Partition counts are small (tens), so O(n^3) once per
+    // run is negligible.
+    const std::size_t n = parts_.size();
+    dist_.assign(n * n, kTickNever);
+    for (const auto& c : channels_) {
+        Tick& d = dist_[c->src * n + c->dst];
+        d = std::min(d, c->lookahead);
+    }
+    for (std::size_t k = 0; k < n; ++k) {
+        for (std::size_t i = 0; i < n; ++i) {
+            const Tick ik = dist_[i * n + k];
+            if (ik == kTickNever)
+                continue;
+            for (std::size_t j = 0; j < n; ++j) {
+                Tick& ij = dist_[i * n + j];
+                ij = std::min(ij, satAdd(ik, dist_[k * n + j]));
+            }
+        }
+    }
+}
+
+std::uint64_t
+Engine::worker(const std::vector<Partition*>& mine,
+               detail::RoundBarrier& barrier)
+{
+    const std::size_t n = parts_.size();
+    std::vector<Tick> minima(n);
+    for (std::uint64_t round = 1;; ++round) {
+        const unsigned prev = (round - 1) & 1;
+        const unsigned cur = round & 1;
+
+        // Every worker derives the same minima from the previous
+        // round's publications: next local event, or the earliest
+        // message still in flight to the partition.
+        bool live = false;
+        for (std::size_t r = 0; r < n; ++r)
+            minima[r] = published_[prev][r];
+        for (const auto& c : channels_)
+            minima[c->dst] = std::min(minima[c->dst], c->minSent[prev]);
+        for (std::size_t r = 0; r < n; ++r)
+            live |= minima[r] != kTickNever;
+        if (!live)
+            return round - 1;
+
+        for (Partition* p : mine) {
+            Tick bound = kTickNever;
+            for (std::size_t r = 0; r < n; ++r)
+                bound = std::min(bound,
+                                 satAdd(minima[r], dist_[r * n + p->id_]));
+
+            p->parity_ = cur;
+            for (Channel* c : p->outs_)
+                c->minSent[cur] = kTickNever;
+            p->merge(prev);
+
+            // Fire everything strictly below the bound: a message
+            // timestamped exactly at it may yet arrive.
+            if (p->eq_->nextTick() < bound) {
+                const std::uint64_t before = p->eq_->eventsExecuted();
+                p->eq_->run(bound == kTickNever ? kTickNever
+                                                : bound - 1);
+                p->stats_.fired += p->eq_->eventsExecuted() - before;
+            } else if (p->eq_->nextTick() != kTickNever) {
+                ++p->stats_.stallRounds;
+            }
+            published_[cur][p->id_] = p->eq_->nextTick();
+        }
+        barrier.arriveAndWait();
+    }
 }
 
 void
@@ -400,21 +415,28 @@ Engine::run()
         1u,
         std::min(cfg_.threads, static_cast<unsigned>(parts_.size())));
 
+    computeDistances();
+    published_[0].resize(parts_.size());
+    published_[1].assign(parts_.size(), kTickNever);
+    for (const auto& p : parts_)
+        published_[0][p->id_] = p->eq_->nextTick();
+
     // Static partition ownership: partition i belongs to worker
     // i % threads. Ownership never moves, so partition state needs no
-    // locking — only channels are shared.
+    // locking, and channels are ordered by the round barrier.
     std::vector<std::vector<Partition*>> assign(threadsUsed_);
     for (std::size_t i = 0; i < parts_.size(); ++i)
         assign[i % threadsUsed_].push_back(parts_[i].get());
 
-    if (threadsUsed_ == 1) {
-        worker(0, assign[0]);
-        return;
-    }
+    // The calling thread is worker 0. Every worker sees the same
+    // minima, so all of them stop after the same round.
+    detail::RoundBarrier barrier(threadsUsed_);
     std::vector<std::thread> pool;
-    pool.reserve(threadsUsed_);
-    for (unsigned t = 0; t < threadsUsed_; ++t)
-        pool.emplace_back([this, t, &assign] { worker(t, assign[t]); });
+    pool.reserve(threadsUsed_ - 1);
+    for (unsigned t = 1; t < threadsUsed_; ++t)
+        pool.emplace_back(
+            [this, t, &assign, &barrier] { worker(assign[t], barrier); });
+    rounds_ = worker(assign[0], barrier);
     for (auto& th : pool)
         th.join();
 }
@@ -425,7 +447,7 @@ Engine::stats() const
     EngineStats s;
     s.threads = threadsUsed_;
     s.partitions = static_cast<unsigned>(parts_.size());
-    s.gvtRescues = gvtRescues_;
+    s.rounds = rounds_;
     for (const auto& p : parts_) {
         const PartitionStats& ps = p->stats_;
         s.fired += ps.fired;
@@ -433,7 +455,6 @@ Engine::stats() const
         s.sent += ps.sent;
         s.merged += ps.merged;
         s.cancelsSent += ps.cancelsSent;
-        s.nullPublishes += ps.nullPublishes;
         s.stallRounds += ps.stallRounds;
         s.finalTick = std::max(s.finalTick, p->eq_->now());
     }

@@ -4,49 +4,60 @@
  *
  * The machine model is partitioned into Partitions, each owning one
  * slab EventQueue (event_queue.hh) and executed by exactly one worker
- * thread at a time. Cross-partition communication goes through
- * timestamped Channels declared up front with a positive *lookahead*:
- * a message sent while the source partition sits at simulated time s
- * must carry a timestamp >= s + lookahead. That bound is the classic
- * Chandy-Misra-Bryant contract, and it is what lets each partition
- * compute a conservative lower bound on incoming timestamps (LBTS)
- * and fire every local event strictly below it without ever seeing a
- * straggler.
+ * thread. Cross-partition communication goes through timestamped
+ * Channels declared up front with a positive *lookahead*: a message
+ * sent while the source partition sits at simulated time s must carry
+ * a timestamp >= s + lookahead.
  *
- * Null messages are clock-only channel updates: after a partition has
- * processed everything below its LBTS, it publishes
- * `min(LBTS, next local event) + lookahead` on every output channel
- * even when it sent no payload, so neighbors' LBTS keeps advancing
- * and the classic null-message deadlock cannot form. When every
- * worker still stalls (lookahead creep across an idle window), the
- * last thread to park performs a global-virtual-time rescue: with all
- * other workers parked it computes GVT = the minimum timestamp of any
- * pending event or in-flight message, force-advances every channel
- * clock to GVT + lookahead, and wakes the fleet; if GVT is kTickNever
- * the simulation is complete. Either some partition has work below
- * its LBTS, or the rescue strictly advances the earliest partition's
- * LBTS past GVT — so the engine always makes progress and always
- * terminates.
+ * Synchronisation is round-synchronous (YAWNS-style windows). In each
+ * round every worker fires its partitions' events strictly below a
+ * per-partition bound, then publishes, per partition, its post-fire
+ * next event time and the earliest timestamp it sent on each output
+ * channel. One barrier ends the round. After it every worker computes
+ * the same minima m(r) = min(next event of r, earliest message in
+ * flight to r), and partition p's next bound is
+ *
+ *     b(p) = min over r of m(r) + D[r][p],
+ *
+ * where D is the all-pairs shortest lookahead path, computed once in
+ * run(); the diagonal D[p][p] is the shortest cycle back to p (never
+ * when there is none), because p's own events can only reach p again
+ * around a cycle. Every event any partition r can still execute lies
+ * at or after m(r), and any chain of sends from it to p adds at least
+ * D[r][p], so nothing below b(p) can ever arrive at p: no stragglers.
+ * D is the fixpoint that null messages in a Chandy-Misra-Bryant engine
+ * creep towards one lookahead per exchange; here an idle gap of any
+ * length is crossed in one round. The run ends at the first round
+ * whose minima are all kTickNever (no pending event, no message in
+ * flight).
+ *
+ * Mailboxes and the per-channel "earliest sent" slots are double-
+ * buffered by round parity: round k's sends land in buffer k&1, which
+ * the destination merges at the start of round k+1 while senders fill
+ * the other buffer. The single barrier orders every write of a round
+ * before every read of it, so channels need no lock. The barrier is a
+ * central counter whose waiters spin briefly and then block until the
+ * last arriver wakes them, so oversubscribed runs degrade gracefully.
  *
  * Determinism contract (docs/PERFORMANCE.md): execution order is the
  * total order (time, priority, origin partition, origin sequence),
- * enforced by EventQueue::scheduleKeyed. Merge timing, worker count,
- * and host scheduling cannot change which key runs next, so any
- * thread count produces bit-identical simulations. The per-partition
- * diagnostic counters (null publishes, stall rounds, GVT rescues) ARE
- * host-timing dependent and must never feed artifacts; the
- * deterministic counters (fired/scheduled/sent/merged) may.
+ * enforced by EventQueue::scheduleKeyed, and the bounds are a pure
+ * function of the simulation. Worker count and host scheduling cannot
+ * change which key runs next, or which round it runs in, so any
+ * thread count produces bit-identical simulations and identical
+ * counters: fired/scheduled/sent/merged, rounds and stall rounds are
+ * all deterministic. Only nullPublishes and gvtRescues remain from the
+ * old null-message protocol; they are always 0 and kept because
+ * existing reports read them. No engine counter feeds an artifact.
  */
 
 #ifndef TB_SIM_PDES_HH_
 #define TB_SIM_PDES_HH_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -54,7 +65,6 @@
 
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
-#include "sim/thread_safety.hh"
 #include "sim/types.hh"
 
 namespace tb {
@@ -84,18 +94,16 @@ struct RemoteHandle
 /** Per-partition counters, readable after Engine::run() returns. */
 struct PartitionStats
 {
-    // Deterministic: pure functions of the simulation, identical at
-    // any worker count. Safe to export into artifacts.
+    // All deterministic: pure functions of the simulation, identical
+    // at any worker count.
     std::uint64_t fired = 0;     ///< events executed
     std::uint64_t scheduled = 0; ///< local schedule()/scheduleIn() calls
     std::uint64_t sent = 0;      ///< payload messages sent
     std::uint64_t merged = 0;    ///< payload messages merged in
     std::uint64_t cancelsSent = 0;
-
-    // Host-timing diagnostics: vary run to run and with worker
-    // count. Never export these into deterministic artifacts.
-    std::uint64_t nullPublishes = 0; ///< clock-only channel updates
-    std::uint64_t stallRounds = 0;   ///< rounds gated by LBTS with work pending
+    /** Rounds in which this partition had pending work but none
+     *  below its bound. */
+    std::uint64_t stallRounds = 0;
 };
 
 /** Whole-engine aggregate of PartitionStats plus run-level counters. */
@@ -106,24 +114,20 @@ struct EngineStats
     std::uint64_t sent = 0;
     std::uint64_t merged = 0;
     std::uint64_t cancelsSent = 0;
-    std::uint64_t nullPublishes = 0; ///< diagnostic (host-timing)
-    std::uint64_t stallRounds = 0;   ///< diagnostic (host-timing)
-    std::uint64_t gvtRescues = 0;    ///< diagnostic (host-timing)
-    Tick finalTick = 0;              ///< deterministic: max partition time
+    std::uint64_t rounds = 0;        ///< synchronisation rounds (barriers)
+    std::uint64_t stallRounds = 0;   ///< summed PartitionStats::stallRounds
+    /** Always 0: the window protocol sends no null messages and needs
+     *  no GVT rescue. Kept for reports that still read them. */
+    std::uint64_t nullPublishes = 0;
+    std::uint64_t gvtRescues = 0;
+    Tick finalTick = 0;              ///< max partition time
     unsigned threads = 0;
     unsigned partitions = 0;
 };
 
 namespace detail {
 
-/**
- * One directed src->dst link. The mailbox carries payloads; the clock
- * is the null-message channel: a conservative lower bound on the
- * timestamp of any message the source may still send. Producers push
- * under the mutex and only then advance the clock (release), so a
- * consumer that reads clock (acquire) before draining the mailbox is
- * guaranteed to see every message with a timestamp below that bound.
- */
+/** One timestamped message on a channel. */
 struct ChannelMsg
 {
     enum class Kind : std::uint8_t { Payload, Cancelable, Cancel };
@@ -136,14 +140,43 @@ struct ChannelMsg
     std::function<void()> fn;
 };
 
-struct Channel
+/**
+ * One directed src->dst link, double-buffered by round parity: the
+ * source's owner writes slot k&1 during round k, the destination's
+ * owner drains the mailbox in round k+1, and every worker reads
+ * minSent after round k's barrier. The barrier orders all of it, so
+ * no field needs a lock. Cache-line aligned so channels written by
+ * different workers do not false-share.
+ */
+struct alignas(64) Channel
 {
     PartitionId src = kNoPartition;
     PartitionId dst = kNoPartition;
     Tick lookahead = 0;
-    std::atomic<Tick> clock{0};
-    Mutex mu;
-    std::vector<ChannelMsg> mailbox TB_GUARDED_BY(mu);
+    /** Earliest timestamp sent in the round of each parity. */
+    Tick minSent[2] = {kTickNever, kTickNever};
+    std::vector<ChannelMsg> mailbox[2];
+};
+
+/**
+ * Central-counter barrier for the engine's workers. Waiters spin with
+ * a CPU pause for a bounded number of polls (none when there are
+ * more parties than host threads), then block on the phase word until
+ * the last arriver advances it and wakes them. Every write a worker
+ * makes before arriving is visible to every worker after the barrier.
+ */
+class RoundBarrier
+{
+  public:
+    explicit RoundBarrier(unsigned parties);
+
+    void arriveAndWait();
+
+  private:
+    alignas(64) std::atomic<unsigned> arrived_{0};
+    alignas(64) std::atomic<std::uint32_t> phase_{0};
+    unsigned parties_;
+    unsigned spinPolls_;
 };
 
 } // namespace detail
@@ -248,6 +281,8 @@ class Partition
     std::uint32_t takeSeq();
     detail::Channel& channelTo(PartitionId dst) const;
     void push(detail::Channel& c, detail::ChannelMsg&& m);
+    /** Merge the mailboxes of round parity @p parity into the queue. */
+    void merge(unsigned parity);
 
     static std::uint64_t
     remoteKey(PartitionId src, std::uint32_t seq)
@@ -261,6 +296,8 @@ class Partition
     EventQueue* eq_;
     Kind kind_;
     std::uint32_t nextSeq_ = 0;
+    /** Round parity this partition's sends go to (0 during setup). */
+    unsigned parity_ = 0;
     /** Input channels in creation order — the deterministic drain
      *  order (irrelevant to execution order thanks to keyed ties, but
      *  kept fixed so merge accounting is reproducible too). */
@@ -270,14 +307,12 @@ class Partition
      *  (src, seq). Lookup-only (never iterated), so the unordered map
      *  cannot leak host ordering into results. */
     std::unordered_map<std::uint64_t, EventHandle> remotePending_;
-    /** Scratch buffer the merge loop swaps mailboxes into. */
-    std::vector<detail::ChannelMsg> mergeBuf_;
     PartitionStats stats_;
 };
 
 /**
  * The conservative engine: owns partitions and channels, runs the
- * LBTS-gated fire loops on a fixed worker pool. One-shot: build the
+ * bounded fire rounds on a fixed worker pool. One-shot: build the
  * topology, seed initial events, call run() exactly once, then read
  * stats. Worker count never affects simulation results — only wall
  * time (see file comment for the argument).
@@ -343,18 +378,11 @@ class Engine
   private:
     friend class Partition;
 
-    bool step(Partition& p);
-    void worker(unsigned tid, const std::vector<Partition*>& mine);
-    void publishWake();
-
-    /**
-     * All-parked rescue: compute GVT, mark done or force-advance the
-     * channel clocks past it. Caller holds monitorMu_ with every
-     * other worker blocked in parkCv_ (their partitions' memory is
-     * visible through the mutex and cannot be touched concurrently),
-     * which is what makes scanning foreign queues here safe.
-     */
-    void rescueLocked();
+    /** One worker's round loop; returns the number of rounds run. */
+    std::uint64_t worker(const std::vector<Partition*>& mine,
+                         detail::RoundBarrier& barrier);
+    /** Fill dist_ with the all-pairs shortest lookahead paths. */
+    void computeDistances();
 
     static Tick
     satAdd(Tick a, Tick b)
@@ -367,21 +395,12 @@ class Engine
     std::vector<std::unique_ptr<detail::Channel>> channels_;
     bool ran_ = false;
     unsigned threadsUsed_ = 0;
-
-    // Park/wake monitor. std::mutex (not tb::Mutex) because the
-    // condition variable needs it; the guarded fields below are only
-    // touched with monitorMu_ held — documented confinement, same as
-    // the other spots clang TSA cannot express (docs/CHECKING.md).
-    std::mutex monitorMu_;
-    std::condition_variable parkCv_;
-    unsigned parkedWorkers_ = 0;     // guarded by monitorMu_
-    std::uint64_t gvtRescues_ = 0;   // guarded by monitorMu_
-    /** Bumped (seq_cst) on every clock publish and rescue; a worker
-     *  only parks if it is unchanged since its fruitless sweep began
-     *  (Dekker pairing with parkedWorkers_, see publishWake()). */
-    std::atomic<std::uint64_t> wakeVersion_{0};
-    std::atomic<unsigned> parkedPeek_{0};
-    std::atomic<bool> done_{false};
+    std::uint64_t rounds_ = 0;
+    /** dist_[r * n + p] = D[r][p], kTickNever when unreachable. */
+    std::vector<Tick> dist_;
+    /** Post-fire next event tick per partition, by round parity
+     *  (slot 0 holds the initial queues' heads before round 1). */
+    std::vector<Tick> published_[2];
 };
 
 } // namespace pdes

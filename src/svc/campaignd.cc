@@ -675,6 +675,17 @@ CampaignService::broadcastDone()
     }
 }
 
+void
+CampaignService::listen()
+{
+    if (listenFd_ >= 0)
+        return;
+    std::string err;
+    listenFd_ = listenOn(opts_.listen, &err);
+    if (listenFd_ < 0)
+        fatal("campaign service: ", err);
+}
+
 harness::SupervisorReport
 CampaignService::run(std::size_t count)
 {
@@ -692,11 +703,7 @@ CampaignService::run(std::size_t count)
     }
     preResolveStored();
     recoverServiceState();
-
-    std::string err;
-    listenFd_ = listenOn(opts_.listen, &err);
-    if (listenFd_ < 0)
-        fatal("campaign service: ", err);
+    listen();
 
     while (!queue_->allResolved() &&
            !harness::CampaignSupervisor::interruptRequested()) {
@@ -745,6 +752,21 @@ CampaignService::run(std::size_t count)
                            }),
             conns_.end());
     }
+
+    // A worker can still sit in the listen backlog (connected, Hello
+    // sent, never accepted) when the last point resolves, and would
+    // wait on its HelloAck for as long as the socket stays open.
+    // Admit every such straggler so the Done broadcast reaches it,
+    // then stop listening so later connects fail fast.
+    while (harness::pollOne(listenFd_, POLLIN, 0) > 0) {
+        const std::size_t before = conns_.size();
+        acceptConnections();
+        if (conns_.size() == before)
+            break; // transient accept failure
+    }
+    ::close(listenFd_);
+    listenFd_ = -1;
+    cleanupAddress(opts_.listen);
 
     broadcastDone();
     if (journal_)

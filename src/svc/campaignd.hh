@@ -135,10 +135,20 @@ class CampaignService
     }
 
     /**
+     * Bind the listen address now rather than at run(), so a launcher
+     * can start workers knowing their first connect lands; connections
+     * queue until run() serves them. Throws FatalError when the
+     * address is unusable. Idempotent.
+     */
+    void listen();
+
+    /**
      * Serve all @p count points until each is Done or Failed (or
-     * SIGINT). Never throws for worker failures — they are ledgered
-     * and retried. Throws FatalError only when the listen address is
-     * unusable.
+     * SIGINT), listening first if listen() was not called. Every
+     * connection still queued at the end is admitted and sent Done,
+     * and the listener is closed. Never throws for worker failures —
+     * they are ledgered and retried. Throws FatalError only when the
+     * listen address is unusable.
      */
     harness::SupervisorReport run(std::size_t count);
 

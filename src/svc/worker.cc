@@ -122,6 +122,10 @@ CampaignWorker::handshake(std::uint64_t waitMs, std::string* err)
         dropConnection();
         return -1;
     }
+    if (f.type == FrameType::Done) {
+        dropConnection();
+        return 2;
+    }
     if (f.type != FrameType::HelloAck) {
         *err = std::string("expected hello-ack, got ") +
                frameTypeName(f.type);
@@ -180,6 +184,8 @@ CampaignWorker::reconnect(std::string* err)
         waited += delay;
         std::string hsErr;
         const int h = handshake(0, &hsErr);
+        if (h == 2)
+            return 0;
         if (h > 0) {
             ++stats_.reconnects;
             warn("campaign worker ", opts_.name, ": reconnected to ",
@@ -272,7 +278,10 @@ CampaignWorker::run(
 {
     harness::ignoreSigpipe();
     transport_.configure(opts_.netFaults, opts_.name);
-    if (handshake(opts_.connectWaitMs, err) <= 0)
+    const int h = handshake(opts_.connectWaitMs, err);
+    if (h == 2)
+        return true; // nothing left to lease
+    if (h <= 0)
         return false;
 
     for (;;) {

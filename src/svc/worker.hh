@@ -117,7 +117,9 @@ class CampaignWorker
     };
 
     /** 1 = handshake complete, 0 = daemon unreachable (retryable),
-     *  -1 = protocol-fatal (rejected / malformed ack). */
+     *  -1 = protocol-fatal (rejected / malformed ack), 2 = the daemon
+     *  answered Done: the campaign resolved before this worker was
+     *  admitted. */
     int handshake(std::uint64_t waitMs, std::string* err);
     /** 1 = reconnected, 0 = budget exhausted, -1 = fatal. */
     int reconnect(std::string* err);

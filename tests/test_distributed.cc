@@ -140,6 +140,10 @@ TEST(Distributed, WorkersCompleteCampaignIdenticallyToSerial)
 
     CampaignService service(so);
     service.setKeys(testKeys(kCount));
+    // Bind before any worker starts: a worker whose first connect beat
+    // the bind would retry only after its backoff step, by which time
+    // the other workers may have finished all the points.
+    service.listen();
 
     harness::SupervisorReport report;
     std::thread daemon(

@@ -602,7 +602,7 @@ ruleUnsafeQueueAccess(const FileCtx& ctx, std::vector<Finding>* out)
     // freely. Anywhere else, a call site is one partition touching a
     // queue that may belong to another — a data race under threaded
     // runs and a determinism bug even without one, because it bypasses
-    // the channel timestamps the LBTS computation trusts.
+    // the channel timestamps the engine's per-round bounds trust.
     if (pathUnder(ctx.path, "src/sim"))
         return;
     const auto& t = ctx.toks;
@@ -617,7 +617,7 @@ ruleUnsafeQueueAccess(const FileCtx& ctx, std::vector<Finding>* out)
         emit(out, ctx, "TBL022", t[i].line,
              "direct EventQueue access through 'unsafeQueue()' outside "
              "src/sim — cross-partition work must travel a channel so "
-             "the conservative LBTS bound stays truthful",
+             "the conservative round bound stays truthful",
              "use Partition::send()/sendCancelable() for remote "
              "effects; if this queue provably belongs to the calling "
              "partition, say so in a tblint-allow reason");
