@@ -33,6 +33,7 @@
  * campaigns do.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -42,7 +43,6 @@
 #include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.hh"
@@ -338,23 +338,24 @@ runPdesCube(unsigned threads, bool quick)
 
 /**
  * The PDES metric family. Throughput is best-of-N per thread count;
- * the deterministic event count is cross-checked between every run
+ * the deterministic event count is cross-checked between every run,
+ * and the round count between repetitions at one thread count,
  * before anything is reported — a serial/threaded mismatch is a
  * determinism bug, not a perf number, and fails the benchmark.
  */
 std::vector<bench::MicroMetric>
 pdesMetrics(bool quick, unsigned reps, bool* ok)
 {
-    const unsigned hw = std::thread::hardware_concurrency();
-    const unsigned par = hw > 1 ? (hw < 4 ? hw : 4u) : 1u;
+    const unsigned par = std::min(pdes::usableCpus(), 4u);
 
     const auto bestAt = [&](unsigned threads) {
         PdesRun best = runPdesCube(threads, quick);
         for (unsigned i = 1; i < reps; ++i) {
             const PdesRun r = runPdesCube(threads, quick);
-            if (r.stats.fired != best.stats.fired) {
-                std::cerr << "pdes event count drifted between "
-                             "repetitions\n";
+            if (r.stats.fired != best.stats.fired ||
+                r.stats.rounds != best.stats.rounds) {
+                std::cerr << "pdes event or round count drifted "
+                             "between repetitions\n";
                 *ok = false;
             }
             if (r.wall < best.wall)
@@ -363,11 +364,14 @@ pdesMetrics(bool quick, unsigned reps, bool* ok)
         return best;
     };
 
+    // One worker runs the sequential executor and par workers the
+    // window rounds, so only the simulation's own counters compare.
     const PdesRun serial = bestAt(1);
     const PdesRun threaded = bestAt(par);
     if (serial.stats.fired != threaded.stats.fired ||
         serial.stats.finalTick != threaded.stats.finalTick ||
-        serial.stats.rounds != threaded.stats.rounds) {
+        serial.stats.sent != threaded.stats.sent ||
+        serial.stats.merged != threaded.stats.merged) {
         std::cerr << "pdes serial/threaded runs diverged\n";
         *ok = false;
     }
@@ -489,8 +493,7 @@ runMachineExperiment(unsigned threads, unsigned partitions, bool quick)
 std::vector<bench::MicroMetric>
 machineMetrics(bool quick, unsigned reps, bool* ok)
 {
-    const unsigned hw = std::thread::hardware_concurrency();
-    const unsigned par = hw > 1 ? (hw < 4 ? hw : 4u) : 1u;
+    const unsigned par = std::min(pdes::usableCpus(), 4u);
 
     const auto bestAt = [&](unsigned threads, unsigned partitions,
                             const std::string* reference) {

@@ -19,7 +19,12 @@ Policy:
 * Throughput metrics (unit ending in "/s") fail the comparison when the
   normalized value regresses by more than ``--threshold`` (default 25%).
   Improvements never fail; a large improvement is a hint to refresh the
-  baseline (see docs/PERFORMANCE.md).
+  baseline (see docs/PERFORMANCE.md). When the line carries ``threads``
+  and the baseline and current counts differ, a passing comparison
+  proves nothing (a 4-thread rate against a 1-thread baseline): it is
+  printed as ``VACUOUS (baseline N threads, current M)`` instead of
+  ``ok`` and listed in a closing summary. This never changes the exit
+  status; a regression beyond the threshold still fails.
 * Metrics with unit "ticks" or "count" are simulated quantities and
   must be bit-identical per seed: any difference is a determinism
   failure, not a perf regression, and always fails regardless of
@@ -188,7 +193,8 @@ def main():
     print("-" * len(header))
 
     failures = list(supervisor_failures)
-    for name, (unit, base_val, _base_thr) in sorted(base.items()):
+    vacuous = []
+    for name, (unit, base_val, base_thr) in sorted(base.items()):
         if name == "calibration":
             continue
         if name not in cur:
@@ -238,6 +244,11 @@ def main():
         delta = norm / base_val - 1.0
         ok = delta >= -args.threshold
         status = "ok" if ok else "REGRESSION"
+        if ok and base_thr != cur_thr:
+            status = (f"VACUOUS (baseline {base_thr} threads, "
+                      f"current {cur_thr})")
+            vacuous.append(f"{name}: baseline {base_thr} threads, "
+                           f"current {cur_thr}")
         if not ok:
             failures.append(
                 f"{name}: {-delta:.1%} below baseline "
@@ -250,6 +261,12 @@ def main():
               f"{'--':>12} {'--':>8}  new (no baseline)")
 
     print()
+    if vacuous:
+        print("VACUOUS: measured at a different thread count than the "
+              "baseline, so passing proves nothing:")
+        for v in vacuous:
+            print(f"  - {v}")
+        print()
     if failures:
         print("FAIL:")
         for f in failures:

@@ -17,7 +17,10 @@
 # into cluster partitions (8 on the 64-node figure6 machine, 4 on the
 # 16-node thrifty_sim run). Worker threads drain real engine channels
 # here, so this is the sweep that proves the partitioned machine —
-# not just the one-partition umbrella — is deterministic.
+# not just the one-partition umbrella — is deterministic. The engine
+# picks its executor by worker count (sequential at 1, window rounds
+# at 2 or more), so each partitioned run is labelled with it: a
+# mismatch between the two executors is then obvious in the log.
 #
 # This is the per-simulation analogue of the --jobs determinism diffs:
 # worker threads inside the engine must never be observable in any
@@ -59,6 +62,11 @@ timed() {
     echo "  $label: $(( (t1 - t0) / 1000000 )) ms" >&2
 }
 
+# Executor a partitioned run at THREADS workers uses: executor THREADS
+executor() {
+    if [ "$1" -le 1 ]; then echo sequential; else echo window; fi
+}
+
 for t in $THREADS; do
     d=$OUT_DIR/t$t
     mkdir -p "$d"
@@ -69,7 +77,8 @@ for t in $THREADS; do
     timed figure6_time "$fig" --sim-threads "$t" --out "$d/figure6.out" \
         --stats-json "$d/figure6_stats.jsonl" \
         --trace "$d/figure6_trace.json" > /dev/null
-    echo "==== --sim-threads $t (partitioned plan) ===="
+    echo "==== --sim-threads $t (partitioned plan, $(executor "$t")" \
+         "executor) ===="
     timed thrifty_sim "$sim" --app Volrend --config T --dim 4 \
         --sim-partitions 4 --sim-threads "$t" --json \
         > "$d/sim_partitioned.json"
@@ -86,8 +95,14 @@ for t in $THREADS; do
              figure6.out figure6_stats.jsonl figure6_trace.json \
              sim_partitioned.json figure6_partitioned.out; do
         if ! cmp -s "$ref/$f" "$d/$f"; then
-            echo "MISMATCH: $f differs between --sim-threads" \
-                 "${ref#"$OUT_DIR"/t} and --sim-threads $t" >&2
+            r=${ref#"$OUT_DIR"/t}
+            note=
+            case $f in
+            *partitioned*)
+                note=" ($(executor "$r") vs $(executor "$t") executor)" ;;
+            esac
+            echo "MISMATCH: $f differs between --sim-threads $r" \
+                 "and --sim-threads $t$note" >&2
             fail=1
         fi
     done

@@ -180,8 +180,12 @@ struct RunOptions
     Tick livenessBudget = 0;
     /**
      * Worker threads driving this one simulation through the
-     * conservative PDES engine (harness/parallel_sim.hh); 1 = the
-     * serial reference engine. Never affects results — stats, traces
+     * conservative PDES engine (harness/parallel_sim.hh). 1 runs the
+     * serial plan on the plain event queue, and a partitioned plan on
+     * the engine's sequential executor; 2 or more run the engine's
+     * window rounds on that many workers (capped at the partition
+     * count, so a serial plan stays sequential). Never affects
+     * results — stats, traces
      * and artifacts are byte-identical at any value — so it is NOT
      * part of the experiment's identity (config hashes, journals and
      * result caches ignore it, exactly like --jobs).

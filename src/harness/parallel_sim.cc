@@ -45,10 +45,11 @@ runMachinePdes(Machine& machine, unsigned threads)
     }
 
     // Partitioned machine: every cluster queue becomes a managed
-    // engine partition. This path is taken even with one worker — the
-    // cluster queues must be drained together under the round protocol
-    // regardless of host parallelism, which is also what makes the
-    // one-worker run the plan's bit-exact reference.
+    // engine partition, at any worker count — the cluster queues must
+    // be drained together. One worker gets the engine's sequential
+    // executor (direct delivery, no rounds), two or more its window
+    // rounds; both run the same keyed total order, so the one-worker
+    // run is the plan's bit-exact reference for every other count.
     const unsigned parts = machine.partitions();
     pdes::Engine::Config cfg;
     cfg.threads = report.threads;

@@ -61,8 +61,9 @@ struct PdesRunReport
  * its accounting intervals. A serial (1-partition) machine with
  * threads <= 1 is exactly Machine::run(); a partitioned machine is
  * always engine-driven — its per-cluster queues must be drained
- * together under the round protocol even with one worker. Results are
- * byte-identical at any thread count (see file comment).
+ * together, by the sequential executor at one worker and by window
+ * rounds at two or more. Results are byte-identical at any thread
+ * count (see file comment).
  */
 PdesRunReport runMachinePdes(Machine& machine, unsigned threads);
 

@@ -6,6 +6,8 @@
 
 #include "sim/pdes.hh"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <thread>
 
@@ -65,8 +67,48 @@ Partition::push(Channel& c, ChannelMsg&& m)
               " violates conservative lookahead: when=", m.when,
               " < now=", now(), " + lookahead=", c.lookahead);
     }
+    if (direct_) {
+        direct_->deliver(c, std::move(m));
+        return;
+    }
     c.minSent[parity_] = std::min(c.minSent[parity_], m.when);
     c.mailbox[parity_].push_back(std::move(m));
+}
+
+void
+Partition::accept(PartitionId src, ChannelMsg&& m)
+{
+    switch (m.kind) {
+    case ChannelMsg::Kind::Payload:
+        ++stats_.merged;
+        eq_->scheduleKeyed(m.when, m.priority, src, m.seq,
+                           std::move(m.fn));
+        break;
+    case ChannelMsg::Kind::Cancelable: {
+        ++stats_.merged;
+        const std::uint64_t key = remoteKey(src, m.seq);
+        EventHandle h = eq_->scheduleKeyed(
+            m.when, m.priority, src, m.seq,
+            [this, key, fn = std::move(m.fn)]() mutable {
+                remotePending_.erase(key);
+                fn();
+            });
+        remotePending_.emplace(key, h);
+        break;
+    }
+    case ChannelMsg::Kind::Cancel: {
+        const std::uint64_t key = remoteKey(src, m.target);
+        eq_->scheduleKeyed(m.when, m.priority, src, m.seq,
+                           [this, key]() {
+                               auto it = remotePending_.find(key);
+                               if (it != remotePending_.end()) {
+                                   it->second.cancel();
+                                   remotePending_.erase(it);
+                               }
+                           });
+        break;
+    }
+    }
 }
 
 void
@@ -75,39 +117,8 @@ Partition::merge(unsigned parity)
     // Merge order cannot reorder execution: each entry carries its
     // origin (partition, seq) key.
     for (Channel* c : ins_) {
-        for (ChannelMsg& m : c->mailbox[parity]) {
-            switch (m.kind) {
-            case ChannelMsg::Kind::Payload:
-                ++stats_.merged;
-                eq_->scheduleKeyed(m.when, m.priority, c->src, m.seq,
-                                   std::move(m.fn));
-                break;
-            case ChannelMsg::Kind::Cancelable: {
-                ++stats_.merged;
-                const std::uint64_t key = remoteKey(c->src, m.seq);
-                EventHandle h = eq_->scheduleKeyed(
-                    m.when, m.priority, c->src, m.seq,
-                    [this, key, fn = std::move(m.fn)]() mutable {
-                        remotePending_.erase(key);
-                        fn();
-                    });
-                remotePending_.emplace(key, h);
-                break;
-            }
-            case ChannelMsg::Kind::Cancel: {
-                const std::uint64_t key = remoteKey(c->src, m.target);
-                eq_->scheduleKeyed(
-                    m.when, m.priority, c->src, m.seq, [this, key]() {
-                        auto it = remotePending_.find(key);
-                        if (it != remotePending_.end()) {
-                            it->second.cancel();
-                            remotePending_.erase(it);
-                        }
-                    });
-                break;
-            }
-            }
-        }
+        for (ChannelMsg& m : c->mailbox[parity])
+            accept(c->src, std::move(m));
         c->mailbox[parity].clear();
     }
 }
@@ -256,6 +267,15 @@ Engine::connect(PartitionId src, PartitionId dst, Tick lookahead)
     parts_[dst]->ins_.push_back(&c);
 }
 
+unsigned
+usableCpus()
+{
+    cpu_set_t set;
+    if (sched_getaffinity(0, sizeof(set), &set) == 0)
+        return static_cast<unsigned>(std::max(1, CPU_COUNT(&set)));
+    return std::max(1u, std::thread::hardware_concurrency());
+}
+
 namespace detail {
 
 namespace {
@@ -279,7 +299,7 @@ cpuRelax()
 }
 
 /**
- * With more workers than host threads a spinning waiter holds the CPU
+ * With more workers than usable CPUs a spinning waiter holds the CPU
  * a worker still in its round needs (a 64-node Volrend run at 8
  * workers on 4 cores took 14 s spinning, under 2 s blocking at
  * once), so oversubscribed runs block immediately.
@@ -287,8 +307,7 @@ cpuRelax()
 unsigned
 spinPollsFor(unsigned parties)
 {
-    const unsigned hw = std::thread::hardware_concurrency();
-    return hw != 0 && parties > hw ? 0 : kSpinPolls;
+    return parties > usableCpus() ? 0 : kSpinPolls;
 }
 
 } // namespace
@@ -301,8 +320,6 @@ RoundBarrier::RoundBarrier(unsigned parties)
 void
 RoundBarrier::arriveAndWait()
 {
-    if (parties_ == 1)
-        return;
     // The phase cannot advance before this thread arrives, so this
     // load reads the current phase. Arrivals form one release
     // sequence on arrived_; the last arriver acquires it, so its
@@ -403,6 +420,61 @@ Engine::worker(const std::vector<Partition*>& mine,
 }
 
 void
+Engine::deliver(const Channel& c, ChannelMsg&& m)
+{
+    // A reply to this message can reach the firing partition c.src no
+    // earlier than when + D[dst][src], so the burst must stop there.
+    const std::size_t n = parts_.size();
+    burstLimit_ =
+        std::min(burstLimit_, satAdd(m.when, dist_[c.dst * n + c.src]));
+    heads_[c.dst] = std::min(heads_[c.dst], m.when);
+    parts_[c.dst]->accept(c.src, std::move(m));
+}
+
+void
+Engine::runSequential()
+{
+    const std::size_t n = parts_.size();
+    // Sends made during setup sit in the parity-0 mailboxes; from here
+    // on every send is delivered at once, so nothing is in flight.
+    for (const auto& p : parts_) {
+        p->merge(0);
+        p->direct_ = this;
+    }
+    heads_.resize(n);
+    for (std::size_t r = 0; r < n; ++r)
+        heads_[r] = parts_[r]->eq_->nextTick();
+
+    for (;;) {
+        std::size_t p = 0;
+        for (std::size_t r = 1; r < n; ++r)
+            if (heads_[r] < heads_[p])
+                p = r;
+        if (heads_[p] == kTickNever)
+            return;
+
+        // Every future event of r lies at or after heads_[r] and
+        // reaches p no earlier than heads_[r] + D[r][p]. Each r has
+        // heads_[r] >= heads_[p] and D > 0, so the burst fires at
+        // least one event.
+        burstLimit_ = kTickNever;
+        for (std::size_t r = 0; r < n; ++r)
+            if (r != p)
+                burstLimit_ = std::min(
+                    burstLimit_, satAdd(heads_[r], dist_[r * n + p]));
+
+        Partition& part = *parts_[p];
+        EventQueue& eq = *part.eq_;
+        const std::uint64_t before = eq.eventsExecuted();
+        // deliver() may lower burstLimit_ inside any event.
+        while (eq.nextTick() < burstLimit_)
+            eq.runOne();
+        part.stats_.fired += eq.eventsExecuted() - before;
+        heads_[p] = eq.nextTick();
+    }
+}
+
+void
 Engine::run()
 {
     if (ran_)
@@ -416,6 +488,11 @@ Engine::run()
         std::min(cfg_.threads, static_cast<unsigned>(parts_.size())));
 
     computeDistances();
+    if (threadsUsed_ == 1) {
+        runSequential();
+        return;
+    }
+
     published_[0].resize(parts_.size());
     published_[1].assign(parts_.size(), kTickNever);
     for (const auto& p : parts_)

@@ -9,9 +9,10 @@
  * sent while the source partition sits at simulated time s must carry
  * a timestamp >= s + lookahead.
  *
- * Synchronisation is round-synchronous (YAWNS-style windows). In each
- * round every worker fires its partitions' events strictly below a
- * per-partition bound, then publishes, per partition, its post-fire
+ * With two or more workers, synchronisation is round-synchronous
+ * (YAWNS-style windows). In each round every worker fires its
+ * partitions' events strictly below a per-partition bound, then
+ * publishes, per partition, its post-fire
  * next event time and the earliest timestamp it sent on each output
  * channel. One barrier ends the round. After it every worker computes
  * the same minima m(r) = min(next event of r, earliest message in
@@ -39,16 +40,34 @@
  * central counter whose waiters spin briefly and then block until the
  * last arriver wakes them, so oversubscribed runs degrade gracefully.
  *
+ * With one worker there is nobody to wait for, so the engine skips
+ * rounds altogether and runs a sequential conservative executor.
+ * Sends are delivered straight into the destination queue, so nothing
+ * is ever in flight and each partition's exact head h(r) (its next
+ * event) stands in for m(r). The executor repeatedly picks the
+ * partition p with the earliest head and fires its events strictly
+ * below
+ *
+ *     limit = min over r != p of h(r) + D[r][p],
+ *
+ * lowering the limit to when + D[dst][p] on each send p makes during
+ * the burst, because a reply can come back around a cycle. It is the
+ * window bound's argument with the exact heads, and no destination is
+ * ever past a delivery. Setup sends still sit in the parity-0
+ * mailboxes and are delivered first.
+ *
  * Determinism contract (docs/PERFORMANCE.md): execution order is the
  * total order (time, priority, origin partition, origin sequence),
  * enforced by EventQueue::scheduleKeyed, and the bounds are a pure
- * function of the simulation. Worker count and host scheduling cannot
- * change which key runs next, or which round it runs in, so any
- * thread count produces bit-identical simulations and identical
- * counters: fired/scheduled/sent/merged, rounds and stall rounds are
- * all deterministic. Only nullPublishes and gvtRescues remain from the
- * old null-message protocol; they are always 0 and kept because
- * existing reports read them. No engine counter feeds an artifact.
+ * function of the simulation. Neither the executor nor host scheduling
+ * can change which key runs next, so any thread count produces
+ * bit-identical simulations and identical fired/scheduled/sent/
+ * merged/cancelsSent counters. Rounds and stall rounds count window
+ * rounds: deterministic for a given worker count >= 2, identical
+ * across all of them, and 0 at one worker. Only nullPublishes and
+ * gvtRescues remain from the old null-message protocol; they are
+ * always 0 and kept because existing reports read them. No engine
+ * counter feeds an artifact.
  */
 
 #ifndef TB_SIM_PDES_HH_
@@ -101,8 +120,8 @@ struct PartitionStats
     std::uint64_t sent = 0;      ///< payload messages sent
     std::uint64_t merged = 0;    ///< payload messages merged in
     std::uint64_t cancelsSent = 0;
-    /** Rounds in which this partition had pending work but none
-     *  below its bound. */
+    /** Window rounds in which this partition had pending work but
+     *  none below its bound (0 at one worker: no rounds). */
     std::uint64_t stallRounds = 0;
 };
 
@@ -114,7 +133,9 @@ struct EngineStats
     std::uint64_t sent = 0;
     std::uint64_t merged = 0;
     std::uint64_t cancelsSent = 0;
-    std::uint64_t rounds = 0;        ///< synchronisation rounds (barriers)
+    /** Window rounds (barriers). The one-worker sequential executor
+     *  runs no rounds, so this and stallRounds are 0 there. */
+    std::uint64_t rounds = 0;
     std::uint64_t stallRounds = 0;   ///< summed PartitionStats::stallRounds
     /** Always 0: the window protocol sends no null messages and needs
      *  no GVT rescue. Kept for reports that still read them. */
@@ -168,9 +189,13 @@ struct alignas(64) Channel
 class RoundBarrier
 {
   public:
+    /** @p parties >= 2: one worker runs no rounds. */
     explicit RoundBarrier(unsigned parties);
 
     void arriveAndWait();
+
+    /** Polls a waiter spins before blocking (0: blocks at once). */
+    unsigned spinPolls() const { return spinPolls_; }
 
   private:
     alignas(64) std::atomic<unsigned> arrived_{0};
@@ -180,6 +205,13 @@ class RoundBarrier
 };
 
 } // namespace detail
+
+/**
+ * CPUs this process may run on: its affinity mask, which
+ * hardware_concurrency() ignores (it reports every CPU even under
+ * taskset). At least 1.
+ */
+unsigned usableCpus();
 
 /**
  * One unit of sequential simulation: a slab EventQueue plus the
@@ -281,6 +313,8 @@ class Partition
     std::uint32_t takeSeq();
     detail::Channel& channelTo(PartitionId dst) const;
     void push(detail::Channel& c, detail::ChannelMsg&& m);
+    /** Schedule one message from partition @p src into the queue. */
+    void accept(PartitionId src, detail::ChannelMsg&& m);
     /** Merge the mailboxes of round parity @p parity into the queue. */
     void merge(unsigned parity);
 
@@ -298,6 +332,9 @@ class Partition
     std::uint32_t nextSeq_ = 0;
     /** Round parity this partition's sends go to (0 during setup). */
     unsigned parity_ = 0;
+    /** The engine, once its sequential executor runs: sends bypass
+     *  the mailboxes and go straight to Engine::deliver. */
+    Engine* direct_ = nullptr;
     /** Input channels in creation order — the deterministic drain
      *  order (irrelevant to execution order thanks to keyed ties, but
      *  kept fixed so merge accounting is reproducible too). */
@@ -312,7 +349,8 @@ class Partition
 
 /**
  * The conservative engine: owns partitions and channels, runs the
- * bounded fire rounds on a fixed worker pool. One-shot: build the
+ * bounded fire rounds on a fixed worker pool, or the sequential
+ * executor when there is one worker. One-shot: build the
  * topology, seed initial events, call run() exactly once, then read
  * stats. Worker count never affects simulation results — only wall
  * time (see file comment for the argument).
@@ -381,6 +419,10 @@ class Engine
     /** One worker's round loop; returns the number of rounds run. */
     std::uint64_t worker(const std::vector<Partition*>& mine,
                          detail::RoundBarrier& barrier);
+    /** The one-worker executor: bursts of the earliest partition. */
+    void runSequential();
+    /** Sequential-mode send: hand @p m to its destination at once. */
+    void deliver(const detail::Channel& c, detail::ChannelMsg&& m);
     /** Fill dist_ with the all-pairs shortest lookahead paths. */
     void computeDistances();
 
@@ -401,6 +443,10 @@ class Engine
     /** Post-fire next event tick per partition, by round parity
      *  (slot 0 holds the initial queues' heads before round 1). */
     std::vector<Tick> published_[2];
+    /** Sequential executor: every partition's next event tick, and
+     *  the bound of the running burst. */
+    std::vector<Tick> heads_;
+    Tick burstLimit_ = kTickNever;
 };
 
 } // namespace pdes

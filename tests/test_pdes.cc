@@ -8,6 +8,7 @@
  */
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <algorithm>
 #include <cstdint>
@@ -131,7 +132,7 @@ TEST(Pdes, NullMessageProgressAtZeroLoad)
                            1000);
         bool fired = false;
         // 10^9 ticks away: ~10^6 creep rounds if clocks only advanced
-        // by ring lookahead, microseconds with the GVT rescue.
+        // by ring lookahead; the distance bound reaches it at once.
         engine.partition(0).schedule(1'000'000'000,
                                      [&] { fired = true; });
         engine.run();
@@ -208,6 +209,103 @@ TEST(Pdes, RelayChainHonorsPathLookahead)
             << threads << " threads";
         EXPECT_EQ(merged, serial) << threads << " threads";
     }
+}
+
+/**
+ * Reply ordering across a cycle. A has local events at 5, 30 and 40;
+ * A@5 sends to B@20, and B replies to A@35 (lookahead 10 each way).
+ * At one worker the burst that fires A@5 must stop below 20 + D[B][A]
+ * = 30 once the send is made: an executor that keeps the limit it
+ * started with fires A@30 and A@40 first, and B's reply then lands in
+ * A's past.
+ */
+TEST(Pdes, ReplyAroundCycleLowersBurstLimit)
+{
+    using Log = std::vector<std::pair<char, Tick>>;
+    for (unsigned threads : {1u, 2u}) {
+        Engine engine(threaded(threads));
+        Partition& a = engine.addPartition("A");
+        Partition& b = engine.addPartition("B");
+        engine.connect(0, 1, 10);
+        engine.connect(1, 0, 10);
+        std::vector<Log> logs(2);
+        const auto logA = [&] { logs[0].emplace_back('a', a.now()); };
+        a.schedule(5, [&] {
+            logA();
+            a.send(1, 20, [&] {
+                logs[1].emplace_back('b', b.now());
+                b.send(0, 35, logA);
+            });
+        });
+        a.schedule(30, logA);
+        a.schedule(40, logA);
+        engine.run();
+        Log merged = logs[0];
+        merged.insert(merged.end(), logs[1].begin(), logs[1].end());
+        std::sort(merged.begin(), merged.end(),
+                  [](const auto& x, const auto& y) {
+                      return x.second < y.second;
+                  });
+        EXPECT_EQ(merged, (Log{{'a', 5}, {'b', 20}, {'a', 30},
+                               {'a', 35}, {'a', 40}}))
+            << threads << " threads";
+        EXPECT_EQ(logs[0], (Log{{'a', 5}, {'a', 30}, {'a', 35},
+                                {'a', 40}}))
+            << threads << " threads";
+    }
+}
+
+/** A send made during setup, before run(), is delivered. */
+TEST(Pdes, SetupSendIsDelivered)
+{
+    for (unsigned threads : {1u, 2u}) {
+        Engine engine(threaded(threads));
+        Partition& a = engine.addPartition("a");
+        Partition& b = engine.addPartition("b");
+        engine.connect(0, 1, 10);
+        Tick firedAt = 0;
+        a.send(1, 25, [&] { firedAt = b.now(); });
+        engine.run();
+        EXPECT_EQ(firedAt, Tick{25}) << threads << " threads";
+        EXPECT_EQ(engine.stats().merged, 1u) << threads << " threads";
+    }
+}
+
+/**
+ * The lookahead check still guards sends made by running events at
+ * one worker, where a send goes straight into the destination queue.
+ */
+TEST(Pdes, IllegalSendFromEventPanicsAtOneWorker)
+{
+    Engine engine(threaded(1));
+    Partition& a = engine.addPartition("a");
+    engine.addPartition("b");
+    engine.connect(0, 1, 10);
+    a.schedule(5, [&] { a.send(1, 14, [] {}); });
+    EXPECT_THROW(engine.run(), tb::PanicError);
+}
+
+/**
+ * The barrier's spin decision counts the CPUs in the affinity mask:
+ * pinned to one CPU, two parties must block at once rather than spin
+ * for a CPU the other party needs.
+ */
+TEST(Pdes, BarrierSpinHonorsCpuAffinity)
+{
+    cpu_set_t saved;
+    ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+    int cpu = 0;
+    while (!CPU_ISSET(cpu, &saved))
+        ++cpu;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+    const unsigned pinned = tb::pdes::usableCpus();
+    const unsigned polls = tb::pdes::detail::RoundBarrier(2).spinPolls();
+    ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+    EXPECT_EQ(pinned, 1u);
+    EXPECT_EQ(polls, 0u);
 }
 
 TEST(Pdes, ZeroEventsTerminates)
@@ -317,9 +415,13 @@ TEST(Pdes, TieBreakTotalOrder)
  * topology and workload (self-rescheduling events, cross-partition
  * sends at lookahead distance, cancelable sends with in-time and late
  * cancels) executed at 1/2/3/4 worker threads must produce identical
- * per-partition execution logs and the same number of rounds. This is
- * the engine-level version of the CI pdes-determinism artifact diff;
- * 3 threads gives uneven (3/3/2) partition ownership.
+ * per-partition execution logs and identical fired/sent/merged/
+ * cancelsSent counters. One worker runs the sequential executor and
+ * the others the window rounds, so this checks one executor against
+ * the other; the window runs must also agree on their round count,
+ * and the sequential run must report none. This is the engine-level
+ * version of the CI pdes-determinism artifact diff; 3 threads gives
+ * uneven (3/3/2) partition ownership.
  */
 TEST(Pdes, RandomizedSerialVsThreadedEquivalence)
 {
@@ -443,20 +545,28 @@ TEST(Pdes, RandomizedSerialVsThreadedEquivalence)
             flat.push_back(0xffff'0000'0000'0000ull | i);
             flat.insert(flat.end(), logs[i].begin(), logs[i].end());
         }
-        return std::make_pair(flat, engine.stats().rounds);
+        return std::make_pair(flat, engine.stats());
     };
 
     for (std::uint64_t seed : {1ull, 42ull, 20260808ull}) {
         const auto serial = runOnce(seed, 1);
         ASSERT_GT(serial.first.size(), kParts); // workload actually ran
-        ASSERT_GT(serial.second, 1u);
+        EXPECT_EQ(serial.second.rounds, 0u) << "seed " << seed;
+        const auto two = runOnce(seed, 2);
+        ASSERT_GT(two.second.rounds, 1u);
         for (unsigned threads : {2u, 3u, 4u}) {
-            const auto run = runOnce(seed, threads);
-            EXPECT_EQ(run.first, serial.first)
-                << "seed " << seed << ", " << threads << " threads";
-            EXPECT_EQ(run.second, serial.second)
-                << "rounds, seed " << seed << ", " << threads
-                << " threads";
+            const auto run = threads == 2 ? two : runOnce(seed, threads);
+            const std::string where = "seed " + std::to_string(seed) +
+                                      ", " + std::to_string(threads) +
+                                      " threads";
+            EXPECT_EQ(run.first, serial.first) << where;
+            EXPECT_EQ(run.second.fired, serial.second.fired) << where;
+            EXPECT_EQ(run.second.sent, serial.second.sent) << where;
+            EXPECT_EQ(run.second.merged, serial.second.merged) << where;
+            EXPECT_EQ(run.second.cancelsSent,
+                      serial.second.cancelsSent)
+                << where;
+            EXPECT_EQ(run.second.rounds, two.second.rounds) << where;
         }
     }
 }
