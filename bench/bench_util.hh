@@ -21,7 +21,6 @@
 #include "harness/parallel_runner.hh"
 #include "harness/report.hh"
 #include "obs/json_writer.hh"
-#include "svc/distributed.hh"
 #include "workloads/app_profile.hh"
 
 namespace tb {
@@ -77,8 +76,9 @@ runAppConfigMatrix(const harness::SystemConfig& sys,
  * The (app x configuration) matrix as a supervised PointTask. The
  * closures reference @p sys, @p apps, @p opts and @p capture — all
  * must outlive the returned task. The config hash covers everything
- * that shapes a point's result, so journal and result-cache entries
- * never satisfy a differently-configured campaign.
+ * that shapes a point's result, so journal entries never satisfy a
+ * differently-configured campaign. `--only-point` runs `task.run(i)`
+ * too, so a repro command simulates exactly the plan that failed.
  */
 inline harness::PointTask
 matrixPointTask(const harness::SystemConfig& sys,
@@ -137,19 +137,16 @@ matrixPointTask(const harness::SystemConfig& sys,
 
 /**
  * Supervised variant of runAppConfigMatrix for the figure campaigns:
- * the same (app x configuration) point space run under whatever
- * execution mode the command line selected — the local
- * CampaignSupervisor by default, the distributed work-queue daemon
- * with --serve (docs/ROBUSTNESS.md, "Distributed campaigns") — with
- * each point's full ExperimentResult serialized losslessly so it
- * survives --isolate's process boundary, the journal's disk boundary
- * and the daemon's socket boundary alike. @p groups is filled exactly
- * like runAppConfigMatrix for every resolved point; consult the
- * returned run's report before rendering — failed points leave
- * default-constructed entries. A non-null @p capture records each
- * in-process point's trace and stats (--trace / --stats-json).
+ * the same (app x configuration) point space under a local
+ * CampaignSupervisor, each point's full ExperimentResult serialized
+ * losslessly so it survives --isolate's process boundary and the
+ * journal's disk boundary alike. @p groups is filled exactly like
+ * runAppConfigMatrix for every resolved point; consult the returned
+ * report before rendering — failed points leave default-constructed
+ * entries. A non-null @p capture records each in-process point's
+ * trace and stats (--trace / --stats-json).
  */
-inline svc::CampaignRun
+inline harness::SupervisorReport
 runAppConfigMatrixSupervised(
     const harness::SystemConfig& sys,
     const std::vector<workloads::AppProfile>& apps,
@@ -163,37 +160,21 @@ runAppConfigMatrixSupervised(
     const harness::PointTask task =
         matrixPointTask(sys, apps, opts, prog, capture);
 
-    svc::CampaignRun run =
-        svc::runCampaignPoints(opts, count, task, journal, prog);
+    harness::CampaignSupervisor supervisor(opts.policy);
+    supervisor.attachJournal(journal);
+    harness::SupervisorReport report = supervisor.run(count, task);
 
     groups->assign(apps.size(),
                    std::vector<harness::ExperimentResult>(
                        kinds.size()));
     for (std::size_t i = 0; i < count; ++i) {
-        if (run.results[i].empty())
+        const std::string& result = supervisor.results()[i];
+        if (result.empty())
             continue;
         (*groups)[i / kinds.size()][i % kinds.size()] =
-            harness::deserializeResult(run.results[i]);
+            harness::deserializeResult(result);
     }
-    return run;
-}
-
-/**
- * Worker-mode entry of the figure campaigns (--worker ADDR): lease
- * matrix points from the daemon until it reports Done. Returns the
- * process exit code; the caller must not print the banner or touch
- * artifact files in this mode — the daemon owns all campaign output.
- */
-inline int
-runAppConfigMatrixWorker(
-    const harness::SystemConfig& sys,
-    const std::vector<workloads::AppProfile>& apps,
-    const harness::CampaignOptions& opts, const char* prog)
-{
-    const harness::PointTask task =
-        matrixPointTask(sys, apps, opts, prog);
-    return svc::runCampaignWorker(
-        opts, apps.size() * figureConfigs().size(), task);
+    return report;
 }
 
 /** One point of a robustness campaign (seeds or faults sweep). */
@@ -307,27 +288,16 @@ extractJsonU64(const std::string& line, const std::string& key)
  * a resumed campaign can be diffed byte-for-byte against a straight
  * run. The supervisor counter line (kind "supervisor") goes to stdout
  * only: it legitimately differs between a straight and a resumed run
- * (journaled/retries counts), so it must not pollute the artifact.
- * A distributed campaign adds its daemon counters (@p serviceSummary,
- * kind "service") to stdout and its crash ledger (@p ledgerJsonl,
- * kind "crash-ledger") to the manifest — the manifest file persists
- * whenever the ledger is non-empty, even for a campaign that
- * ultimately succeeded, because "a worker died and the queue
- * recovered" is exactly what the ledger exists to record.
+ * (the journaled count), so it must not pollute the artifact.
  */
 inline int
 finishSupervisedCampaign(const harness::CampaignOptions& opts,
                          const harness::SupervisorReport& report,
                          const std::string& campaign,
                          const std::string& artifact,
-                         const harness::ObsCapture* capture = nullptr,
-                         const std::string& serviceSummary = "",
-                         const std::string& ledgerJsonl = "")
+                         const harness::ObsCapture* capture = nullptr)
 {
-    std::cout << report.summaryJson(campaign);
-    if (!serviceSummary.empty())
-        std::cout << serviceSummary;
-    std::cout << std::flush;
+    std::cout << report.summaryJson(campaign) << std::flush;
     if (capture && capture->statsEnabled())
         std::cout << capture->predictionSummaryJson() << std::flush;
     if (capture)
@@ -335,11 +305,10 @@ finishSupervisedCampaign(const harness::CampaignOptions& opts,
 
     std::ostringstream manifest;
     report.writeManifest(manifest, campaign);
-    manifest << ledgerJsonl;
     if (!manifest.str().empty())
         std::cerr << manifest.str() << std::flush;
     if (!opts.manifestPath.empty()) {
-        if (!report.ok() || !ledgerJsonl.empty())
+        if (!report.ok())
             harness::writeFileAtomic(opts.manifestPath,
                                      manifest.str());
         else
@@ -351,20 +320,6 @@ finishSupervisedCampaign(const harness::CampaignOptions& opts,
     if (report.interrupted)
         return 130;
     return report.failures() == 0 ? 0 : 1;
-}
-
-/** finishSupervisedCampaign over a full CampaignRun (any mode). */
-inline int
-finishSupervisedCampaign(const harness::CampaignOptions& opts,
-                         const svc::CampaignRun& run,
-                         const std::string& campaign,
-                         const std::string& artifact,
-                         const harness::ObsCapture* capture = nullptr)
-{
-    return finishSupervisedCampaign(opts, run.report, campaign,
-                                    artifact, capture,
-                                    run.serviceSummary,
-                                    run.ledgerJsonl);
 }
 
 /** Standard banner for every bench binary. */

@@ -6,19 +6,18 @@
  * Compute / Spin / Transition / Sleep, plus the Section 5.1 headline
  * averages over the five target applications.
  *
- *   figure5_energy [--jobs N] [--deadline-ms N] [--retries N]
- *                  [--backoff-ms N] [--isolate] [--journal FILE]
+ *   figure5_energy [--jobs N] [--sim-threads N] [--sim-partitions P]
+ *                  [--deadline-ms N] [--isolate] [--journal FILE]
  *                  [--resume] [--out FILE] [--manifest FILE]
- *                  [--only-point I] [--serve ADDR | --worker ADDR]
- *                  [--cache DIR]
+ *                  [--only-point I] [--trace FILE[:categories]]
+ *                  [--stats-json FILE]
  *
  * The 50 (app x configuration) simulations run under the campaign
  * supervisor: sharded over --jobs threads, optionally deadline-bounded
- * / retried / forked per point, and journaled so an interrupted run
- * resumes with byte-identical output (see docs/ROBUSTNESS.md,
- * "Supervised campaigns"). With --serve the same point space is
- * served to --worker processes over the distributed work queue
- * ("Distributed campaigns"), with byte-identical final output.
+ * and forked per point, and journaled so an interrupted run resumes
+ * with byte-identical output (see docs/ROBUSTNESS.md, "Supervised
+ * campaigns"). --only-point I prints point I's serialized result
+ * under the same plan the campaign would use.
  */
 
 #include <iostream>
@@ -40,33 +39,20 @@ main(int argc, char** argv)
     harness::ObsCapture capture(opts, "figure5_energy");
 
     if (opts.onlyPoint >= 0) {
-        const auto kinds = bench::figureConfigs();
-        const std::size_t count = apps.size() * kinds.size();
+        const std::size_t count =
+            apps.size() * bench::figureConfigs().size();
         if (static_cast<std::size_t>(opts.onlyPoint) >= count) {
             std::cerr << "--only-point " << opts.onlyPoint
                       << " out of range [0, " << count << ")\n";
             return 2;
         }
-        const std::size_t a = opts.onlyPoint / kinds.size();
-        const std::size_t k = opts.onlyPoint % kinds.size();
-        harness::RunOptions ro;
-        harness::ObsCapture::PointScope scope;
-        capture.arm(opts.onlyPoint, &ro, &scope);
-        const harness::ExperimentResult r =
-            harness::runExperiment(sys, apps[a], kinds[k], ro);
-        capture.deposit(opts.onlyPoint, r, &scope,
-                        apps[a].name + "/" +
-                            harness::configName(kinds[k]));
-        std::cout << harness::serializeResult(r) << '\n';
+        const harness::PointTask task = bench::matrixPointTask(
+            sys, apps, opts, "figure5_energy", &capture);
+        std::cout << task.run(opts.onlyPoint) << '\n';
         if (capture.statsEnabled())
             std::cout << capture.predictionSummaryJson();
         capture.writeFiles();
         return 0;
-    }
-
-    if (!opts.workerAddr.empty()) {
-        return bench::runAppConfigMatrixWorker(sys, apps, opts,
-                                               "figure5_energy");
     }
 
     bench::banner("Figure 5 — normalized energy consumption", sys);
@@ -76,10 +62,10 @@ main(int argc, char** argv)
         journal.open(opts.journalPath, opts.resume);
 
     std::vector<std::vector<harness::ExperimentResult>> groups;
-    const svc::CampaignRun run = bench::runAppConfigMatrixSupervised(
-        sys, apps, opts, "figure5_energy", &journal, &groups,
-        &capture);
-    const harness::SupervisorReport& report = run.report;
+    const harness::SupervisorReport report =
+        bench::runAppConfigMatrixSupervised(sys, apps, opts,
+                                            "figure5_energy", &journal,
+                                            &groups, &capture);
     journal.flush();
 
     std::ostringstream artifact;
@@ -108,7 +94,7 @@ main(int argc, char** argv)
                   << " — see the failure manifest\n";
     }
 
-    return bench::finishSupervisedCampaign(opts, run,
+    return bench::finishSupervisedCampaign(opts, report,
                                            "figure5_energy",
                                            artifact.str(), &capture);
 }

@@ -4,15 +4,15 @@
  * applications under the five configurations, broken into
  * Compute / Spin / Transition / Sleep per-CPU time.
  *
- *   figure6_time [--jobs N] [--deadline-ms N] [--retries N]
- *                [--backoff-ms N] [--isolate] [--journal FILE]
+ *   figure6_time [--jobs N] [--sim-threads N] [--sim-partitions P]
+ *                [--deadline-ms N] [--isolate] [--journal FILE]
  *                [--resume] [--out FILE] [--manifest FILE]
- *                [--only-point I] [--serve ADDR | --worker ADDR]
- *                [--cache DIR]
+ *                [--only-point I] [--trace FILE[:categories]]
+ *                [--stats-json FILE]
  *
  * The 50 (app x configuration) simulations run under the campaign
  * supervisor — same surface as figure5_energy (docs/ROBUSTNESS.md,
- * "Supervised campaigns" and "Distributed campaigns").
+ * "Supervised campaigns").
  */
 
 #include <iostream>
@@ -34,33 +34,20 @@ main(int argc, char** argv)
     harness::ObsCapture capture(opts, "figure6_time");
 
     if (opts.onlyPoint >= 0) {
-        const auto kinds = bench::figureConfigs();
-        const std::size_t count = apps.size() * kinds.size();
+        const std::size_t count =
+            apps.size() * bench::figureConfigs().size();
         if (static_cast<std::size_t>(opts.onlyPoint) >= count) {
             std::cerr << "--only-point " << opts.onlyPoint
                       << " out of range [0, " << count << ")\n";
             return 2;
         }
-        const std::size_t a = opts.onlyPoint / kinds.size();
-        const std::size_t k = opts.onlyPoint % kinds.size();
-        harness::RunOptions ro;
-        harness::ObsCapture::PointScope scope;
-        capture.arm(opts.onlyPoint, &ro, &scope);
-        const harness::ExperimentResult r =
-            harness::runExperiment(sys, apps[a], kinds[k], ro);
-        capture.deposit(opts.onlyPoint, r, &scope,
-                        apps[a].name + "/" +
-                            harness::configName(kinds[k]));
-        std::cout << harness::serializeResult(r) << '\n';
+        const harness::PointTask task = bench::matrixPointTask(
+            sys, apps, opts, "figure6_time", &capture);
+        std::cout << task.run(opts.onlyPoint) << '\n';
         if (capture.statsEnabled())
             std::cout << capture.predictionSummaryJson();
         capture.writeFiles();
         return 0;
-    }
-
-    if (!opts.workerAddr.empty()) {
-        return bench::runAppConfigMatrixWorker(sys, apps, opts,
-                                               "figure6_time");
     }
 
     bench::banner("Figure 6 — normalized execution time", sys);
@@ -70,10 +57,10 @@ main(int argc, char** argv)
         journal.open(opts.journalPath, opts.resume);
 
     std::vector<std::vector<harness::ExperimentResult>> groups;
-    const svc::CampaignRun run = bench::runAppConfigMatrixSupervised(
-        sys, apps, opts, "figure6_time", &journal, &groups,
-        &capture);
-    const harness::SupervisorReport& report = run.report;
+    const harness::SupervisorReport report =
+        bench::runAppConfigMatrixSupervised(sys, apps, opts,
+                                            "figure6_time", &journal,
+                                            &groups, &capture);
     journal.flush();
 
     std::ostringstream artifact;
@@ -101,7 +88,7 @@ main(int argc, char** argv)
                   << " — see the failure manifest\n";
     }
 
-    return bench::finishSupervisedCampaign(opts, run,
+    return bench::finishSupervisedCampaign(opts, report,
                                            "figure6_time",
                                            artifact.str(), &capture);
 }

@@ -15,18 +15,16 @@
  * bit-identical determinism from (spec, seed).
  *
  *   robustness_faults [--quick] [--jobs N] [--deadline-ms N]
- *                     [--retries N] [--backoff-ms N] [--isolate]
- *                     [--journal FILE] [--resume] [--out FILE]
- *                     [--manifest FILE] [--only-point I]
- *                     [--serve ADDR | --worker ADDR] [--cache DIR]
+ *                     [--isolate] [--journal FILE] [--resume]
+ *                     [--out FILE] [--manifest FILE] [--only-point I]
  *
  * Points are independent simulations supervised by
  * harness::CampaignSupervisor: sharded over --jobs threads, bounded
- * by per-point deadlines, retried with deterministic backoff,
- * optionally forked (--isolate) so a crashing point cannot take the
- * campaign down, and journaled so an interrupted campaign resumes
- * with byte-identical final output (--journal/--resume; Ctrl-C
- * flushes the journal and emits the manifest before exiting).
+ * by per-point deadlines, optionally forked (--isolate) so a crashing
+ * point cannot take the campaign down, and journaled so an
+ * interrupted campaign resumes with byte-identical final output
+ * (--journal/--resume; Ctrl-C flushes the journal and emits the
+ * manifest before exiting).
  *
  * Emits one JSON line per run in the shared campaign shape (see
  * bench_util.hh), comparable with robustness_seeds output, plus one
@@ -235,9 +233,6 @@ main(int argc, char** argv)
                opts.reproFlags() + "   # " + pointLabel(points[i]);
     };
 
-    if (!opts.workerAddr.empty())
-        return tb::svc::runCampaignWorker(opts, points.size(), task);
-
     tb::bench::banner("Robustness — fault-injection campaign",
                       harness::SystemConfig::small(dims.back()));
 
@@ -245,16 +240,17 @@ main(int argc, char** argv)
     if (!opts.journalPath.empty())
         journal.open(opts.journalPath, opts.resume);
 
-    const tb::svc::CampaignRun crun = tb::svc::runCampaignPoints(
-        opts, points.size(), task, &journal, "faults");
-    const harness::SupervisorReport& report = crun.report;
+    harness::CampaignSupervisor supervisor(opts.policy);
+    supervisor.attachJournal(&journal);
+    const harness::SupervisorReport report =
+        supervisor.run(points.size(), task);
     journal.flush();
 
     // Canonical campaign output: deterministic across straight,
     // supervised and resumed runs (--out persists it atomically).
     std::ostringstream artifact;
     std::uint64_t injected = 0, watchdogs = 0, quarantines = 0;
-    for (const std::string& line : crun.results) {
+    for (const std::string& line : supervisor.results()) {
         if (line.empty())
             continue;
         artifact << line;
@@ -329,9 +325,9 @@ main(int argc, char** argv)
         // The determinism check failed: surface it through the exit
         // code even though it is not a supervised point.
         const int rc = tb::bench::finishSupervisedCampaign(
-            opts, crun, "faults", artifact.str(), &capture);
+            opts, report, "faults", artifact.str(), &capture);
         return rc == 0 ? 1 : rc;
     }
     return tb::bench::finishSupervisedCampaign(
-        opts, crun, "faults", artifact.str(), &capture);
+        opts, report, "faults", artifact.str(), &capture);
 }

@@ -5,16 +5,14 @@
  * five different synthetic-workload seeds. The paper's claim should
  * not hinge on one draw of the random streams.
  *
- *   robustness_seeds [--jobs N] [--deadline-ms N] [--retries N]
- *                    [--backoff-ms N] [--isolate] [--journal FILE]
- *                    [--resume] [--out FILE] [--manifest FILE]
- *                    [--only-point I]
- *                    [--serve ADDR | --worker ADDR] [--cache DIR]
+ *   robustness_seeds [--jobs N] [--deadline-ms N] [--isolate]
+ *                    [--journal FILE] [--resume] [--out FILE]
+ *                    [--manifest FILE] [--only-point I]
  *
  * Each (seed, application) pair is one supervised campaign point
  * running the Baseline / Thrifty-Halt / Thrifty triple; points are
- * independent, so the campaign shards, retries, isolates and resumes
- * exactly like robustness_faults (docs/ROBUSTNESS.md, "Supervised
+ * independent, so the campaign shards, isolates and resumes exactly
+ * like robustness_faults (docs/ROBUSTNESS.md, "Supervised
  * campaigns").
  *
  * Each run emits one JSON line in the shared campaign shape
@@ -182,9 +180,6 @@ main(int argc, char** argv)
                points[i].app;
     };
 
-    if (!opts.workerAddr.empty())
-        return tb::svc::runCampaignWorker(opts, points.size(), task);
-
     tb::bench::banner("Robustness — headline averages across seeds",
                       harness::SystemConfig::paperDefault());
 
@@ -192,9 +187,10 @@ main(int argc, char** argv)
     if (!opts.journalPath.empty())
         journal.open(opts.journalPath, opts.resume);
 
-    const tb::svc::CampaignRun crun = tb::svc::runCampaignPoints(
-        opts, points.size(), task, &journal, "seeds");
-    const harness::SupervisorReport& report = crun.report;
+    harness::CampaignSupervisor supervisor(opts.policy);
+    supervisor.attachJournal(&journal);
+    const harness::SupervisorReport report =
+        supervisor.run(points.size(), task);
     journal.flush();
 
     std::ostringstream artifact;
@@ -213,7 +209,7 @@ main(int argc, char** argv)
             double h_sum = 0.0, t_sum = 0.0, slow_sum = 0.0;
             for (std::size_t a = 0; a < apps_per_seed; ++a) {
                 const std::string& art =
-                    crun.results[s * apps_per_seed + a];
+                    supervisor.results()[s * apps_per_seed + a];
                 std::string json;
                 double h = 0.0, t = 0.0, slow = 0.0;
                 if (!parseArtifact(art, &json, &h, &t, &slow)) {
@@ -274,7 +270,7 @@ main(int argc, char** argv)
                     report.interrupted ? ", interrupted" : "");
     }
 
-    return tb::bench::finishSupervisedCampaign(opts, crun, "seeds",
+    return tb::bench::finishSupervisedCampaign(opts, report, "seeds",
                                                artifact.str(),
                                                &capture);
 }

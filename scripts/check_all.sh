@@ -9,8 +9,6 @@
 #   scripts/check_all.sh address     # just one
 #   scripts/check_all.sh faults      # fault campaign only
 #   scripts/check_all.sh lint        # tblint static analysis only
-#   scripts/check_all.sh distributed # daemon/worker kill smoke test
-#   scripts/check_all.sh chaos       # daemon SIGKILL+resume under net faults
 #   scripts/check_all.sh pdes        # --sim-threads determinism matrix
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -26,9 +24,6 @@ Presets (default: all of them, in this order):
   address      AddressSanitizer test suite
   undefined    UBSanitizer test suite
   thread       ThreadSanitizer test suite
-  distributed  daemon/worker SIGKILL smoke test (docs/ROBUSTNESS.md)
-  chaos        daemon SIGKILL + --serve --resume recovery under
-               injected network faults (docs/ROBUSTNESS.md)
   pdes         --sim-threads 1/2/3/4/8 determinism matrix
                (docs/PERFORMANCE.md, "Parallel simulation (PDES)")
 EOF
@@ -37,8 +32,7 @@ fi
 
 presets=("$@")
 if [ ${#presets[@]} -eq 0 ]; then
-    presets=(lint check faults address undefined thread distributed
-             chaos pdes)
+    presets=(lint check faults address undefined thread pdes)
 fi
 
 run_preset() {
@@ -56,7 +50,7 @@ run_preset() {
         flags=(-DCMAKE_BUILD_TYPE=RelWithDebInfo
                -DTB_SANITIZE=$preset)
         ;;
-      lint|distributed|chaos)
+      lint)
         flags=(-DCMAKE_BUILD_TYPE=RelWithDebInfo)
         ;;
       pdes)
@@ -65,7 +59,7 @@ run_preset() {
       *)
         echo "unknown preset '$preset'" >&2
         echo "expected: lint, check, faults, address, undefined," \
-             "thread, distributed, chaos or pdes" >&2
+             "thread or pdes" >&2
         return 1
         ;;
     esac
@@ -96,25 +90,6 @@ run_preset() {
         cmake --build "$dir" -j --target thrifty_sim figure6_time
         BUILD_DIR="$dir" OUT_DIR="$dir/pdes_determinism" \
             scripts/pdes_determinism.sh
-        return 0
-    fi
-    if [ "$preset" = distributed ]; then
-        # Fault-tolerance smoke test of the work-queue service: a
-        # campaign survives a SIGKILLed worker byte-identically, and
-        # a warm result cache replays it with zero simulations.
-        cmake -B "$dir" -G Ninja "${flags[@]}"
-        cmake --build "$dir" -j --target figure6_time
-        BUILD_DIR="$dir" scripts/distributed_smoke.sh
-        return 0
-    fi
-    if [ "$preset" = chaos ]; then
-        # Crash-recovery chaos: daemon SIGKILLed mid-campaign and
-        # restarted with --serve --resume while every worker socket
-        # runs under deterministic network fault injection, plus one
-        # worker SIGKILL. Artifacts must stay byte-identical.
-        cmake -B "$dir" -G Ninja "${flags[@]}"
-        cmake --build "$dir" -j --target figure6_time
-        BUILD_DIR="$dir" scripts/chaos_smoke.sh
         return 0
     fi
     cmake -B "$dir" -G Ninja "${flags[@]}"

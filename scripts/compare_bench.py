@@ -42,8 +42,8 @@ Policy:
   rounds per event) are diagnostics: printed for the reviewer, never
   gated.
 * Supervised campaigns emit one counter line per run
-  (``"kind": "supervisor"``: retries, timeouts, isolated crashes,
-  journaled resumes — see docs/ROBUSTNESS.md). Counters found in the
+  (``"kind": "supervisor"``: timeouts, isolated crashes, journaled
+  resumes — see docs/ROBUSTNESS.md). Counters found in the
   current file are printed next to the metrics; a supervisor line
   reporting failed or unfinished points fails the comparison, since
   metrics from a partially-failed campaign are not trustworthy.
@@ -140,9 +140,9 @@ def report_supervisor(lines):
         campaign = obj.get("campaign", "?")
         counters = ", ".join(
             f"{key}={obj[key]}"
-            for key in ("points", "ok", "journaled", "retries",
-                        "timeouts", "crashes", "exceptions",
-                        "checker_violations", "not_run")
+            for key in ("points", "ok", "journaled", "timeouts",
+                        "crashes", "exceptions", "checker_violations",
+                        "not_run")
             if key in obj)
         print(f"  {campaign}: {counters} "
               f"interrupted={obj.get('interrupted', False)}")

@@ -3,7 +3,6 @@
 # figure, ablation and extension result into results/.
 #
 #   scripts/run_all.sh [--jobs N] [--sim-threads N] [--resume]
-#                      [--distributed [N]]
 #
 # --jobs N shards the campaign-style benches (figure5_energy,
 # figure6_time, robustness_faults, robustness_seeds) across N host
@@ -14,13 +13,6 @@
 # conservative PDES engine with N worker threads (docs/PERFORMANCE.md,
 # "Parallel simulation (PDES)"). Like --jobs, results are
 # byte-identical at any N.
-#
-# --distributed [N] runs the campaign benches through the distributed
-# work queue instead: each bench binary runs once as the daemon
-# (--serve) and N worker processes (default 3) lease points from it
-# over a unix socket, with a shared content-addressed result cache
-# under results/.cache/. Output stays byte-identical to a serial run
-# at any worker count (docs/ROBUSTNESS.md, "Distributed campaigns").
 #
 # --resume continues an interrupted invocation: partial results/ are
 # kept, campaign benches skip the points already recorded in their
@@ -35,8 +27,6 @@ cd "$(dirname "$0")/.."
 JOBS=1
 SIM_THREADS=1
 RESUME=0
-DISTRIBUTED=0
-WORKERS=3
 while [ $# -gt 0 ]; do
     case "$1" in
         --jobs)   JOBS="$2"; shift 2 ;;
@@ -44,13 +34,8 @@ while [ $# -gt 0 ]; do
         --sim-threads)   SIM_THREADS="$2"; shift 2 ;;
         --sim-threads=*) SIM_THREADS="${1#--sim-threads=}"; shift ;;
         --resume) RESUME=1; shift ;;
-        --distributed)
-            DISTRIBUTED=1; shift
-            case "${1:-}" in [0-9]*) WORKERS="$1"; shift ;; esac ;;
-        --distributed=*) DISTRIBUTED=1; WORKERS="${1#--distributed=}"; shift ;;
         *)
-            echo "usage: $0 [--jobs N] [--sim-threads N] [--resume]" \
-                 "[--distributed [N]]" >&2
+            echo "usage: $0 [--jobs N] [--sim-threads N] [--resume]" >&2
             exit 2 ;;
     esac
 done
@@ -73,47 +58,16 @@ campaign_args() {
     echo "$args"
 }
 
-# Distributed mode: the bench binary itself is the daemon (it owns
-# the journal, cache, aggregation and rendering); N copies of the same
-# binary lease points from it as workers. The unix socket lives in a
-# private tmpdir so concurrent invocations cannot collide.
-run_distributed() {
-    local name="$1"; shift
-    local sockdir sock rc=0
-    sockdir=$(mktemp -d)
-    sock="unix:$sockdir/$name.sock"
-    mkdir -p results/.cache
-    # shellcheck disable=SC2046,SC2086
-    "build/bench/$name" $(campaign_args "$name") \
-        --serve "$sock" --cache results/.cache \
-        | tee "results/$name.txt" &
-    local daemon=$!
-    local pids=()
-    for i in $(seq 1 "$WORKERS"); do
-        "build/bench/$name" --worker "$sock" --worker-name "w$i" \
-            >/dev/null 2>&1 &
-        pids+=($!)
-    done
-    wait "$daemon" || rc=$?
-    wait "${pids[@]}" || true
-    rm -rf "$sockdir"
-    return "$rc"
-}
-
 for b in build/bench/*; do
-    [ -x "$b" ] || continue
+    [ -f "$b" ] && [ -x "$b" ] || continue
     name=$(basename "$b")
     echo "== $name"
     case "$name" in
         micro_primitives)
             "$b" --benchmark_min_time=0.1 | tee "results/$name.txt" ;;
         figure5_energy|figure6_time|robustness_faults|robustness_seeds)
-            if [ "$DISTRIBUTED" = 1 ]; then
-                run_distributed "$name"
-            else
-                # shellcheck disable=SC2046
-                "$b" $(campaign_args "$name") | tee "results/$name.txt"
-            fi ;;
+            # shellcheck disable=SC2046
+            "$b" $(campaign_args "$name") | tee "results/$name.txt" ;;
         *)
             "$b" | tee "results/$name.txt" ;;
     esac

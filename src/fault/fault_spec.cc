@@ -10,8 +10,24 @@
 
 namespace tb::fault {
 
+namespace {
+
+/**
+ * Primitives of the `key=value[:arg]` spec grammar. Every function
+ * calls fatal() on malformed input; @p what names the grammar in
+ * diagnostics.
+ */
 namespace spec {
 
+/** One `key=value[:arg]` entry of a comma-separated spec string. */
+struct Pair
+{
+    std::string key;   ///< text before '='
+    std::string value; ///< text between '=' and the optional ':'
+    std::string arg;   ///< text after ':'; empty when absent
+};
+
+/** Parse a rate in [0, 1]; fatal() on junk or out-of-range values. */
 double
 parseRate(const std::string& what, const std::string& key,
           const std::string& text)
@@ -28,6 +44,7 @@ parseRate(const std::string& what, const std::string& key,
     return v;
 }
 
+/** Parse a non-negative decimal integer; fatal() on junk. */
 std::uint64_t
 parseCount(const std::string& what, const std::string& key,
            const std::string& text)
@@ -42,6 +59,7 @@ parseCount(const std::string& what, const std::string& key,
     return v;
 }
 
+/** Render a rate the way summary() strings do (shortest %g form). */
 std::string
 renderRate(double v)
 {
@@ -50,6 +68,7 @@ renderRate(double v)
     return buf;
 }
 
+/** Split a spec string into pairs; fatal() on malformed entries. */
 std::vector<Pair>
 splitPairs(const std::string& what, const std::string& text)
 {
@@ -86,8 +105,6 @@ splitPairs(const std::string& what, const std::string& text)
 }
 
 } // namespace spec
-
-namespace {
 
 constexpr const char* kWhat = "fault spec";
 

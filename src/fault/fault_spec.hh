@@ -17,45 +17,10 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "sim/types.hh"
 
 namespace tb::fault {
-
-/**
- * Shared primitives of the `key=value[:arg]` spec grammar, exposed so
- * other comma-separated spec strings (e.g. the service layer's
- * `--net-faults`) parse and diagnose exactly like `--faults` does.
- * Every function calls fatal() on malformed input; @p what names the
- * grammar in diagnostics ("fault spec", "net-faults spec", ...).
- */
-namespace spec {
-
-/** One `key=value[:arg]` entry of a comma-separated spec string. */
-struct Pair
-{
-    std::string key;   ///< text before '='
-    std::string value; ///< text between '=' and the optional ':'
-    std::string arg;   ///< text after ':'; empty when absent
-};
-
-/** Split a spec string into pairs; fatal() on malformed entries. */
-std::vector<Pair> splitPairs(const std::string& what,
-                             const std::string& text);
-
-/** Parse a rate in [0, 1]; fatal() on junk or out-of-range values. */
-double parseRate(const std::string& what, const std::string& key,
-                 const std::string& text);
-
-/** Parse a non-negative decimal integer; fatal() on junk. */
-std::uint64_t parseCount(const std::string& what, const std::string& key,
-                         const std::string& text);
-
-/** Render a rate the way summary() strings do (shortest %g form). */
-std::string renderRate(double v);
-
-} // namespace spec
 
 /** Rates (probability per opportunity) and magnitudes of each fault. */
 struct FaultSpec

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 namespace tb {
 namespace harness {
@@ -17,21 +18,23 @@ usage(const char* prog, const char* complaint, bool allowQuick)
         stderr,
         "%s: %s\n"
         "usage: %s %s[--jobs N] [--sim-threads N] [--sim-partitions P]\n"
-        "       [--deadline-ms N] [--retries N]\n"
-        "       [--backoff-ms N] [--isolate] [--journal FILE] "
+        "       [--deadline-ms N] [--isolate] [--journal FILE] "
         "[--resume]\n"
         "       [--out FILE] [--manifest FILE] [--only-point I]\n"
-        "       [--trace FILE[:categories]] [--stats-json FILE]\n"
-        "       [--serve ADDR | --worker ADDR] [--cache DIR]\n"
-        "       [--lease-ms N] [--heartbeat-ms N] [--worker-name S]\n"
-        "       [--net-faults SPEC] [--reconnect-ms N]\n",
+        "       [--trace FILE[:categories]] [--stats-json FILE]\n",
         prog, complaint, prog, allowQuick ? "[--quick] " : "");
     std::exit(2);
 }
 
+/**
+ * Parse a non-negative integer no larger than @p max. Anything else,
+ * including a value its destination type would silently wrap, is a
+ * usage error.
+ */
 std::uint64_t
 parseU64(const char* prog, const char* opt, const char* text,
-         bool allowQuick)
+         bool allowQuick,
+         std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
 {
     errno = 0;
     char* end = nullptr;
@@ -44,7 +47,23 @@ parseU64(const char* prog, const char* opt, const char* text,
                       opt, text);
         usage(prog, buf, allowQuick);
     }
+    if (v > max) {
+        char buf[160];
+        std::snprintf(buf, sizeof(buf),
+                      "option %s: '%s' is out of range [0, %llu]", opt,
+                      text, static_cast<unsigned long long>(max));
+        usage(prog, buf, allowQuick);
+    }
     return v;
+}
+
+unsigned
+parseUnsigned(const char* prog, const char* opt, const char* text,
+              bool allowQuick)
+{
+    return static_cast<unsigned>(parseU64(
+        prog, opt, text, allowQuick,
+        std::numeric_limits<unsigned>::max()));
 }
 
 } // namespace
@@ -81,20 +100,20 @@ CampaignOptions::parse(int argc, char** argv, bool allowQuick)
         };
 
         if (opt == "--jobs") {
-            o.policy.jobs = static_cast<unsigned>(
-                parseU64(prog, "--jobs", value(i), allowQuick));
+            o.policy.jobs =
+                parseUnsigned(prog, "--jobs", value(i), allowQuick);
             if (o.policy.jobs == 0)
                 usage(prog, "option --jobs: must be >= 1", allowQuick);
         } else if (opt == "--sim-threads") {
-            o.simThreads = static_cast<unsigned>(
-                parseU64(prog, "--sim-threads", value(i), allowQuick));
+            o.simThreads = parseUnsigned(prog, "--sim-threads",
+                                         value(i), allowQuick);
             if (o.simThreads == 0) {
                 usage(prog, "option --sim-threads: must be >= 1",
                       allowQuick);
             }
         } else if (opt == "--sim-partitions") {
-            o.simPartitions = static_cast<unsigned>(parseU64(
-                prog, "--sim-partitions", value(i), allowQuick));
+            o.simPartitions = parseUnsigned(prog, "--sim-partitions",
+                                            value(i), allowQuick);
             if (o.simPartitions == 0) {
                 usage(prog, "option --sim-partitions: must be >= 1",
                       allowQuick);
@@ -102,13 +121,6 @@ CampaignOptions::parse(int argc, char** argv, bool allowQuick)
         } else if (opt == "--deadline-ms") {
             o.policy.deadlineMs =
                 parseU64(prog, "--deadline-ms", value(i), allowQuick);
-        } else if (opt == "--retries") {
-            o.policy.maxAttempts =
-                1 + static_cast<unsigned>(
-                        parseU64(prog, "--retries", value(i), allowQuick));
-        } else if (opt == "--backoff-ms") {
-            o.policy.backoffBaseMs =
-                parseU64(prog, "--backoff-ms", value(i), allowQuick);
         } else if (opt == "--isolate") {
             o.policy.isolate = true;
         } else if (opt == "--journal") {
@@ -121,7 +133,8 @@ CampaignOptions::parse(int argc, char** argv, bool allowQuick)
             o.manifestPath = value(i);
         } else if (opt == "--only-point") {
             o.onlyPoint = static_cast<long>(
-                parseU64(prog, "--only-point", value(i), allowQuick));
+                parseU64(prog, "--only-point", value(i), allowQuick,
+                         std::numeric_limits<long>::max()));
         } else if (opt == "--trace") {
             // FILE[:categories] — the first ':' splits the two.
             const std::string spec = value(i);
@@ -148,42 +161,6 @@ CampaignOptions::parse(int argc, char** argv, bool allowQuick)
                 usage(prog, "option --stats-json needs a file name",
                       allowQuick);
             }
-        } else if (opt == "--serve") {
-            o.serveAddr = value(i);
-            if (o.serveAddr.empty())
-                usage(prog, "option --serve needs an address",
-                      allowQuick);
-        } else if (opt == "--worker") {
-            o.workerAddr = value(i);
-            if (o.workerAddr.empty())
-                usage(prog, "option --worker needs an address",
-                      allowQuick);
-        } else if (opt == "--cache") {
-            o.cacheDir = value(i);
-            if (o.cacheDir.empty())
-                usage(prog, "option --cache needs a directory",
-                      allowQuick);
-        } else if (opt == "--lease-ms") {
-            o.leaseMs =
-                parseU64(prog, "--lease-ms", value(i), allowQuick);
-        } else if (opt == "--heartbeat-ms") {
-            o.heartbeatMs = parseU64(prog, "--heartbeat-ms", value(i),
-                                     allowQuick);
-            if (o.heartbeatMs == 0) {
-                usage(prog, "option --heartbeat-ms: must be >= 1",
-                      allowQuick);
-            }
-        } else if (opt == "--worker-name") {
-            o.workerName = value(i);
-        } else if (opt == "--net-faults") {
-            o.netFaultsSpec = value(i);
-            if (o.netFaultsSpec.empty()) {
-                usage(prog, "option --net-faults needs a spec",
-                      allowQuick);
-            }
-        } else if (opt == "--reconnect-ms") {
-            o.reconnectMs =
-                parseU64(prog, "--reconnect-ms", value(i), allowQuick);
         } else if (opt == "--quick" && allowQuick) {
             o.quick = true;
         } else {
@@ -196,18 +173,6 @@ CampaignOptions::parse(int argc, char** argv, bool allowQuick)
 
     if (o.resume && o.journalPath.empty())
         usage(prog, "--resume requires --journal FILE", allowQuick);
-    if (!o.serveAddr.empty() && !o.workerAddr.empty()) {
-        usage(prog, "--serve and --worker are mutually exclusive",
-              allowQuick);
-    }
-    if (!o.workerAddr.empty() && o.onlyPoint >= 0) {
-        usage(prog, "--worker and --only-point are mutually exclusive",
-              allowQuick);
-    }
-    if (!o.netFaultsSpec.empty() && o.workerAddr.empty()) {
-        usage(prog, "--net-faults requires --worker ADDR",
-              allowQuick);
-    }
     return o;
 }
 

@@ -4,8 +4,9 @@
  *
  * Every campaign binary (figure5_energy, figure6_time,
  * robustness_faults, robustness_seeds) accepts the same supervisor
- * surface, parsed strictly — a malformed value prints a usage error
- * and exits 2, never a silent fallback:
+ * surface, parsed strictly — a malformed or out-of-range value and
+ * an unknown option print a usage error and exit 2, never a silent
+ * fallback:
  *
  *   --jobs N          shard points over N worker threads
  *   --sim-threads N   PDES worker threads inside each simulation
@@ -14,8 +15,6 @@
  *                     simulation plan, so it IS part of each point's
  *                     identity; default: by node count)
  *   --deadline-ms N   per-point wall-clock deadline (0 = none)
- *   --retries N       extra attempts per failed point
- *   --backoff-ms N    base of the exponential retry backoff
  *   --isolate         fork each point (crash containment)
  *   --journal FILE    append completed points to FILE (JSONL)
  *   --resume          skip points already in the journal
@@ -23,22 +22,6 @@
  *   --manifest FILE   atomically write the failure manifest to FILE
  *   --only-point I    run just point I inline (repro mode)
  *   --quick           CI-sized subset (benches that support it)
- *
- * plus the distributed surface (docs/ROBUSTNESS.md, "Distributed
- * campaigns"):
- *
- *   --serve ADDR      run as the campaign daemon on unix:PATH or
- *                     tcp:HOST:PORT; points execute on workers
- *   --worker ADDR     run as a worker of the daemon at ADDR
- *   --cache DIR       content-addressed result cache directory
- *   --lease-ms N      per-lease deadline on the daemon (default 60000)
- *   --heartbeat-ms N  worker heartbeat interval (default 1000)
- *   --worker-name S   announced worker identity (default pid@host)
- *   --net-faults SPEC deterministic network fault injection on this
- *                     worker's socket (requires --worker; grammar in
- *                     docs/ROBUSTNESS.md, "Network fault injection")
- *   --reconnect-ms N  budget for transparent reconnection after
- *                     losing the daemon socket (default 5000)
  *
  * plus the observability surface (docs/OBSERVABILITY.md):
  *
@@ -67,7 +50,7 @@ struct CampaignOptions
     /**
      * PDES worker threads per simulation (--sim-threads,
      * harness/parallel_sim.hh). Like --jobs it never changes results,
-     * so it is excluded from config hashes, journals, caches and
+     * so it is excluded from config hashes, journals and
      * reproFlags().
      */
     unsigned simThreads = 1;
@@ -75,8 +58,8 @@ struct CampaignOptions
      * Cluster partitions per simulation (--sim-partitions,
      * RunOptions::simPartitions); 0 = default for the node count.
      * Unlike simThreads this selects the simulation *plan* and can
-     * change results, so it IS part of config hashes, journal keys,
-     * cache keys and reproFlags().
+     * change results, so it IS part of config hashes, journal keys
+     * and reproFlags().
      */
     unsigned simPartitions = 0;
     std::string journalPath; ///< "" = no journal
@@ -89,39 +72,22 @@ struct CampaignOptions
     /** Category mask for --trace (defaults to every category). */
     unsigned traceMask = obs::kAllTraceCategories;
     std::string statsJsonPath; ///< "" = no stats JSONL
-    std::string serveAddr;     ///< "" = not a daemon
-    std::string workerAddr;    ///< "" = not a worker
-    std::string cacheDir;      ///< "" = no result cache
-    std::uint64_t leaseMs = 60000;
-    std::uint64_t heartbeatMs = 1000;
-    std::string workerName;    ///< "" = pid@host
-    /**
-     * Raw --net-faults spec, parsed at the point of use (the harness
-     * layer cannot depend on svc's NetFaultSpec); "" = clean
-     * transport. Only valid with --worker.
-     */
-    std::string netFaultsSpec;
-    /** Worker reconnect budget after daemon loss (--reconnect-ms). */
-    std::uint64_t reconnectMs = 5000;
-
-    /** Any distributed role selected (--serve / --worker). */
-    bool distributed() const
-    {
-        return !serveAddr.empty() || !workerAddr.empty();
-    }
 
     /**
      * Parse @p argv strictly. Unknown options, malformed numbers,
-     * `--quick` when @p allowQuick is false, and `--resume` without
-     * `--journal` all print a usage error and exit 2.
+     * numbers too large for their field, `--quick` when @p allowQuick
+     * is false, and `--resume` without `--journal` all print a usage
+     * error and exit 2.
      */
     static CampaignOptions parse(int argc, char** argv,
                                  bool allowQuick);
 
     /**
-     * The flags needed to reproduce this invocation's point space
-     * in a repro command (currently `--quick` plus `--isolate`),
-     * with a leading space when non-empty.
+     * The flags a repro command needs to rerun one of this
+     * invocation's points as it ran: `--quick` (point space),
+     * `--isolate` (crash containment) and `--sim-partitions P`
+     * (simulation plan), each only when set, with a leading space
+     * when non-empty.
      */
     std::string reproFlags() const;
 };

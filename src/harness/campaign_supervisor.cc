@@ -1,6 +1,7 @@
 #include "harness/campaign_supervisor.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <condition_variable>
@@ -38,33 +39,6 @@ sigintHandler(int)
     g_stop_requested = 1;
 }
 
-std::uint64_t
-splitmix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
-/** Sleep @p ms, polling the stop flag so ^C cuts a backoff short. */
-void
-sleepInterruptible(std::uint64_t ms)
-{
-    using namespace std::chrono;
-    const auto now = [] {
-        // tblint-allow(TBL002): genuine wall-clock — retry backoff
-        return steady_clock::now();
-    };
-    const auto until = now() + milliseconds(ms);
-    while (!g_stop_requested && now() < until) {
-        const auto left = duration_cast<milliseconds>(until - now());
-        // tblint-allow(TBL002): retry backoff runs on host time
-        std::this_thread::sleep_for(
-            std::min<milliseconds>(left, milliseconds(10)));
-    }
-}
-
 } // namespace
 
 const char*
@@ -73,7 +47,6 @@ outcomeName(PointOutcome o)
     switch (o) {
       case PointOutcome::Ok:               return "ok";
       case PointOutcome::Journaled:        return "journaled";
-      case PointOutcome::Cached:           return "cached";
       case PointOutcome::Exception:        return "exception";
       case PointOutcome::CheckerViolation: return "checker-violation";
       case PointOutcome::Timeout:          return "timeout";
@@ -107,8 +80,7 @@ SupervisorReport::writeManifest(std::ostream& os,
     for (std::size_t i = 0; i < points.size(); ++i) {
         const PointRecord& r = points[i];
         if (r.outcome == PointOutcome::Ok ||
-            r.outcome == PointOutcome::Journaled ||
-            r.outcome == PointOutcome::Cached)
+            r.outcome == PointOutcome::Journaled)
             continue;
         if (r.outcome == PointOutcome::NotRun && !interrupted)
             continue;
@@ -118,7 +90,6 @@ SupervisorReport::writeManifest(std::ostream& os,
             .field("kind", "manifest")
             .field("point", i)
             .field("outcome", outcomeName(r.outcome))
-            .field("attempts", r.attempts)
             .field("error", r.message)
             .field("repro", r.repro);
         w.endObject();
@@ -146,8 +117,6 @@ SupervisorReport::summaryJson(const std::string& campaign) const
         .field("points", points.size())
         .field("ok", count(PointOutcome::Ok))
         .field("journaled", count(PointOutcome::Journaled))
-        .field("cached", count(PointOutcome::Cached))
-        .field("retries", retries)
         .field("timeouts", count(PointOutcome::Timeout))
         .field("crashes", count(PointOutcome::Crash))
         .field("exceptions", count(PointOutcome::Exception))
@@ -158,22 +127,6 @@ SupervisorReport::summaryJson(const std::string& campaign) const
     w.endObject();
     os << '\n';
     return os.str();
-}
-
-std::uint64_t
-CampaignSupervisor::backoffDelayMs(const SupervisorPolicy& p,
-                                   std::size_t index, unsigned attempt)
-{
-    if (p.backoffBaseMs == 0 || attempt < 2)
-        return 0;
-    const unsigned shift = std::min(attempt - 2u, 20u);
-    std::uint64_t delay = p.backoffBaseMs << shift;
-    delay = std::min(delay, p.backoffCapMs);
-    const std::uint64_t jitter =
-        splitmix64(p.seed ^ splitmix64(index) ^
-                   splitmix64(0x5eedull + attempt)) %
-        (delay / 2 + 1);
-    return std::min(delay + jitter, p.backoffCapMs);
 }
 
 void
@@ -441,53 +394,19 @@ CampaignSupervisor::supervisePoint(const PointTask& task,
             return;
         }
     }
-    if (cacheLookup_) {
-        std::string stored;
-        if (cacheLookup_(key, &stored)) {
-            results_[i] = std::move(stored);
-            rec.outcome = PointOutcome::Cached;
-            // A cache hit still lands in the journal so a later
-            // --resume of this campaign replays it without the cache.
-            if (journal_ && journal_->active()) {
-                journal_->record(i, key,
-                                 task.seed ? task.seed(i) : 0,
-                                 results_[i]);
-            }
-            return;
-        }
+    Attempt a = policy_.isolate ? runAttemptForked(task, i)
+                                : runAttemptInProcess(task, i);
+    rec.outcome = a.outcome;
+    if (a.outcome != PointOutcome::Ok) {
+        rec.message = std::move(a.payload);
+        rec.repro = task.repro ? task.repro(i) : "";
+        return;
     }
-
-    Attempt last;
-    last.outcome = PointOutcome::NotRun;
-    for (unsigned attempt = 1; attempt <= policy_.maxAttempts;
-         ++attempt) {
-        if (attempt > 1) {
-            retries_.fetch_add(1, std::memory_order_relaxed);
-            sleepInterruptible(backoffDelayMs(policy_, i, attempt));
-            if (interruptRequested())
-                break;
-        }
-        rec.attempts = attempt;
-        last = policy_.isolate ? runAttemptForked(task, i)
-                               : runAttemptInProcess(task, i);
-        if (last.outcome == PointOutcome::Ok) {
-            results_[i] = std::move(last.payload);
-            rec.outcome = PointOutcome::Ok;
-            if (journal_ && journal_->active()) {
-                journal_->record(i, key,
-                                 task.seed ? task.seed(i) : 0,
-                                 results_[i]);
-            }
-            if (cacheStore_)
-                cacheStore_(key, results_[i]);
-            return;
-        }
-        if (interruptRequested())
-            break;
+    results_[i] = std::move(a.payload);
+    if (journal_ && journal_->active()) {
+        journal_->record(i, key, task.seed ? task.seed(i) : 0,
+                         results_[i]);
     }
-    rec.outcome = last.outcome;
-    rec.message = std::move(last.payload);
-    rec.repro = task.repro ? task.repro(i) : "";
 }
 
 SupervisorReport
@@ -501,7 +420,6 @@ CampaignSupervisor::run(std::size_t count, const PointTask& task)
     SupervisorReport report;
     report.points.assign(count, PointRecord{});
     results_.assign(count, std::string());
-    retries_.store(0, std::memory_order_relaxed);
     if (count == 0) {
         report.interrupted = interruptRequested();
         return report;
@@ -534,7 +452,6 @@ CampaignSupervisor::run(std::size_t count, const PointTask& task)
             t.join();
     }
 
-    report.retries = retries_.load(std::memory_order_relaxed);
     report.interrupted = interruptRequested();
     if (report.interrupted && task.repro) {
         for (std::size_t i = 0; i < count; ++i) {

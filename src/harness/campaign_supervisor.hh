@@ -11,8 +11,6 @@
  *
  *  - a per-point wall-clock **deadline** enforced by a watchdog, so a
  *    hung point is classified and the campaign moves on;
- *  - a **retry policy** (max attempts, exponential backoff with
- *    deterministic seed-derived jitter);
  *  - **continue-on-error** execution that classifies every point
  *    outcome (ok / exception / checker-violation / timeout / crash)
  *    into a failure manifest with a one-line repro command;
@@ -22,6 +20,10 @@
  *  - journaled **checkpoint/resume** via CampaignJournal: completed
  *    points are skipped on resume and their stored results replayed,
  *    keeping the final artifact byte-identical to an unbroken run.
+ *
+ * Each point runs once. Simulations are deterministic, so a failed
+ * point would fail the same way again; the manifest's repro command
+ * is the way to rerun it.
  *
  * Points return their artifact as a string (deposited by index,
  * emitted in order by the caller) because that is the only result
@@ -39,7 +41,6 @@
 #ifndef TB_HARNESS_CAMPAIGN_SUPERVISOR_HH_
 #define TB_HARNESS_CAMPAIGN_SUPERVISOR_HH_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <ostream>
@@ -59,7 +60,6 @@ enum class PointOutcome
 {
     Ok,               ///< point completed, result deposited
     Journaled,        ///< skipped: result replayed from the journal
-    Cached,           ///< skipped: artifact served by the result cache
     Exception,        ///< threw (FatalError or other std::exception)
     CheckerViolation, ///< threw PanicError (protocol/liveness checker)
     Timeout,          ///< exceeded the per-point deadline
@@ -75,25 +75,16 @@ struct SupervisorPolicy
 {
     /** Worker threads; 0 and 1 both mean "run inline". */
     unsigned jobs = 1;
-    /** Attempts per point (1 = no retry). */
-    unsigned maxAttempts = 1;
-    /** First-retry backoff; doubles per attempt. 0 disables waiting. */
-    std::uint64_t backoffBaseMs = 100;
-    /** Upper bound on any single backoff delay. */
-    std::uint64_t backoffCapMs = 10000;
     /** Per-point wall-clock deadline; 0 = none. */
     std::uint64_t deadlineMs = 0;
     /** Fork every point into a child process. */
     bool isolate = false;
-    /** Seed for the deterministic backoff jitter. */
-    std::uint64_t seed = 1;
 };
 
 /** What happened to one point (indexed like the campaign). */
 struct PointRecord
 {
     PointOutcome outcome = PointOutcome::NotRun;
-    unsigned attempts = 0;    ///< attempts actually executed
     std::string message;      ///< failure diagnostic ("" when ok)
     std::string repro;        ///< one-line repro command ("" if none)
 };
@@ -102,8 +93,7 @@ struct PointRecord
 struct SupervisorReport
 {
     std::vector<PointRecord> points;
-    std::uint64_t retries = 0; ///< attempts beyond each point's first
-    bool interrupted = false;  ///< SIGINT stopped the campaign early
+    bool interrupted = false; ///< SIGINT stopped the campaign early
 
     /** Points with the given outcome. */
     std::size_t count(PointOutcome o) const;
@@ -114,7 +104,7 @@ struct SupervisorReport
 
     /**
      * Failure manifest: one JSON line per non-ok point with its
-     * outcome, attempt count, diagnostic and repro command, plus a
+     * outcome, diagnostic and repro command, plus a
      * trailing line when the campaign was interrupted.
      */
     void writeManifest(std::ostream& os,
@@ -161,23 +151,6 @@ class CampaignSupervisor
     void attachJournal(CampaignJournal* journal) { journal_ = journal; }
 
     /**
-     * Content-addressed result cache hooks (svc::ResultCache, passed
-     * as functions to keep harness free of a svc dependency). The
-     * lookup is consulted after the journal; a hit classifies the
-     * point Cached and skips the simulation. Successful points are
-     * offered to @p store. Both run on the supervising thread of the
-     * point (callers must supply thread-safe hooks when jobs > 1).
-     */
-    void
-    attachCache(
-        std::function<bool(std::uint64_t, std::string*)> lookup,
-        std::function<void(std::uint64_t, const std::string&)> store)
-    {
-        cacheLookup_ = std::move(lookup);
-        cacheStore_ = std::move(store);
-    }
-
-    /**
      * Run all @p count points under the policy. Never throws for
      * point failures — every point is classified in the returned
      * report and successful results are available via results().
@@ -188,18 +161,8 @@ class CampaignSupervisor
     const std::vector<std::string>& results() const { return results_; }
 
     /**
-     * Backoff before retry @p attempt (the one about to run, >= 2) of
-     * point @p index: base << (attempt-2), capped, plus deterministic
-     * jitter in [0, delay/2] derived from (policy.seed, index,
-     * attempt). Pure function — tests assert exact sequences.
-     */
-    static std::uint64_t backoffDelayMs(const SupervisorPolicy& p,
-                                        std::size_t index,
-                                        unsigned attempt);
-
-    /**
      * Install the campaign SIGINT handler: first ^C requests a stop
-     * (workers finish their current attempt, the journal is already
+     * (workers finish their current point, the journal is already
      * on disk, the caller emits the manifest), a second ^C falls back
      * to default handling.
      */
@@ -229,13 +192,10 @@ class CampaignSupervisor
 
     SupervisorPolicy policy_;
     CampaignJournal* journal_ = nullptr;
-    std::function<bool(std::uint64_t, std::string*)> cacheLookup_;
-    std::function<void(std::uint64_t, const std::string&)> cacheStore_;
     std::vector<std::string> results_;
     Mutex mu_;
     /// Timed-out attempt threads, kept alive until process exit.
     std::vector<std::thread> abandoned_ TB_GUARDED_BY(mu_);
-    std::atomic<std::uint64_t> retries_{0};
 };
 
 } // namespace harness

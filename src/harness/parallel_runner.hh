@@ -51,9 +51,8 @@ class ParallelCampaignRunner
      * aggregating *every* failed index plus the first diagnostic —
      * the campaign never hides how much of it failed.
      *
-     * (CampaignSupervisor wraps this model with deadlines, retries,
-     * crash isolation and journaled resume — prefer it for long
-     * campaigns.)
+     * (CampaignSupervisor wraps this model with deadlines, crash
+     * isolation and journaled resume — prefer it for long campaigns.)
      */
     void run(std::size_t count,
              const std::function<void(std::size_t)>& point) const;

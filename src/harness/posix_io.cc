@@ -3,8 +3,6 @@
 #include <cerrno>
 #include <csignal>
 
-#include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 namespace tb {
@@ -13,9 +11,7 @@ namespace harness {
 void
 ignoreSigpipe()
 {
-    // std::signal is async-signal-safe to install and idempotent;
-    // calling it from daemon, worker and supervisor setup alike is
-    // deliberate (whichever runs first wins, all want SIG_IGN).
+    // Idempotent: every supervised run calls it, all want SIG_IGN.
     std::signal(SIGPIPE, SIG_IGN);
 }
 
@@ -37,29 +33,6 @@ writeFull(int fd, const void* buf, std::size_t n)
 }
 
 ssize_t
-readFull(int fd, void* buf, std::size_t n)
-{
-    char* p = static_cast<char*>(buf);
-    std::size_t got = 0;
-    while (got < n) {
-        const ssize_t r = ::read(fd, p + got, n - got);
-        if (r < 0) {
-            if (errno == EINTR)
-                continue;
-            return -1;
-        }
-        if (r == 0) {
-            if (got == 0)
-                return 0;
-            errno = 0; // EOF mid-record: truncated frame
-            return -1;
-        }
-        got += static_cast<std::size_t>(r);
-    }
-    return static_cast<ssize_t>(got);
-}
-
-ssize_t
 readSome(int fd, void* buf, std::size_t n)
 {
     for (;;) {
@@ -67,58 +40,6 @@ readSome(int fd, void* buf, std::size_t n)
         if (r < 0 && errno == EINTR)
             continue;
         return r;
-    }
-}
-
-int
-pollOne(int fd, short events, int timeoutMs)
-{
-    struct pollfd pfd;
-    pfd.fd = fd;
-    pfd.events = events;
-    pfd.revents = 0;
-    for (;;) {
-        const int rc = ::poll(&pfd, 1, timeoutMs);
-        if (rc < 0) {
-            if (errno == EINTR)
-                return 0; // treat like a timeout; callers re-poll
-            return -1;
-        }
-        return rc == 0 ? 0 : pfd.revents;
-    }
-}
-
-int
-pollMany(struct pollfd* fds, std::size_t n, int timeoutMs)
-{
-    const int rc = ::poll(fds, static_cast<nfds_t>(n), timeoutMs);
-    if (rc < 0 && errno == EINTR)
-        return 0; // treat like a timeout; callers re-poll
-    return rc;
-}
-
-int
-acceptOne(int listenFd)
-{
-    for (;;) {
-        const int fd = ::accept(listenFd, nullptr, nullptr);
-        if (fd < 0 && errno == EINTR)
-            continue;
-        return fd;
-    }
-}
-
-bool
-readToEof(int fd, std::string* out)
-{
-    char buf[4096];
-    for (;;) {
-        const ssize_t r = readSome(fd, buf, sizeof(buf));
-        if (r < 0)
-            return false;
-        if (r == 0)
-            return true;
-        out->append(buf, static_cast<std::size_t>(r));
     }
 }
 

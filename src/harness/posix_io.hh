@@ -1,30 +1,25 @@
 /**
  * @file
- * EINTR-safe POSIX I/O helpers shared by every harness-layer process
- * boundary: the --isolate fork pipe in campaign_supervisor.cc and the
- * socket transport of the distributed campaign service (src/svc).
+ * EINTR-safe POSIX I/O helpers for the --isolate fork pipe in
+ * campaign_supervisor.cc.
  *
- * Two failure modes keep recurring around pipes and sockets:
+ * Two failure modes recur around pipes:
  *
  *  - **EINTR**: any signal (SIGINT from the campaign handler, SIGCHLD
- *    from a reaped worker) can interrupt a blocking read/write/poll
+ *    from a reaped child) can interrupt a blocking read/write
  *    mid-call. Every loop here retries transparently.
- *  - **SIGPIPE**: writing to a pipe or socket whose reader died kills
- *    the whole process by default. A supervisor or daemon must never
- *    die because one of its children/workers did, so process setup
- *    calls ignoreSigpipe() once and write failures surface as EPIPE
- *    return values instead.
+ *  - **SIGPIPE**: writing to a pipe whose reader died kills the whole
+ *    process by default. A supervisor must never die because one of
+ *    its children did, so setup calls ignoreSigpipe() once and write
+ *    failures surface as EPIPE return values instead.
  */
 
 #ifndef TB_HARNESS_POSIX_IO_HH_
 #define TB_HARNESS_POSIX_IO_HH_
 
 #include <cstddef>
-#include <string>
 
 #include <sys/types.h>
-
-struct pollfd; // from <poll.h>; completed by callers that build fd sets
 
 namespace tb {
 namespace harness {
@@ -32,8 +27,7 @@ namespace harness {
 /**
  * Ignore SIGPIPE process-wide (idempotent). After this, a write to a
  * dead reader fails with EPIPE instead of terminating the process —
- * the only behaviour a multi-client daemon or a forking supervisor
- * can live with.
+ * the only behaviour a forking supervisor can live with.
  */
 void ignoreSigpipe();
 
@@ -45,48 +39,11 @@ void ignoreSigpipe();
 bool writeFull(int fd, const void* buf, std::size_t n);
 
 /**
- * Read exactly @p n bytes into @p buf, retrying on EINTR and short
- * reads. Returns @p n on success, 0 on clean EOF before the first
- * byte, and -1 on error or on EOF mid-record (errno 0 in the
- * truncated-record case).
- */
-ssize_t readFull(int fd, void* buf, std::size_t n);
-
-/**
  * One read(2) attempt that retries EINTR only. Returns the byte
  * count, 0 on EOF, and -1 with errno EAGAIN/EWOULDBLOCK untouched so
  * non-blocking callers can distinguish "no data yet" from errors.
  */
 ssize_t readSome(int fd, void* buf, std::size_t n);
-
-/**
- * poll(2) a single descriptor for @p events, retrying on EINTR with
- * the timeout re-armed. Returns the revents mask (0 on timeout), or
- * -1 on a real poll error. Passing @p fd = -1 (poll ignores negative
- * descriptors) turns this into a plain interruptible sleep.
- */
-int pollOne(int fd, short events, int timeoutMs);
-
-/**
- * poll(2) an array of descriptors once. EINTR is reported as a
- * timeout (return 0) rather than retried with the full timeout
- * re-armed: multi-fd callers are event loops that recompute their
- * deadline-derived timeout every round, so "pretend nothing was
- * ready" converges while "retry for another full timeout" can starve
- * the deadline bookkeeping. Returns the ready count, 0 on
- * timeout/EINTR, -1 on a real poll error.
- */
-int pollMany(struct pollfd* fds, std::size_t n, int timeoutMs);
-
-/**
- * accept(2) one connection from @p listenFd, retrying on EINTR.
- * Returns the connected descriptor, or -1 with errno preserved
- * (EAGAIN/EWOULDBLOCK = nothing pending on a non-blocking socket).
- */
-int acceptOne(int listenFd);
-
-/** Drain @p fd to @p out until EOF (EINTR-safe); false on error. */
-bool readToEof(int fd, std::string* out);
 
 } // namespace harness
 } // namespace tb

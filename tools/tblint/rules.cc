@@ -235,10 +235,8 @@ isBannedClockCall(const std::string& s)
            s == "clock_gettime" || s == "timespec_get" ||
            s == "localtime" || s == "gmtime" || s == "mktime" ||
            // Blocking sleeps are wall-clock dependencies too: a
-           // daemon/worker that sleeps hides latency from the lease
-           // and heartbeat machinery. Wait on poll() timeouts
-           // (harness::pollOne) so waits are interruptible and
-           // visibly bounded.
+           // genuine host-time wait (the --isolate deadline watch)
+           // carries an inline allow saying so.
            s == "sleep" || s == "usleep" || s == "nanosleep" ||
            s == "alarm" || s == "sleep_for" || s == "sleep_until";
 }
@@ -625,20 +623,22 @@ ruleUnsafeQueueAccess(const FileCtx& ctx, std::vector<Finding>* out)
 }
 
 // ----------------------------------------------------------------------
-// TBL023 — raw POSIX I/O in src/svc
+// TBL023 — raw POSIX I/O outside harness/posix_io.cc
 // ----------------------------------------------------------------------
 
 void
 ruleRawPosixIo(const FileCtx& ctx, std::vector<Finding>* out)
 {
-    // The service layer must route socket I/O through the harness
-    // posix_io helpers (readFull/writeFull/pollMany/acceptOne): they
-    // own the EINTR-as-retry policy, so a signal landing mid-syscall
-    // — SIGCHLD from a forked point, a profiler, a debugger attach —
-    // never turns into a spurious disconnect or a torn frame. A raw
-    // ::read in src/svc is a reintroduced EINTR bug waiting for a
-    // signal to happen.
-    if (!pathUnder(ctx.path, "src/svc"))
+    // Pipe I/O (the --isolate fork pipe) must go through the harness
+    // posix_io helpers (readSome/writeFull): they own the
+    // EINTR-as-retry policy, so a signal landing mid-syscall — SIGINT
+    // from the campaign handler, SIGCHLD from a reaped child, a
+    // profiler — never truncates a point's artifact. A raw ::read
+    // anywhere else in src/ is a reintroduced EINTR bug waiting for a
+    // signal to happen; posix_io.cc itself is where the raw calls
+    // live.
+    if (!pathUnder(ctx.path, "src") ||
+        pathEndsWith(ctx.path, "src/harness/posix_io.cc"))
         return;
     const auto& t = ctx.toks;
     for (std::size_t i = 0; i < t.size(); ++i) {
@@ -658,12 +658,12 @@ ruleRawPosixIo(const FileCtx& ctx, std::vector<Finding>* out)
             continue;
         emit(out, ctx, "TBL023", t[i].line,
              "raw '::" + t[i].text +
-                 "()' in src/svc — bypasses the harness posix_io "
-                 "EINTR-as-retry policy, so a mid-syscall signal "
-                 "becomes a spurious disconnect or torn frame",
-             "use harness::readFull/writeFull/pollOne/pollMany/"
-             "acceptOne; a deliberate raw call needs a tblint-allow "
-             "reason");
+                 "()' outside harness/posix_io.cc — bypasses the "
+                 "posix_io EINTR-as-retry policy, so a mid-syscall "
+                 "signal becomes a short read or a failed write",
+             "use harness::readSome/writeFull (or add an EINTR-safe "
+             "helper to posix_io); a deliberate raw call needs a "
+             "tblint-allow reason");
     }
 }
 
@@ -842,8 +842,8 @@ ruleCatalog()
          "no Partition::unsafeQueue() call sites outside src/sim — "
          "cross-partition effects must use the channel API"},
         {"TBL023", "raw-posix-io",
-         "no raw ::read/::write/::poll/::accept in src/svc — socket "
-         "I/O must use the harness posix_io EINTR-safe helpers"},
+         "no raw ::read/::write/::poll/::accept in src/ outside "
+         "harness/posix_io.cc — I/O must use its EINTR-safe helpers"},
         {"TBL024", "raw-noc-send",
          "no direct Network::send from src/mem or src/thrifty — "
          "messages must travel mem::Fabric (or the hop API) so "

@@ -39,8 +39,8 @@
  *           runs race-free and bit-identical to serial; remote
  *           effects must use Partition::send().
  *   TBL023  robustness: raw ::read/::write/::poll/::accept in
- *           src/svc — socket I/O must use the harness posix_io
- *           helpers, which own the EINTR-as-retry policy.
+ *           src/ outside src/harness/posix_io.cc — I/O must use the
+ *           posix_io helpers, which own the EINTR-as-retry policy.
  *   TBL024  layering: direct Network::send from src/mem or
  *           src/thrifty — protocol messages must travel mem::Fabric
  *           (or the per-hop API) so the coherence observer, byte
