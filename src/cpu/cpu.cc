@@ -138,7 +138,7 @@ Cpu::enterSleep(const power::SleepState& s, OnWake on_wake)
     wakePending = false;
     abortEntry = false;
     flushTicks = 0;
-    statsGroup.scalar("sleepEntries." + s.name).inc();
+    sleepEntryCounter(s).inc();
     if (auto* o = ctrl.checkObserver())
         o->onSleepEnter(nodeId, s.snoopable);
 
@@ -215,8 +215,7 @@ Cpu::becomeActive()
 Tick
 Cpu::wakeRequest(mem::WakeReason reason)
 {
-    statsGroup.scalar(std::string("wakes.") + wakeReasonName(reason))
-        .inc();
+    wakeCounter(reason).inc();
     switch (cur) {
       case CpuState::Active:
       case CpuState::Spinning:
@@ -247,6 +246,27 @@ Cpu::wakeRequest(mem::WakeReason reason)
         return transitionEnd;
     }
     return curTick();
+}
+
+stats::Scalar&
+Cpu::wakeCounter(mem::WakeReason reason)
+{
+    stats::Scalar*& c = wakeCounters.at(static_cast<std::size_t>(reason));
+    if (!c)
+        c = &statsGroup.scalar(std::string("wakes.") +
+                               wakeReasonName(reason));
+    return *c;
+}
+
+stats::Scalar&
+Cpu::sleepEntryCounter(const power::SleepState& s)
+{
+    for (const auto& [name, counter] : sleepCounters)
+        if (name == s.name)
+            return *counter;
+    stats::Scalar& c = statsGroup.scalar("sleepEntries." + s.name);
+    sleepCounters.emplace_back(s.name, &c);
+    return c;
 }
 
 void

@@ -23,8 +23,11 @@
 #ifndef TB_CPU_CPU_HH_
 #define TB_CPU_CPU_HH_
 
+#include <array>
 #include <functional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "mem/cache_controller.hh"
 #include "power/energy_model.hh"
@@ -148,6 +151,12 @@ class Cpu : public SimObject
     void startTransitionUp();
     void becomeActive();
 
+    /** The `wakes.<reason>` counter, created on first use. */
+    stats::Scalar& wakeCounter(mem::WakeReason reason);
+
+    /** The `sleepEntries.<state>` counter, created on first use. */
+    stats::Scalar& sleepEntryCounter(const power::SleepState& s);
+
     NodeId nodeId;
     mem::CacheController& ctrl;
     power::PowerParams params;
@@ -168,6 +177,11 @@ class Cpu : public SimObject
     FaultHooks* faults = nullptr;
 
     stats::StatGroup statsGroup;
+    /** Counters resolved by wakeCounter(), by WakeReason value; the
+     *  group's std::map storage keeps them at a stable address. */
+    std::array<stats::Scalar*, mem::kNumWakeReasons> wakeCounters{};
+    /** Counters resolved by sleepEntryCounter(), by state name. */
+    std::vector<std::pair<std::string, stats::Scalar*>> sleepCounters;
 };
 
 } // namespace cpu

@@ -103,6 +103,12 @@ ConfigBarrierProvider::mergeStats()
         b->mergeStats();
 }
 
+unsigned
+defaultPartitions(const SystemConfig& sys)
+{
+    return sys.numNodes() >= 16 ? sys.numNodes() / 8 : 1;
+}
+
 ExperimentResult
 runExperiment(const SystemConfig& sys, const workloads::AppProfile& app,
               ConfigKind kind, const RunOptions& options)
@@ -147,12 +153,10 @@ runExperiment(const SystemConfig& sys, const workloads::AppProfile& app,
     const bool force_serial =
         checker || injector || options.traceSink ||
         (custom && custom->hardening.enabled);
-    const unsigned default_parts =
-        sys.numNodes() >= 16 ? sys.numNodes() / 8 : 1;
     const unsigned parts =
         force_serial ? 1
                      : (options.simPartitions ? options.simPartitions
-                                              : default_parts);
+                                              : defaultPartitions(sys));
 
     Machine machine(sys, parts);
     if (checker)

@@ -206,6 +206,13 @@ struct RunOptions
 };
 
 /**
+ * Cluster partitions of the default simulation plan for @p sys:
+ * nodes/8 for machines of 16+ nodes, else 1 (RunOptions::simPartitions
+ * = 0 picks this).
+ */
+unsigned defaultPartitions(const SystemConfig& sys);
+
+/**
  * Run @p app under configuration @p kind on a fresh machine built
  * from @p sys.
  */

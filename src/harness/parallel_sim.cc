@@ -77,7 +77,7 @@ runMachinePdes(Machine& machine, unsigned threads)
     noc::PartitionBinding& binding = machine.partitionBinding();
     binding.crossSchedule = [&engine](unsigned src, unsigned dst,
                                       Tick when,
-                                      EventQueue::Callback fn) {
+                                      detail::EventClosure fn) {
         engine.partition(static_cast<pdes::PartitionId>(src))
             .send(static_cast<pdes::PartitionId>(dst), when,
                   std::move(fn));

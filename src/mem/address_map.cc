@@ -35,7 +35,7 @@ AddressMap::allocPages(std::size_t bytes, bool shared, NodeId fixed_home)
         NodeId h = shared
                        ? static_cast<NodeId>(nextSharedHome++ % numNodes)
                        : fixed_home;
-        pages.emplace(nextPage, PageInfo{h, shared});
+        pages.push_back(PageInfo{h, shared});
         nextPage += kPageBytes;
     }
     if (backend)
@@ -60,25 +60,25 @@ AddressMap::allocPrivate(NodeId owner, std::size_t bytes)
 NodeId
 AddressMap::home(Addr a) const
 {
-    auto it = pages.find(pageAddr(a));
-    if (it == pages.end())
+    const PageInfo* p = lookup(a);
+    if (!p)
         panic("home lookup of unmapped address ", a);
-    return it->second.home;
+    return p->home;
 }
 
 bool
 AddressMap::isShared(Addr a) const
 {
-    auto it = pages.find(pageAddr(a));
-    if (it == pages.end())
+    const PageInfo* p = lookup(a);
+    if (!p)
         panic("isShared lookup of unmapped address ", a);
-    return it->second.shared;
+    return p->shared;
 }
 
 bool
 AddressMap::isMapped(Addr a) const
 {
-    return pages.count(pageAddr(a)) != 0;
+    return lookup(a) != nullptr;
 }
 
 } // namespace mem

@@ -12,7 +12,6 @@
 #define TB_MEM_ADDRESS_MAP_HH_
 
 #include <cstddef>
-#include <unordered_map>
 #include <vector>
 
 #include "mem/mem_types.hh"
@@ -82,12 +81,25 @@ class AddressMap
 
     Addr allocPages(std::size_t bytes, bool shared, NodeId fixed_home);
 
+    /** Placement of the page holding @p a, or null if unmapped. */
+    const PageInfo*
+    lookup(Addr a) const
+    {
+        // Allocation bumps nextPage, so the mapped pages are exactly
+        // [kBaseAddr, nextPage) and a page's index is its offset.
+        if (a < kBaseAddr)
+            return nullptr;
+        const std::size_t i = (a - kBaseAddr) / kPageBytes;
+        return i < pages.size() ? &pages[i] : nullptr;
+    }
+
     unsigned numNodes;
     Addr nextPage = kBaseAddr;
     unsigned nextSharedHome = 0;
     Backend* backend = nullptr;
     bool sealed_ = false;
-    std::unordered_map<Addr, PageInfo> pages; ///< keyed by page base
+    /** Placement of each allocated page, in address order. */
+    std::vector<PageInfo> pages;
 };
 
 } // namespace mem

@@ -11,7 +11,9 @@
  *
  * Storage is page-granular: the address map pre-faults every allocated
  * page (ensureRange) and then seals the backend before the simulated
- * program starts, so the page table never rehashes mid-run. That is
+ * program starts, so the page table never grows mid-run. The table is
+ * a vector indexed by page number, dense because the address map
+ * allocates pages with a bump pointer from a low base. That is
  * what makes the image safe under partitioned execution — concurrent
  * partitions touch disjoint words of pre-existing pages, never the map
  * structure itself. The only same-page shared state is the written
@@ -27,7 +29,7 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "mem/mem_types.hh"
 #include "sim/logging.hh"
@@ -44,10 +46,10 @@ class Backend
     std::uint64_t
     read(Addr a) const
     {
-        auto it = pages.find(pageAddr(a));
-        if (it == pages.end())
+        const std::size_t n = pageNumber(a);
+        if (n >= pages.size() || !pages[n])
             return 0;
-        return it->second->w[wordIndex(a)];
+        return pages[n]->w[wordIndex(a)];
     }
 
     /** Write the 64-bit word at @p a. */
@@ -80,10 +82,12 @@ class Backend
     {
         if (sealed_)
             panic("backend ensureRange after seal");
-        const Addr last = pageAddr(base + (bytes ? bytes - 1 : 0));
-        for (Addr p = pageAddr(base); p <= last; p += kPageBytes)
-            if (pages.find(p) == pages.end())
-                pages.emplace(p, std::make_unique<Page>());
+        const std::size_t last = pageNumber(base + (bytes ? bytes - 1 : 0));
+        if (last >= pages.size())
+            pages.resize(last + 1);
+        for (std::size_t n = pageNumber(base); n <= last; ++n)
+            if (!pages[n])
+                pages[n] = std::make_unique<Page>();
     }
 
     /**
@@ -100,11 +104,13 @@ class Backend
     footprint() const
     {
         std::size_t n = 0;
-        // tblint-allow(TBL001): popcount sum is order-independent
-        for (const auto& [base, p] : pages)
+        for (const auto& p : pages) {
+            if (!p)
+                continue;
             for (const auto& bm : p->written)
                 n += static_cast<std::size_t>(std::popcount(
                     bm.load(std::memory_order_relaxed)));
+        }
         return n;
     }
 
@@ -129,21 +135,29 @@ class Backend
         return static_cast<std::size_t>((a - pageAddr(a)) / 8);
     }
 
+    static std::size_t
+    pageNumber(Addr a)
+    {
+        return static_cast<std::size_t>(a / kPageBytes);
+    }
+
     Page&
     pageFor(Addr a)
     {
-        const Addr base = pageAddr(a);
-        auto it = pages.find(base);
-        if (it == pages.end()) {
-            if (sealed_)
-                panic("write to unfaulted page ", base,
-                      " after backend seal");
-            it = pages.emplace(base, std::make_unique<Page>()).first;
-        }
-        return *it->second;
+        const std::size_t n = pageNumber(a);
+        if (n < pages.size() && pages[n])
+            return *pages[n];
+        if (sealed_)
+            panic("write to unfaulted page ", pageAddr(a),
+                  " after backend seal");
+        if (n >= pages.size())
+            pages.resize(n + 1);
+        pages[n] = std::make_unique<Page>();
+        return *pages[n];
     }
 
-    std::unordered_map<Addr, std::unique_ptr<Page>> pages;
+    /** Pages by page number; null where never faulted. */
+    std::vector<std::unique_ptr<Page>> pages;
     bool sealed_ = false;
 };
 

@@ -24,6 +24,7 @@
 #ifndef TB_MEM_CACHE_CONTROLLER_HH_
 #define TB_MEM_CACHE_CONTROLLER_HH_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -61,6 +62,9 @@ enum class WakeReason : std::uint8_t
     Intervention,   ///< a dirty line needed servicing (safety wake)
     Watchdog,       ///< runtime safety watchdog bounded the episode
 };
+
+/** Number of WakeReason values. */
+inline constexpr std::size_t kNumWakeReasons = 5;
 
 /** Human-readable wake reason. */
 const char* wakeReasonName(WakeReason r);

@@ -27,34 +27,123 @@ Directory::Directory(EventQueue& queue, NodeId node, unsigned num_nodes,
               num_nodes);
 }
 
+namespace {
+
+/** Bucket of @p line in a table of 2^@p bits buckets. */
+std::size_t
+bucketOf(Addr line, unsigned bits)
+{
+    const std::uint64_t h = (line / kLineBytes) * 0x9e3779b97f4a7c15ULL;
+    return static_cast<std::size_t>(h >> (64 - bits));
+}
+
+} // namespace
+
+std::size_t
+Directory::probe(Addr line) const
+{
+    const std::size_t mask = buckets.size() - 1;
+    const auto bits = static_cast<unsigned>(std::countr_zero(buckets.size()));
+    std::size_t i = bucketOf(line, bits);
+    while (buckets[i].index != kNone && buckets[i].line != line)
+        i = (i + 1) & mask;
+    return i;
+}
+
+const Directory::LineDir*
+Directory::findLine(Addr line) const
+{
+    if (buckets.empty())
+        return nullptr;
+    const Bucket& b = buckets[probe(line)];
+    return b.index == kNone ? nullptr : &lineDirs[b.index];
+}
+
+Directory::LineDir&
+Directory::lineDir(Addr line)
+{
+    if (2 * (lineDirs.size() + 1) > buckets.size())
+        growBuckets();
+    Bucket& b = buckets[probe(line)];
+    if (b.index != kNone)
+        return lineDirs[b.index];
+    b.line = line;
+    b.index = static_cast<std::uint32_t>(lineDirs.size());
+    return lineDirs.emplace_back();
+}
+
+void
+Directory::growBuckets()
+{
+    std::vector<Bucket> old = std::move(buckets);
+    buckets.assign(old.empty() ? 64 : 2 * old.size(), Bucket{});
+    for (const Bucket& b : old)
+        if (b.index != kNone)
+            buckets[probe(b.line)] = b;
+}
+
+void
+Directory::enqueue(LineDir& ld, const Msg& msg)
+{
+    std::uint32_t w = freeWaiter;
+    if (w != kNone) {
+        freeWaiter = waitPool[w].next;
+        waitPool[w].msg = msg;
+        waitPool[w].next = kNone;
+    } else {
+        w = static_cast<std::uint32_t>(waitPool.size());
+        waitPool.push_back(Waiter{msg, kNone});
+    }
+    if (ld.waitTail == kNone)
+        ld.waitHead = w;
+    else
+        waitPool[ld.waitTail].next = w;
+    ld.waitTail = w;
+}
+
+Msg
+Directory::dequeue(LineDir& ld)
+{
+    const std::uint32_t w = ld.waitHead;
+    Waiter& head = waitPool[w];
+    Msg msg = std::move(head.msg);
+    ld.waitHead = head.next;
+    if (ld.waitHead == kNone)
+        ld.waitTail = kNone;
+    head.msg = Msg{};
+    head.next = freeWaiter;
+    freeWaiter = w;
+    return msg;
+}
+
 DirState
 Directory::lineState(Addr line) const
 {
-    auto it = lines.find(line);
-    return it == lines.end() ? DirState::Uncached : it->second.state;
+    const LineDir* ld = findLine(line);
+    return ld ? ld->state : DirState::Uncached;
 }
 
 std::uint64_t
 Directory::lineSharers(Addr line) const
 {
-    auto it = lines.find(line);
-    return it == lines.end() ? 0 : it->second.sharers;
+    const LineDir* ld = findLine(line);
+    return ld ? ld->sharers : 0;
 }
 
 NodeId
 Directory::lineOwner(Addr line) const
 {
-    auto it = lines.find(line);
-    if (it == lines.end() || it->second.state != DirState::Exclusive)
+    const LineDir* ld = findLine(line);
+    if (!ld || ld->state != DirState::Exclusive)
         return kInvalidNode;
-    return it->second.owner;
+    return ld->owner;
 }
 
 bool
 Directory::lineBusy(Addr line) const
 {
-    auto it = lines.find(line);
-    return it != lines.end() && it->second.busy;
+    const LineDir* ld = findLine(line);
+    return ld && ld->busy;
 }
 
 void
@@ -66,18 +155,20 @@ Directory::send(NodeId dst, Msg msg)
 void
 Directory::receive(const Msg& msg)
 {
+    LineDir& ld = lineDir(msg.line);
     if (protocolTraced(msg.line)) {
+        std::size_t queued = 0;
+        for (std::uint32_t w = ld.waitHead; w != kNone;
+             w = waitPool[w].next)
+            ++queued;
         fprintf(stderr,
                 "[%12lu] dir%u  <- %-13s from %u (state=%d sharers=%lx "
                 "owner=%d busy=%d queue=%zu)\n",
                 curTick(), nodeId, msgTypeName(msg.type), msg.src,
-                static_cast<int>(lines[msg.line].state),
-                lines[msg.line].sharers,
-                static_cast<int>(lines[msg.line].owner),
-                static_cast<int>(lines[msg.line].busy),
-                lines[msg.line].waiting.size());
+                static_cast<int>(ld.state), ld.sharers,
+                static_cast<int>(ld.owner), static_cast<int>(ld.busy),
+                queued);
     }
-    LineDir& ld = lines[msg.line];
     switch (msg.type) {
       case MsgType::GetS:
       case MsgType::GetX:
@@ -85,7 +176,7 @@ Directory::receive(const Msg& msg)
       case MsgType::PutM:
       case MsgType::AtomicRmw:
         hot.requests.inc();
-        ld.waiting.push_back(msg);
+        enqueue(ld, msg);
         tryStart(msg.line);
         break;
 
@@ -114,12 +205,11 @@ Directory::tryStart(Addr line)
     // Iterative so back-to-back zero-latency completions (e.g.\ stale
     // PutMs) do not recurse.
     for (;;) {
-        LineDir& ld = lines[line];
-        if (ld.busy || ld.waiting.empty())
+        LineDir& ld = lineDir(line);
+        if (ld.busy || ld.waitHead == kNone)
             return;
         ld.busy = true;
-        ld.cur = std::move(ld.waiting.front());
-        ld.waiting.pop_front();
+        ld.cur = dequeue(ld);
         ld.pendingAcks = 0;
         ld.waitingOwner = false;
         ld.waitingMem = false;
@@ -129,7 +219,7 @@ Directory::tryStart(Addr line)
         // If start() completed synchronously, busy was cleared and the
         // loop dispatches the next queued request; otherwise we are
         // waiting on a response and return here.
-        if (lines[line].busy)
+        if (ld.busy)
             return;
     }
 }
@@ -160,7 +250,7 @@ Directory::readMem(Addr line, LineDir& ld)
 {
     ld.waitingMem = true;
     dram.read([this, line]() {
-        LineDir& l = lines[line];
+        LineDir& l = lineDir(line);
         l.waitingMem = false;
         if (l.cur.type == MsgType::GetS) {
             // Memory read on the GetS path only happens when the
@@ -288,7 +378,7 @@ Directory::maybeFinishWrite(Addr line, LineDir& ld)
     if (ld.cur.type == MsgType::AtomicRmw) {
         // All copies are gone; execute the fetch-op at home memory.
         dram.read([this, line]() {
-            LineDir& l = lines[line];
+            LineDir& l = lineDir(line);
             const NodeId req = l.cur.src;
             std::uint64_t old = 0;
             if (l.cur.rmwOp)

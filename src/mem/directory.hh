@@ -20,9 +20,8 @@
 #define TB_MEM_DIRECTORY_HH_
 
 #include <cstdint>
-#include <deque>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "mem/backend.hh"
 #include "mem/dram.hh"
@@ -83,6 +82,8 @@ class Directory : public SimObject, public MsgSink
     const stats::StatGroup& statistics() const { return statsGroup; }
 
   private:
+    static constexpr std::uint32_t kNone = ~std::uint32_t{0};
+
     struct LineDir
     {
         DirState state = DirState::Uncached;
@@ -90,7 +91,10 @@ class Directory : public SimObject, public MsgSink
         NodeId owner = kInvalidNode;
 
         bool busy = false;
-        std::deque<Msg> waiting;
+        /** Requests queued behind the busy line: a FIFO threaded
+         *  through waitPool (kNone when empty). */
+        std::uint32_t waitHead = kNone;
+        std::uint32_t waitTail = kNone;
 
         // In-flight transaction context.
         Msg cur;
@@ -101,7 +105,43 @@ class Directory : public SimObject, public MsgSink
         bool grantUpgrade = false;
     };
 
+    /** One queued request; pool entries are recycled. */
+    struct Waiter
+    {
+        Msg msg;
+        std::uint32_t next = kNone;
+    };
+
+    /** Open-addressing slot: a line and its index in lineDirs. */
+    struct Bucket
+    {
+        Addr line = 0;
+        std::uint32_t index = kNone;
+    };
+
     static std::uint64_t bit(NodeId n) { return std::uint64_t{1} << n; }
+
+    /** Bucket holding @p line, or the empty one where it belongs. */
+    std::size_t probe(Addr line) const;
+
+    /** State of @p line, or null if no request ever reached it. */
+    const LineDir* findLine(Addr line) const;
+
+    /**
+     * State of @p line, created Uncached on first use. Creating one
+     * may move every LineDir, so only receive() creates: the handlers
+     * it calls look up a line that already exists.
+     */
+    LineDir& lineDir(Addr line);
+
+    /** Double the bucket array and reinsert every line. */
+    void growBuckets();
+
+    /** Append @p msg to @p ld's wait queue. */
+    void enqueue(LineDir& ld, const Msg& msg);
+
+    /** Pop the head of @p ld's (non-empty) wait queue. */
+    Msg dequeue(LineDir& ld);
 
     /** Start the next queued transaction if the line is idle. */
     void tryStart(Addr line);
@@ -149,7 +189,13 @@ class Directory : public SimObject, public MsgSink
     Fabric& fabric;
     Backend& backend;
     Dram& dram;
-    std::unordered_map<Addr, LineDir> lines;
+    /** Every line this slice has seen, in first-use order. */
+    std::vector<LineDir> lineDirs;
+    /** Linear-probing index into lineDirs; a power of two in size,
+     *  at most half full. */
+    std::vector<Bucket> buckets;
+    std::vector<Waiter> waitPool;
+    std::uint32_t freeWaiter = kNone;
     /** Machine-wide instrumentation seams (may be null). */
     const Hooks* hooks_;
     stats::StatGroup statsGroup;

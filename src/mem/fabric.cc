@@ -50,14 +50,6 @@ Fabric::toDirectory(NodeId from, Msg msg)
     });
 }
 
-void
-Fabric::sendControl(NodeId from, NodeId to, unsigned bytes,
-                    noc::Network::Deliver fn)
-{
-    // tblint-allow(TBL024): sanctioned wrapper (see toDirectory).
-    net.send(from, to, bytes, std::move(fn));
-}
-
 Tick
 Fabric::minMessageLatency() const
 {

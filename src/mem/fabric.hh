@@ -12,6 +12,7 @@
 #ifndef TB_MEM_FABRIC_HH_
 #define TB_MEM_FABRIC_HH_
 
+#include <utility>
 #include <vector>
 
 #include "mem/address_map.hh"
@@ -55,8 +56,13 @@ class Fabric
      * of teleporting. Not observer-visible — the protocol checker
      * tracks coherence messages only.
      */
-    void sendControl(NodeId from, NodeId to, unsigned bytes,
-                     noc::Network::Deliver fn);
+    template <typename F>
+    void
+    sendControl(NodeId from, NodeId to, unsigned bytes, F&& fn)
+    {
+        // tblint-allow(TBL024): sanctioned wrapper (see toDirectory).
+        net.send(from, to, bytes, std::forward<F>(fn));
+    }
 
     /** Home node of the line @p a belongs to. */
     NodeId home(Addr a) const { return map.home(a); }

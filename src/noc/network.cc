@@ -95,19 +95,19 @@ Network::zeroLoadLatency(unsigned n_hops, unsigned bytes) const
 }
 
 void
-Network::inject(NodeId src, NodeId dst, unsigned bytes, Deliver fn)
+Network::launch(NodeId src, NodeId dst, unsigned bytes, FlightPtr f)
 {
     const unsigned n = cfg.nodes();
     if (src >= n || dst >= n)
         panic("network send outside topology: src=", src, " dst=", dst);
-    if (!fn)
-        panic("network send without delivery callback");
 
     EventQueue& q = queueOf(src);
     const Tick t0 = q.now();
-    auto f = std::make_shared<Flight>(
-        Flight{src, dst, bytes, nextPairSeq[pairIndex(src, dst)]++, t0,
-               std::move(fn)});
+    f->src = src;
+    f->dst = dst;
+    f->bytes = bytes;
+    f->seq = nextPairSeq[pairIndex(src, dst)]++;
+    f->t0 = t0;
     Shard& sh = shardOf(src);
     sh.messages += 1.0;
     sh.bytes += static_cast<double>(bytes);
@@ -117,16 +117,19 @@ Network::inject(NodeId src, NodeId dst, unsigned bytes, Deliver fn)
     // loopback message never enters a router at all.
     const Tick entry = t0 + cfg.marshal;
     if (src == dst) {
-        q.schedule(entry, [this, f]() {
-            arrivalEvent(f, queueOf(f->dst).now());
+        q.schedule(entry, [this, f = std::move(f)]() mutable {
+            const Tick now = queueOf(f->dst).now();
+            arrivalEvent(std::move(f), now);
         });
         return;
     }
-    q.schedule(entry, [this, f]() { hopEvent(f->src, f); });
+    q.schedule(entry, [this, src, f = std::move(f)]() mutable {
+        hopEvent(src, std::move(f));
+    });
 }
 
 void
-Network::hopEvent(NodeId at, const std::shared_ptr<Flight>& f)
+Network::hopEvent(NodeId at, FlightPtr f)
 {
     Tick t = queueOf(at).now();
     // Dimension-order routing: correct the lowest differing address
@@ -160,23 +163,21 @@ Network::hopEvent(NodeId at, const std::shared_ptr<Flight>& f)
     const Tick when = t + cfg.pinToPin;
     if (next == f->dst) {
         forward(at, next, when,
-                [this, f, when]() { arrivalEvent(f, when); });
+                [this, f = std::move(f), when]() mutable {
+                    arrivalEvent(std::move(f), when);
+                });
     } else {
         forward(at, next, when,
-                [this, f, next]() { hopEvent(next, f); });
+                [this, f = std::move(f), next]() mutable {
+                    hopEvent(next, std::move(f));
+                });
     }
 }
 
 void
-Network::forward(NodeId from, NodeId to, Tick when,
-                 EventQueue::Callback fn)
+Network::forwardAcross(unsigned cfrom, unsigned cto, Tick when,
+                       detail::EventClosure fn)
 {
-    const unsigned cfrom = clusterOf(from);
-    const unsigned cto = clusterOf(to);
-    if (cfrom == cto) {
-        queueOf(to).schedule(when, std::move(fn));
-        return;
-    }
     if (!parts || !parts->crossSchedule)
         panic("cross-cluster hop without an engine channel (cluster ",
               cfrom, " -> ", cto,
@@ -185,7 +186,7 @@ Network::forward(NodeId from, NodeId to, Tick when,
 }
 
 void
-Network::arrivalEvent(const std::shared_ptr<Flight>& f, Tick t_arr)
+Network::arrivalEvent(FlightPtr f, Tick t_arr)
 {
     // Body flits pipeline behind the header on the final link, then
     // the destination unmarshals.
@@ -211,21 +212,22 @@ Network::arrivalEvent(const std::shared_ptr<Flight>& f, Tick t_arr)
         // Arrived before a predecessor (a short message drains its
         // tail faster than a long one): hold it until the pair's
         // in-order point catches up.
-        oooStash[pair].emplace(f->seq, Stash{tail, f});
+        const std::uint64_t seq = f->seq;
+        oooStash[pair].emplace(seq, Stash{tail, std::move(f)});
         return;
     }
-    deliverInOrder(f, tail);
+    deliverInOrder(std::move(f), tail);
     auto& stash = oooStash[pair];
     for (auto it = stash.find(expectedSeq[pair]); it != stash.end();
          it = stash.find(expectedSeq[pair])) {
-        auto held = std::move(it->second);
+        Stash held = std::move(it->second);
         stash.erase(it);
-        deliverInOrder(held.flight, held.tail);
+        deliverInOrder(std::move(held.flight), held.tail);
     }
 }
 
 void
-Network::deliverInOrder(const std::shared_ptr<Flight>& f, Tick tail)
+Network::deliverInOrder(FlightPtr f, Tick tail)
 {
     const std::size_t pair = pairIndex(f->src, f->dst);
     Shard& sh = shardOf(f->dst);
@@ -255,7 +257,8 @@ Network::deliverInOrder(const std::shared_ptr<Flight>& f, Tick tail)
             f->src, f->dst, f->bytes, f->t0, tail,
             zeroLoadLatency(hops(f->src, f->dst), f->bytes));
     }
-    queueOf(f->dst).schedule(tail, std::move(f->fn));
+    EventQueue& q = queueOf(f->dst);
+    q.schedule(tail, [f = std::move(f)]() { f->deliver(); });
 }
 
 void

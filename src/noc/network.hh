@@ -50,9 +50,12 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/hooks.hh"
+#include "sim/logging.hh"
 #include "sim/sim_object.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -112,22 +115,25 @@ struct PartitionBinding
      * @p srcCluster's worker. Null outside an engine-driven run.
      */
     std::function<void(unsigned srcCluster, unsigned dstCluster,
-                       Tick when, EventQueue::Callback fn)>
+                       Tick when, detail::EventClosure fn)>
         crossSchedule;
 };
 
 /**
  * The interconnection network.
  *
- * Endpoints register a delivery handler; senders hand the network a
- * completion closure that runs, at the destination's side, when the
- * last flit arrives. Payloads live in the closure, which keeps this
- * module independent of the coherence-protocol message types.
+ * Senders hand the network a completion closure that runs, at the
+ * destination's side, when the last flit arrives. Payloads live in
+ * the closure, which keeps this module independent of the
+ * coherence-protocol message types. A message is one heap object
+ * holding its routing header and the closure; the hop and arrival
+ * events carry it by unique_ptr, so nothing else is allocated per
+ * message or per hop.
  */
 class Network : public SimObject
 {
   public:
-    /** Callback invoked at the destination when a message arrives. */
+    /** Type-erased delivery callback (raw control messages). */
     using Deliver = std::function<void()>;
 
     /**
@@ -148,7 +154,18 @@ class Network : public SimObject
      * allowed (local loopback, charged marshal + unmarshal only).
      * Must be called from an event running on @p src's queue.
      */
-    void inject(NodeId src, NodeId dst, unsigned bytes, Deliver fn);
+    template <typename F>
+    void
+    inject(NodeId src, NodeId dst, unsigned bytes, F&& fn)
+    {
+        using Fn = std::decay_t<F>;
+        if constexpr (std::is_same_v<Fn, Deliver>) {
+            if (!fn)
+                panic("network send without delivery callback");
+        }
+        launch(src, dst, bytes,
+               std::make_unique<Payload<Fn>>(std::forward<F>(fn)));
+    }
 
     /**
      * Legacy entry point, kept as a thin shim over inject(). Protocol
@@ -160,7 +177,7 @@ class Network : public SimObject
     void
     send(NodeId src, NodeId dst, unsigned bytes, F&& on_deliver)
     {
-        inject(src, dst, bytes, Deliver(std::forward<F>(on_deliver)));
+        inject(src, dst, bytes, std::forward<F>(on_deliver));
     }
 
     /**
@@ -189,28 +206,46 @@ class Network : public SimObject
     const stats::StatGroup& statistics() const;
 
   private:
-    /**
-     * One message in flight. Held by whichever hop event currently
-     * carries it; shared_ptr because cross-cluster forwarding rides
-     * std::function channels, which need copyable closures.
-     */
+    /** One message in flight, owned by the event that carries it. */
     struct Flight
     {
-        NodeId src;
-        NodeId dst;
-        unsigned bytes;
+        Flight() = default;
+        Flight(const Flight&) = delete;
+        Flight& operator=(const Flight&) = delete;
+        virtual ~Flight() = default;
+
+        /** Run the delivery payload (at the destination). */
+        virtual void deliver() = 0;
+
+        NodeId src = 0;
+        NodeId dst = 0;
+        unsigned bytes = 0;
         /** Send-order stamp within the (src, dst) pair. */
-        std::uint64_t seq;
+        std::uint64_t seq = 0;
         /** Injection tick (for latency stats and the audit). */
-        Tick t0;
-        Deliver fn;
+        Tick t0 = 0;
+    };
+
+    using FlightPtr = std::unique_ptr<Flight>;
+
+    /** A Flight with its delivery closure stored in place. */
+    template <typename Fn>
+    struct Payload final : Flight
+    {
+        template <typename F>
+        explicit Payload(F&& f) : fn(std::forward<F>(f))
+        {}
+
+        void deliver() override { fn(); }
+
+        Fn fn;
     };
 
     /** A message that arrived before its (src, dst) predecessors. */
     struct Stash
     {
         Tick tail;
-        std::shared_ptr<Flight> flight;
+        FlightPtr flight;
     };
 
     /**
@@ -231,21 +266,39 @@ class Network : public SimObject
         stats::Distribution hops;
     };
 
+    /** Stamp @p f's header and schedule its first hop. */
+    void launch(NodeId src, NodeId dst, unsigned bytes, FlightPtr f);
+
     /** One hop: charge the outgoing link at @p at, forward. */
-    void hopEvent(NodeId at, const std::shared_ptr<Flight>& f);
+    void hopEvent(NodeId at, FlightPtr f);
 
     /** Last flit reached @p f->dst at @p t_arr: finish delivery. */
-    void arrivalEvent(const std::shared_ptr<Flight>& f, Tick t_arr);
+    void arrivalEvent(FlightPtr f, Tick t_arr);
 
     /** In-order delivery: clamp against the pair's last delivery,
-     *  record stats, run the payload, then flush stashed successors. */
-    void deliverInOrder(const std::shared_ptr<Flight>& f, Tick tail);
+     *  record stats and schedule the payload at the tail tick. */
+    void deliverInOrder(FlightPtr f, Tick tail);
 
     /** Schedule @p fn at @p when on @p to's queue (cross-cluster hops
      *  go through the engine channel). @p from is the node whose queue
      *  the caller is running on. */
-    void forward(NodeId from, NodeId to, Tick when,
-                 EventQueue::Callback fn);
+    template <typename F>
+    void
+    forward(NodeId from, NodeId to, Tick when, F&& fn)
+    {
+        const unsigned cfrom = clusterOf(from);
+        const unsigned cto = clusterOf(to);
+        if (cfrom == cto) {
+            queueOf(to).schedule(when, std::forward<F>(fn));
+            return;
+        }
+        forwardAcross(cfrom, cto, when,
+                      detail::EventClosure(std::forward<F>(fn)));
+    }
+
+    /** Cross-cluster half of forward(): hand @p fn to the channel. */
+    void forwardAcross(unsigned cfrom, unsigned cto, Tick when,
+                       detail::EventClosure fn);
 
     /** Drain all per-cluster shards into statsGroup. */
     void foldStats() const;

@@ -97,21 +97,14 @@ class EventClosure
 
     EventClosure() = default;
 
+    /** Wrap @p f; an empty std::function yields an empty closure. */
     template <typename F,
               typename = std::enable_if_t<
                   !std::is_same_v<std::decay_t<F>, EventClosure> &&
                   std::is_invocable_v<std::decay_t<F>&>>>
     EventClosure(F&& f) // NOLINT: implicit by design
     {
-        using Fn = std::decay_t<F>;
-        if constexpr (fitsInline<Fn>()) {
-            ::new (static_cast<void*>(buf)) Fn(std::forward<F>(f));
-            ops = &kInlineOps<Fn>;
-        } else {
-            *reinterpret_cast<Fn**>(static_cast<void*>(buf)) =
-                new Fn(std::forward<F>(f));
-            ops = &kHeapOps<Fn>;
-        }
+        emplace(std::forward<F>(f));
     }
 
     EventClosure(EventClosure&& other) noexcept { moveFrom(other); }
@@ -140,20 +133,24 @@ class EventClosure
     /**
      * Construct @p f in place. The closure must be empty — this is the
      * schedule hot path writing straight into a recycled pool slot, so
-     * no destroy-and-relocate round trip happens.
+     * no destroy-and-relocate round trip happens. Another EventClosure
+     * is taken over as is (never wrapped in a second layer), and an
+     * empty std::function leaves this closure empty.
      */
     template <typename F>
     void
     emplace(F&& f)
     {
         using Fn = std::decay_t<F>;
-        if constexpr (fitsInline<Fn>()) {
-            ::new (static_cast<void*>(buf)) Fn(std::forward<F>(f));
-            ops = &kInlineOps<Fn>;
+        if constexpr (std::is_same_v<Fn, EventClosure>) {
+            static_assert(!std::is_lvalue_reference_v<F>,
+                          "an EventClosure is move-only");
+            moveFrom(f);
+        } else if constexpr (std::is_same_v<Fn, std::function<void()>>) {
+            if (f)
+                emplaceCallable(std::forward<F>(f));
         } else {
-            *reinterpret_cast<Fn**>(static_cast<void*>(buf)) =
-                new Fn(std::forward<F>(f));
-            ops = &kHeapOps<Fn>;
+            emplaceCallable(std::forward<F>(f));
         }
     }
 
@@ -204,6 +201,21 @@ class EventClosure
 
     template <typename Fn>
     static Fn* at(void* p) { return std::launder(reinterpret_cast<Fn*>(p)); }
+
+    template <typename F>
+    void
+    emplaceCallable(F&& f)
+    {
+        using Fn = std::decay_t<F>;
+        if constexpr (fitsInline<Fn>()) {
+            ::new (static_cast<void*>(buf)) Fn(std::forward<F>(f));
+            ops = &kInlineOps<Fn>;
+        } else {
+            *reinterpret_cast<Fn**>(static_cast<void*>(buf)) =
+                new Fn(std::forward<F>(f));
+            ops = &kHeapOps<Fn>;
+        }
+    }
 
     template <typename Fn>
     static constexpr Ops kInlineOps = {
@@ -334,10 +346,7 @@ class EventQueue
     EventHandle
     schedule(Tick when, F&& f, int priority = 0)
     {
-        if constexpr (std::is_same_v<std::decay_t<F>, Callback>) {
-            if (!f)
-                panic("scheduling event with empty callback");
-        }
+        rejectEmpty(f);
         // prepareSlot validates and fills the key fields; the closure is
         // then constructed straight into the slot (no relocation), and
         // only a fully-formed event enters the heap.
@@ -396,6 +405,7 @@ class EventQueue
     scheduleKeyed(Tick when, int priority, std::uint16_t stream,
                   std::uint32_t order, F&& f)
     {
+        rejectEmpty(f);
         const std::uint32_t idx = prepareSlot(when, priority);
         Slot& s = slot(idx);
         s.callback.emplace(std::forward<F>(f));
@@ -590,6 +600,23 @@ class EventQueue
         s.seq = nextSeq++;
         s.state = Slot::State::Pending;
         return idx;
+    }
+
+    /**
+     * Panic on an empty std::function or EventClosure: it would be
+     * stored as a live event and fail only when it fires, far from
+     * the schedule call that caused it.
+     */
+    template <typename F>
+    static void
+    rejectEmpty(const F& f)
+    {
+        using Fn = std::decay_t<F>;
+        if constexpr (std::is_same_v<Fn, Callback> ||
+                      std::is_same_v<Fn, detail::EventClosure>) {
+            if (!f)
+                panic("scheduling event with empty callback");
+        }
     }
 
     /** Cold path of prepareSlot: diagnose and panic. */

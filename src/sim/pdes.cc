@@ -124,8 +124,8 @@ Partition::merge(unsigned parity)
 }
 
 void
-Partition::send(PartitionId dst, Tick when, std::function<void()> fn,
-                int priority)
+Partition::send(PartitionId dst, Tick when,
+                tb::detail::EventClosure fn, int priority)
 {
     if (!fn)
         panic("pdes: send with empty callback");
@@ -142,7 +142,7 @@ Partition::send(PartitionId dst, Tick when, std::function<void()> fn,
 
 RemoteHandle
 Partition::sendCancelable(PartitionId dst, Tick when,
-                          std::function<void()> fn, int priority)
+                          tb::detail::EventClosure fn, int priority)
 {
     if (!fn)
         panic("pdes: send with empty callback");

@@ -75,7 +75,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -158,7 +157,7 @@ struct ChannelMsg
     std::uint32_t seq = 0;    ///< sender-order sequence (tie-break key)
     std::uint32_t target = 0; ///< Cancel: seq of the cancelable payload
     Kind kind = Kind::Payload;
-    std::function<void()> fn;
+    tb::detail::EventClosure fn;
 };
 
 /**
@@ -261,12 +260,12 @@ class Partition
      * honor its lookahead: when >= now() + lookahead. This is the
      * only legal way to affect another partition.
      */
-    void send(PartitionId dst, Tick when, std::function<void()> fn,
+    void send(PartitionId dst, Tick when, tb::detail::EventClosure fn,
               int priority = 0);
 
     /** send() variant returning a token usable with cancel(). */
     RemoteHandle sendCancelable(PartitionId dst, Tick when,
-                                std::function<void()> fn,
+                                tb::detail::EventClosure fn,
                                 int priority = 0);
 
     /**

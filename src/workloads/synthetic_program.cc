@@ -57,7 +57,7 @@ SyntheticProgram::SyntheticProgram(EventQueue& queue,
             static_cast<NodeId>(t), app.privateBytes));
     }
 
-    stepIdx.assign(tcs.size(), 0);
+    cursors.resize(tcs.size());
     finishTick_.assign(tcs.size(), 0);
 
     // Materialize every barrier up front: on a partitioned machine
@@ -129,7 +129,8 @@ SyntheticProgram::start()
 void
 SyntheticProgram::runStep(ThreadId tid, std::size_t step_idx)
 {
-    stepIdx[tid] = step_idx;
+    Cursor& c = cursors[tid];
+    c.step = step_idx;
     if (step_idx >= sequence.size()) {
         threadFinished(tid);
         return;
@@ -140,41 +141,45 @@ SyntheticProgram::runStep(ThreadId tid, std::size_t step_idx)
     const unsigned accesses = spec.memAccesses;
     const Tick chunk = busy / (accesses + 1);
 
-    Random rng = streamFor(spec.pc, step.instance, 0xacce55 + tid);
-    runPhaseChunks(tid, step_idx, chunk == 0 ? 1 : chunk, accesses,
-                   rng);
+    c.chunk = chunk == 0 ? 1 : chunk;
+    c.accessesLeft = accesses;
+    c.phase = streamFor(spec.pc, step.instance, 0xacce55 + tid);
+    runChunk(tid);
 }
 
 void
-SyntheticProgram::runPhaseChunks(ThreadId tid, std::size_t step_idx,
-                                 Tick chunk, unsigned accesses_left,
-                                 Random rng)
+SyntheticProgram::runChunk(ThreadId tid)
 {
-    cpu::ThreadContext& tc = *tcs[tid];
-    tc.compute(chunk, [this, tid, step_idx, chunk, accesses_left,
-                       rng]() mutable {
-        if (accesses_left == 0) {
-            const Step& step = sequence[step_idx];
-            thrifty::Barrier& b = provider.barrierFor(step.spec->pc);
-            b.arrive(*tcs[tid], [this, tid, step_idx]() {
-                runStep(tid, step_idx + 1);
-            });
-            return;
-        }
-        issueAccess(tid, *sequence[step_idx].spec, rng,
-                    [this, tid, step_idx, chunk, accesses_left,
-                     rng]() mutable {
-                        runPhaseChunks(tid, step_idx, chunk,
-                                       accesses_left - 1, rng);
-                    });
-    });
+    tcs[tid]->compute(cursors[tid].chunk,
+                      [this, tid]() { chunkDone(tid); });
 }
 
 void
-SyntheticProgram::issueAccess(ThreadId tid, const PhaseSpec& spec,
-                              Random& rng, std::function<void()> cont)
+SyntheticProgram::chunkDone(ThreadId tid)
+{
+    const Cursor& c = cursors[tid];
+    if (c.accessesLeft > 0) {
+        issueAccess(tid);
+        return;
+    }
+    thrifty::Barrier& b = provider.barrierFor(sequence[c.step].spec->pc);
+    b.arrive(*tcs[tid],
+             [this, tid]() { runStep(tid, cursors[tid].step + 1); });
+}
+
+void
+SyntheticProgram::accessDone(ThreadId tid)
+{
+    --cursors[tid].accessesLeft;
+    runChunk(tid);
+}
+
+void
+SyntheticProgram::issueAccess(ThreadId tid)
 {
     cpu::ThreadContext& tc = *tcs[tid];
+    const PhaseSpec& spec = *sequence[cursors[tid].step].spec;
+    Random rng = cursors[tid].phase;
     const bool shared = rng.chance(spec.sharedFraction);
     const bool write = rng.chance(spec.writeFraction);
     Addr base;
@@ -189,10 +194,9 @@ SyntheticProgram::issueAccess(ThreadId tid, const PhaseSpec& spec,
     const Addr a = base + (rng.uniformInt(span / 8) * 8);
 
     if (write) {
-        tc.store(a, rng.next(),
-                 [cont = std::move(cont)]() { cont(); });
+        tc.store(a, rng.next(), [this, tid]() { accessDone(tid); });
     } else {
-        tc.load(a, [cont = std::move(cont)](std::uint64_t) { cont(); });
+        tc.load(a, [this, tid](std::uint64_t) { accessDone(tid); });
     }
 }
 

@@ -60,7 +60,11 @@ class SyntheticProgram
 
     /** Program step thread @p tid is currently executing (or, once
      *  finished, one past the last). For tests and diagnostics. */
-    std::size_t currentStep(ThreadId tid) const { return stepIdx.at(tid); }
+    std::size_t
+    currentStep(ThreadId tid) const
+    {
+        return cursors.at(tid).step;
+    }
 
     /** Total steps (barrier arrivals) in each thread's program. */
     std::size_t totalSteps() const { return sequence.size(); }
@@ -70,6 +74,23 @@ class SyntheticProgram
     {
         const PhaseSpec* spec;
         std::uint64_t instance; ///< dynamic instance index of spec->pc
+    };
+
+    /**
+     * Where one thread is in its program. The continuations of its
+     * compute chunks and accesses capture only (this, tid) and read
+     * the rest from here, so they fit std::function's inline buffer.
+     */
+    struct Cursor
+    {
+        std::size_t step = 0;      ///< index into sequence
+        Tick chunk = 0;            ///< compute ticks between accesses
+        unsigned accessesLeft = 0; ///< accesses still to issue
+        /** The phase's access stream. Every access draws from a copy
+         *  of it, so all accesses of a phase replay the same draw: the
+         *  frozen-stream defect ROADMAP.md describes, kept bit for bit
+         *  until its fix re-pins the artifacts. */
+        Random phase;
     };
 
     /** Deterministic sub-stream for a (context-dependent) key. */
@@ -84,10 +105,13 @@ class SyntheticProgram
     Tick drawBusy(ThreadId tid, const Step& step) const;
 
     void runStep(ThreadId tid, std::size_t step_idx);
-    void runPhaseChunks(ThreadId tid, std::size_t step_idx, Tick chunk,
-                        unsigned accesses_left, Random rng);
-    void issueAccess(ThreadId tid, const PhaseSpec& spec, Random& rng,
-                     std::function<void()> cont);
+    /** Compute one chunk of the current phase, then continue. */
+    void runChunk(ThreadId tid);
+    /** After a chunk: issue the next access or arrive at the barrier. */
+    void chunkDone(ThreadId tid);
+    void issueAccess(ThreadId tid);
+    /** After an access: count it and compute the next chunk. */
+    void accessDone(ThreadId tid);
     void threadFinished(ThreadId tid);
 
     EventQueue& eq;
@@ -102,7 +126,7 @@ class SyntheticProgram
     std::vector<Addr> privateBase;
     /** Per-thread finish ticks (thread-local clocks; no shared state). */
     std::vector<Tick> finishTick_;
-    std::vector<std::size_t> stepIdx;
+    std::vector<Cursor> cursors;
 };
 
 } // namespace workloads

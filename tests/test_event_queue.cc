@@ -59,6 +59,33 @@ TEST(EventQueue, EmptyCallbackPanics)
     EXPECT_THROW(eq.schedule(1, EventQueue::Callback{}), PanicError);
 }
 
+TEST(EventQueue, EmptyClosurePanics)
+{
+    EventQueue eq;
+    EXPECT_THROW(eq.schedule(1, detail::EventClosure{}), PanicError);
+    EXPECT_THROW(eq.scheduleKeyed(1, 0, 0, 0, detail::EventClosure{}),
+                 PanicError);
+    // Wrapping an empty std::function yields an empty closure, which
+    // is rejected the same way instead of failing when it fires.
+    detail::EventClosure wrapped{EventQueue::Callback{}};
+    EXPECT_FALSE(wrapped);
+    EXPECT_THROW(eq.schedule(1, std::move(wrapped)), PanicError);
+    EXPECT_TRUE(eq.empty());
+    EXPECT_FALSE(eq.runOne());
+}
+
+TEST(EventQueue, ScheduledClosureIsTakenOver)
+{
+    EventQueue eq;
+    int runs = 0;
+    detail::EventClosure c([&runs]() { ++runs; });
+    eq.schedule(3, std::move(c));
+    EXPECT_FALSE(c); // NOLINT: moved-from state is specified (empty)
+    eq.run();
+    EXPECT_EQ(runs, 1);
+    EXPECT_EQ(eq.now(), 3u);
+}
+
 TEST(EventQueue, CancelPreventsExecution)
 {
     EventQueue eq;
