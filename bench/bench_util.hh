@@ -93,11 +93,8 @@ matrixPointTask(const harness::SystemConfig& sys,
         const std::size_t a = i / kinds.size();
         const std::size_t k = i % kinds.size();
         harness::RunOptions ro;
-        // Like --jobs, --sim-threads never changes a point's result
-        // (parallel_sim.hh), so it stays out of task.key below. The
-        // partition count selects the simulation plan and therefore
-        // DOES enter the key.
-        ro.simThreads = opts.simThreads;
+        // The partition count selects the simulation plan and
+        // therefore enters task.key below.
         ro.simPartitions = opts.simPartitions;
         harness::ObsCapture::PointScope scope;
         if (capture)
@@ -236,13 +233,6 @@ struct MicroMetric
     double value = 0.0;
     std::uint64_t ops = 0; ///< operations contributing to the value
     double wallSeconds = 0.0;
-    /**
-     * Host worker threads the metric was measured with (PDES
-     * benchmarks); 0 = thread-independent metric, field omitted.
-     * compare_bench.py only enforces absolute speedup floors on
-     * lines that actually ran multi-threaded (threads >= 4).
-     */
-    unsigned threads = 0;
 };
 
 /** Emit one microbenchmark metric as a single campaign-JSON line. */
@@ -257,8 +247,6 @@ printMicroJson(std::ostream& os, const MicroMetric& m)
         .field("value", m.value)
         .field("ops", m.ops)
         .field("wall_s", m.wallSeconds);
-    if (m.threads != 0)
-        w.field("threads", m.threads);
     w.endObject();
     os << '\n';
 }

@@ -6,7 +6,7 @@
  * Compute / Spin / Transition / Sleep, plus the Section 5.1 headline
  * averages over the five target applications.
  *
- *   figure5_energy [--jobs N] [--sim-threads N] [--sim-partitions P]
+ *   figure5_energy [--jobs N] [--sim-partitions P]
  *                  [--deadline-ms N] [--isolate] [--journal FILE]
  *                  [--resume] [--out FILE] [--manifest FILE]
  *                  [--only-point I] [--trace FILE[:categories]]

@@ -4,7 +4,7 @@
  * applications under the five configurations, broken into
  * Compute / Spin / Transition / Sleep per-CPU time.
  *
- *   figure6_time [--jobs N] [--sim-threads N] [--sim-partitions P]
+ *   figure6_time [--jobs N] [--sim-partitions P]
  *                [--deadline-ms N] [--isolate] [--journal FILE]
  *                [--resume] [--out FILE] [--manifest FILE]
  *                [--only-point I] [--trace FILE[:categories]]

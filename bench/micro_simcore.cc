@@ -12,21 +12,13 @@
  *   - eq_schedule_cancel cancel-heavy schedule/cancel/drain throughput
  *   - coherence_txn     end-to-end coherent store ping-pong rate
  *   - barriers          end-to-end thrifty-barrier instances per second
- *   - pdes_fire_*       conservative-PDES fire-loop throughput on a
- *                       64-partition hypercube workload, serial and at
- *                       min(4, host cores) workers, plus the speedup,
- *                       the null-message (always 0) and stall-round
- *                       ratios and the deterministic total event count
- *   - machine_pdes_*    the same speedup question asked of the real
- *                       model: one full 64-node thrifty experiment,
- *                       partitioned into 8 clusters at min(4, host
- *                       cores) workers, against the same experiment
- *                       built as one partition (the serial plan) — the
- *                       "does a single simulation actually get faster"
- *                       number, gated on the 1.5x floor when measured
- *                       with >= 4 workers
- * plus the *simulated* latency of one coherence transaction in ticks,
- * which is seed-deterministic and must never drift.
+ *   - pdes_fire_1t      conservative-PDES fire-loop throughput on a
+ *                       64-partition hypercube workload, plus its
+ *                       deterministic total event count (pdes_events)
+ * plus the *simulated* latency of one coherence transaction and the
+ * simulated execution time of one full 64-node thrifty experiment
+ * split into 8 cluster partitions (machine_pdes_exec_ticks), both in
+ * ticks, which are seed-deterministic and must never drift.
  *
  * Every metric is one JSON line in the shared campaign shape
  * (bench_util.hh), so the output greps and diffs like the robustness
@@ -264,11 +256,10 @@ struct PdesRun
  * sixteen times a hop across a random cube edge — a constant-
  * population load with the communication/computation mix of a real
  * model, never a fork bomb. The total event count is a pure function
- * of the seeds — the serial/threaded runs must agree on it exactly,
- * and the perf gate compares it bit-for-bit.
+ * of the seeds, and the perf gate compares it bit-for-bit.
  */
 PdesRun
-runPdesCube(unsigned threads, bool quick)
+runPdesCube(bool quick)
 {
     const unsigned dim = 6;
     const unsigned n = 1u << dim;
@@ -276,9 +267,7 @@ runPdesCube(unsigned threads, bool quick)
     const Tick lookahead = noc::NetworkConfig{}.minCrossNodeLatency();
     const Tick horizon = lookahead * (quick ? 96 : 384);
 
-    pdes::Engine::Config cfg;
-    cfg.threads = threads;
-    pdes::Engine engine(cfg);
+    pdes::Engine engine;
     std::vector<pdes::Partition*> parts;
     parts.reserve(n);
     for (unsigned i = 0; i < n; ++i)
@@ -289,27 +278,21 @@ runPdesCube(unsigned threads, bool quick)
                            lookahead);
 
     // Per-partition grain state; owner-confined like the partitions
-    // themselves (only partition i's events touch rng[i]). Padded to
-    // cache-line stride so neighboring partitions on different
-    // workers don't false-share their hot state.
-    struct alignas(64) PartState
-    {
-        std::uint64_t x;
-    };
-    std::vector<PartState> rng(n);
+    // themselves (only partition i's events touch rng[i]).
+    std::vector<std::uint64_t> rng(n);
     for (unsigned i = 0; i < n; ++i)
-        rng[i].x = 0x9e3779b97f4a7c15ull ^ (i * 0xbf58476d1ce4e5b9ull);
+        rng[i] = 0x9e3779b97f4a7c15ull ^ (i * 0xbf58476d1ce4e5b9ull);
 
     std::function<void(unsigned)> hop = [&](unsigned i) {
         pdes::Partition& p = *parts[i];
-        std::uint64_t x = rng[i].x;
+        std::uint64_t x = rng[i];
         for (int r = 0; r < 32; ++r) {
             x ^= x >> 12;
             x ^= x << 25;
             x ^= x >> 27;
             x *= 0x2545f4914f6cdd1dull;
         }
-        rng[i].x = x;
+        rng[i] = x;
         if (p.now() >= horizon)
             return; // job retires; population only ever shrinks
         if ((x & 15u) == 0) {
@@ -337,209 +320,87 @@ runPdesCube(unsigned threads, bool quick)
 }
 
 /**
- * The PDES metric family. Throughput is best-of-N per thread count;
- * the deterministic event count is cross-checked between every run,
- * and the round count between repetitions at one thread count,
- * before anything is reported — a serial/threaded mismatch is a
- * determinism bug, not a perf number, and fails the benchmark.
+ * The PDES metric family. Throughput is best-of-N; the deterministic
+ * event count is cross-checked between repetitions before anything is
+ * reported — a drift is a determinism bug, not a perf number, and
+ * fails the benchmark.
  */
 std::vector<bench::MicroMetric>
 pdesMetrics(bool quick, unsigned reps, bool* ok)
 {
-    const unsigned par = std::min(pdes::usableCpus(), 4u);
-
-    const auto bestAt = [&](unsigned threads) {
-        PdesRun best = runPdesCube(threads, quick);
-        for (unsigned i = 1; i < reps; ++i) {
-            const PdesRun r = runPdesCube(threads, quick);
-            if (r.stats.fired != best.stats.fired ||
-                r.stats.rounds != best.stats.rounds) {
-                std::cerr << "pdes event or round count drifted "
-                             "between repetitions\n";
-                *ok = false;
-            }
-            if (r.wall < best.wall)
-                best = r;
+    PdesRun best = runPdesCube(quick);
+    for (unsigned i = 1; i < reps; ++i) {
+        const PdesRun r = runPdesCube(quick);
+        if (r.stats.fired != best.stats.fired) {
+            std::cerr << "pdes event count drifted between "
+                         "repetitions\n";
+            *ok = false;
         }
-        return best;
-    };
-
-    // One worker runs the sequential executor and par workers the
-    // window rounds, so only the simulation's own counters compare.
-    const PdesRun serial = bestAt(1);
-    const PdesRun threaded = bestAt(par);
-    if (serial.stats.fired != threaded.stats.fired ||
-        serial.stats.finalTick != threaded.stats.finalTick ||
-        serial.stats.sent != threaded.stats.sent ||
-        serial.stats.merged != threaded.stats.merged) {
-        std::cerr << "pdes serial/threaded runs diverged\n";
-        *ok = false;
+        if (r.wall < best.wall)
+            best = r;
     }
 
     std::vector<bench::MicroMetric> ms;
-    bench::MicroMetric fire1;
-    fire1.benchmark = "pdes_fire_1t";
-    fire1.unit = "events/s";
-    fire1.ops = serial.stats.fired;
-    fire1.wallSeconds = serial.wall;
-    fire1.value = static_cast<double>(serial.stats.fired) / serial.wall;
-    fire1.threads = 1;
-    ms.push_back(fire1);
+    bench::MicroMetric fire;
+    fire.benchmark = "pdes_fire_1t";
+    fire.unit = "events/s";
+    fire.ops = best.stats.fired;
+    fire.wallSeconds = best.wall;
+    fire.value = static_cast<double>(best.stats.fired) / best.wall;
+    ms.push_back(fire);
 
-    bench::MicroMetric fireN;
-    fireN.benchmark = "pdes_fire_4t";
-    fireN.unit = "events/s";
-    fireN.ops = threaded.stats.fired;
-    fireN.wallSeconds = threaded.wall;
-    fireN.value =
-        static_cast<double>(threaded.stats.fired) / threaded.wall;
-    fireN.threads = par;
-    ms.push_back(fireN);
-
-    // Host-relative, so no calibration: the gate enforces its
-    // absolute >= 1.5x floor only when threads >= 4 (compare_bench.py
-    // skips the floor on smaller hosts, where the target cannot hold).
-    bench::MicroMetric speedup;
-    speedup.benchmark = "pdes_speedup_4t";
-    speedup.unit = "x";
-    speedup.ops = threaded.stats.fired;
-    speedup.wallSeconds = threaded.wall;
-    speedup.value = fireN.value / fire1.value;
-    speedup.threads = par;
-    ms.push_back(speedup);
-
-    // Conservative-sync overhead diagnostics, never gated. The window
-    // protocol sends no null messages, so pdes_null_ratio is always 0;
-    // it stays so baselines keep their metric set.
-    bench::MicroMetric nulls;
-    nulls.benchmark = "pdes_null_ratio";
-    nulls.unit = "ratio";
-    nulls.ops = threaded.stats.nullPublishes;
-    nulls.wallSeconds = threaded.wall;
-    nulls.value = static_cast<double>(threaded.stats.nullPublishes) /
-                  static_cast<double>(threaded.stats.fired);
-    nulls.threads = par;
-    ms.push_back(nulls);
-
-    bench::MicroMetric stalls;
-    stalls.benchmark = "pdes_stall_ratio";
-    stalls.unit = "ratio";
-    stalls.ops = threaded.stats.stallRounds;
-    stalls.wallSeconds = threaded.wall;
-    stalls.value = static_cast<double>(threaded.stats.stallRounds) /
-                   static_cast<double>(threaded.stats.fired);
-    stalls.threads = par;
-    ms.push_back(stalls);
-
-    // Simulated quantity: bit-stable at any thread count, any host.
+    // Simulated quantity: bit-stable on any host.
     bench::MicroMetric events;
     events.benchmark = "pdes_events";
     events.unit = "count";
-    events.ops = serial.stats.fired;
-    events.wallSeconds = serial.wall;
-    events.value = static_cast<double>(serial.stats.fired);
+    events.ops = best.stats.fired;
+    events.wallSeconds = best.wall;
+    events.value = static_cast<double>(best.stats.fired);
     ms.push_back(events);
     return ms;
 }
 
-/** One measured run of the full partitioned-machine experiment. */
-struct MachineRun
-{
-    std::string serialized;
-    Tick execTicks = 0;
-    double wall = 0.0;
-};
-
 /**
  * One complete thrifty experiment on the paper's 64-node machine,
- * split into @p partitions cluster partitions and driven by
- * @p threads engine workers. This is the end-to-end answer the PHOLD
- * fire-loop only approximates: coherence traffic, barrier episodes,
- * per-hop NoC events and all.
+ * split into 8 cluster partitions. Its simulated execution time is
+ * the end-to-end check the PHOLD fire loop only approximates:
+ * coherence traffic, barrier episodes, per-hop NoC events and all.
+ * The serialized result is cross-checked between repetitions first —
+ * a drift is a determinism bug and fails the benchmark.
  */
-MachineRun
-runMachineExperiment(unsigned threads, unsigned partitions, bool quick)
+bench::MicroMetric
+machineExecTicks(bool quick, unsigned reps, bool* ok)
 {
     harness::SystemConfig sys = harness::SystemConfig::paperDefault();
     sys.seed = 1;
     workloads::AppProfile app = workloads::appByName("Volrend");
     app.iterations = quick ? 6 : 24;
-
     harness::RunOptions ro;
-    ro.simThreads = threads;
-    ro.simPartitions = partitions;
+    ro.simPartitions = 8;
 
-    const auto t0 = Clock::now();
-    const harness::ExperimentResult r = harness::runExperiment(
-        sys, app, harness::ConfigKind::Thrifty, ro);
-    MachineRun out;
-    out.wall = secondsSince(t0);
-    out.execTicks = r.execTime;
-    out.serialized = harness::serializeResult(r);
-    return out;
-}
-
-/**
- * The machine-level PDES metric family. The speedup divides the wall
- * time of the serial plan (one partition, one worker) — the fastest
- * way to run the experiment without the engine — by the 8-partition
- * plan at min(4, cores) workers. As with the fire loop, the
- * partitioned plan's serialized result is cross-checked between every
- * run and against its one-worker run first — a mismatch is a
- * determinism bug and fails the benchmark, not the perf gate. (The
- * serial plan orders some bookkeeping differently, so its result is
- * not compared.)
- */
-std::vector<bench::MicroMetric>
-machineMetrics(bool quick, unsigned reps, bool* ok)
-{
-    const unsigned par = std::min(pdes::usableCpus(), 4u);
-
-    const auto bestAt = [&](unsigned threads, unsigned partitions,
-                            const std::string* reference) {
-        MachineRun best =
-            runMachineExperiment(threads, partitions, quick);
-        for (unsigned i = 1; i < reps; ++i) {
-            const MachineRun r =
-                runMachineExperiment(threads, partitions, quick);
-            if (r.serialized != best.serialized) {
-                std::cerr << "machine result drifted between "
-                             "repetitions\n";
-                *ok = false;
-            }
-            if (r.wall < best.wall)
-                best = r;
-        }
-        if (reference && best.serialized != *reference) {
-            std::cerr << "machine serial/threaded results diverged\n";
-            *ok = false;
-        }
-        return best;
-    };
-
-    const MachineRun serialPlan = bestAt(1, 1, nullptr);
-    const MachineRun oneWorker = runMachineExperiment(1, 8, quick);
-    const MachineRun threaded = bestAt(par, 8, &oneWorker.serialized);
-
-    std::vector<bench::MicroMetric> ms;
-    bench::MicroMetric speedup;
-    speedup.benchmark = "machine_pdes_speedup";
-    speedup.unit = "x";
-    speedup.ops = 1;
-    speedup.wallSeconds = threaded.wall;
-    speedup.value = serialPlan.wall / threaded.wall;
-    speedup.threads = par;
-    ms.push_back(speedup);
-
-    // Simulated quantity: bit-stable at any thread count, any host.
+    std::string reference;
     bench::MicroMetric exec;
     exec.benchmark = "machine_pdes_exec_ticks";
     exec.unit = "ticks";
     exec.ops = 1;
-    exec.wallSeconds = oneWorker.wall;
-    exec.value = static_cast<double>(oneWorker.execTicks);
-    ms.push_back(exec);
-    return ms;
+    for (unsigned i = 0; i < reps; ++i) {
+        const auto t0 = Clock::now();
+        const harness::ExperimentResult r = harness::runExperiment(
+            sys, app, harness::ConfigKind::Thrifty, ro);
+        const double wall = secondsSince(t0);
+        const std::string serialized = harness::serializeResult(r);
+        if (i == 0) {
+            reference = serialized;
+            exec.wallSeconds = wall;
+            exec.value = static_cast<double>(r.execTime);
+        } else if (serialized != reference) {
+            std::cerr << "machine result drifted between "
+                         "repetitions\n";
+            *ok = false;
+        }
+        exec.wallSeconds = std::min(exec.wallSeconds, wall);
+    }
+    return exec;
 }
 
 /**
@@ -608,8 +469,7 @@ main(int argc, char** argv)
     bool pdesOk = true;
     for (const auto& m : pdesMetrics(quick, reps, &pdesOk))
         metrics.push_back(m);
-    for (const auto& m : machineMetrics(quick, reps, &pdesOk))
-        metrics.push_back(m);
+    metrics.push_back(machineExecTicks(quick, reps, &pdesOk));
     if (!pdesOk)
         return 1;
 

@@ -9,7 +9,6 @@
 #   scripts/check_all.sh address     # just one
 #   scripts/check_all.sh faults      # fault campaign only
 #   scripts/check_all.sh lint        # tblint static analysis only
-#   scripts/check_all.sh pdes        # --sim-threads determinism matrix
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -24,15 +23,13 @@ Presets (default: all of them, in this order):
   address      AddressSanitizer test suite
   undefined    UBSanitizer test suite
   thread       ThreadSanitizer test suite
-  pdes         --sim-threads 1/2/3/4/8 determinism matrix
-               (docs/PERFORMANCE.md, "Parallel simulation (PDES)")
 EOF
     exit 0
 fi
 
 presets=("$@")
 if [ ${#presets[@]} -eq 0 ]; then
-    presets=(lint check faults address undefined thread pdes)
+    presets=(lint check faults address undefined thread)
 fi
 
 run_preset() {
@@ -53,13 +50,10 @@ run_preset() {
       lint)
         flags=(-DCMAKE_BUILD_TYPE=RelWithDebInfo)
         ;;
-      pdes)
-        flags=(-DCMAKE_BUILD_TYPE=Release)
-        ;;
       *)
         echo "unknown preset '$preset'" >&2
-        echo "expected: lint, check, faults, address, undefined," \
-             "thread or pdes" >&2
+        echo "expected: lint, check, faults, address, undefined" \
+             "or thread" >&2
         return 1
         ;;
     esac
@@ -80,16 +74,6 @@ run_preset() {
         else
             echo "clang++ not found: skipping TB_THREAD_SAFETY build"
         fi
-        return 0
-    fi
-    if [ "$preset" = pdes ]; then
-        # PDES determinism matrix (docs/PERFORMANCE.md): the same
-        # simulations at --sim-threads 1/2/3/4/8 must write
-        # byte-identical artifacts.
-        cmake -B "$dir" -G Ninja "${flags[@]}"
-        cmake --build "$dir" -j --target thrifty_sim figure6_time
-        BUILD_DIR="$dir" OUT_DIR="$dir/pdes_determinism" \
-            scripts/pdes_determinism.sh
         return 0
     fi
     cmake -B "$dir" -G Ninja "${flags[@]}"

@@ -19,28 +19,11 @@ Policy:
 * Throughput metrics (unit ending in "/s") fail the comparison when the
   normalized value regresses by more than ``--threshold`` (default 25%).
   Improvements never fail; a large improvement is a hint to refresh the
-  baseline (see docs/PERFORMANCE.md). When the line carries ``threads``
-  and the baseline and current counts differ, a passing comparison
-  proves nothing (a 4-thread rate against a 1-thread baseline): it is
-  printed as ``VACUOUS (baseline N threads, current M)`` instead of
-  ``ok`` and listed in a closing summary. This never changes the exit
-  status; a regression beyond the threshold still fails.
+  baseline (see docs/PERFORMANCE.md).
 * Metrics with unit "ticks" or "count" are simulated quantities and
   must be bit-identical per seed: any difference is a determinism
   failure, not a perf regression, and always fails regardless of
   threshold.
-* Metrics with unit "x" (the PDES fire-loop speedup and the full
-  partitioned-machine speedup, machine_pdes_speedup) are host-relative
-  ratios: they are never calibration-normalized and never compared
-  against the baseline value (a 1-core baseline host legitimately
-  records ~1.0x). Instead they gate on an absolute floor
-  (``--speedup-floor``, default 1.5) — enforced only when the metric
-  line reports ``threads >= 4``, because the target cannot hold on
-  smaller hosts.
-* Metrics with unit "ratio" (PDES synchronisation overhead: null
-  messages, always 0 under the round-synchronous engine, and stall
-  rounds per event) are diagnostics: printed for the reviewer, never
-  gated.
 * Supervised campaigns emit one counter line per run
   (``"kind": "supervisor"``: timeouts, isolated crashes, journaled
   resumes — see docs/ROBUSTNESS.md). Counters found in the
@@ -63,10 +46,7 @@ import sys
 
 
 def load_metrics(path):
-    """Return {benchmark: (unit, value, threads)} for simcore lines.
-
-    ``threads`` is 0 for thread-independent metrics (field absent).
-    """
+    """Return {benchmark: (unit, value)} for simcore lines."""
     metrics = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -80,8 +60,7 @@ def load_metrics(path):
                     continue
                 if obj.get("campaign") != "simcore":
                     continue
-                metrics[obj["benchmark"]] = (obj["unit"], obj["value"],
-                                             obj.get("threads", 0))
+                metrics[obj["benchmark"]] = (obj["unit"], obj["value"])
     except OSError as e:
         sys.exit(f"compare_bench: cannot read {path}: {e}")
     if not metrics:
@@ -170,9 +149,6 @@ def main():
     ap.add_argument("--threshold", type=float, default=0.25,
                     help="max fractional throughput regression "
                          "(default 0.25)")
-    ap.add_argument("--speedup-floor", type=float, default=1.5,
-                    help="absolute floor for unit-'x' metrics measured "
-                         "with threads >= 4 (default 1.5)")
     args = ap.parse_args()
 
     base = load_metrics(args.baseline)
@@ -193,8 +169,7 @@ def main():
     print("-" * len(header))
 
     failures = list(supervisor_failures)
-    vacuous = []
-    for name, (unit, base_val, base_thr) in sorted(base.items()):
+    for name, (unit, base_val) in sorted(base.items()):
         if name == "calibration":
             continue
         if name not in cur:
@@ -202,7 +177,7 @@ def main():
             print(f"{name:<28} {base_val:>12.4g} {'--':>12} {'--':>12} "
                   f"{'--':>8}  MISSING")
             continue
-        cur_unit, cur_val, cur_thr = cur[name]
+        cur_unit, cur_val = cur[name]
         if cur_unit != unit:
             failures.append(
                 f"{name}: unit changed {unit} -> {cur_unit}")
@@ -217,38 +192,10 @@ def main():
             print(f"{name:<28} {base_val:>12.6g} {cur_val:>12.6g} "
                   f"{cur_val:>12.6g} {'--':>8}  {status}")
             continue
-        if unit == "x":
-            # Host-relative speedup: no calibration, no baseline
-            # delta (the baseline host's core count sets its value).
-            # Gate on the absolute floor when measured with >= 4
-            # threads; report-only below that.
-            if cur_thr >= 4:
-                ok = cur_val >= args.speedup_floor
-                status = ("ok (floor)" if ok else "BELOW SPEEDUP FLOOR")
-                if not ok:
-                    failures.append(
-                        f"{name}: {cur_val:.2f}x at {cur_thr} threads "
-                        f"is below the {args.speedup_floor:.2f}x floor")
-            else:
-                status = f"info ({cur_thr} thread(s), floor waived)"
-            print(f"{name:<28} {base_val:>12.4g} {cur_val:>12.4g} "
-                  f"{cur_val:>12.4g} {'--':>8}  {status}")
-            continue
-        if unit == "ratio":
-            # PDES synchronisation diagnostic (null messages, stall
-            # rounds): informational only.
-            print(f"{name:<28} {base_val:>12.4g} {cur_val:>12.4g} "
-                  f"{cur_val:>12.4g} {'--':>8}  info (not gated)")
-            continue
         norm = cur_val / calib if calib > 0 else cur_val
         delta = norm / base_val - 1.0
         ok = delta >= -args.threshold
         status = "ok" if ok else "REGRESSION"
-        if ok and base_thr != cur_thr:
-            status = (f"VACUOUS (baseline {base_thr} threads, "
-                      f"current {cur_thr})")
-            vacuous.append(f"{name}: baseline {base_thr} threads, "
-                           f"current {cur_thr}")
         if not ok:
             failures.append(
                 f"{name}: {-delta:.1%} below baseline "
@@ -261,12 +208,6 @@ def main():
               f"{'--':>12} {'--':>8}  new (no baseline)")
 
     print()
-    if vacuous:
-        print("VACUOUS: measured at a different thread count than the "
-              "baseline, so passing proves nothing:")
-        for v in vacuous:
-            print(f"  - {v}")
-        print()
     if failures:
         print("FAIL:")
         for f in failures:

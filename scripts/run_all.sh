@@ -2,17 +2,12 @@
 # Rebuild everything, run the test suite, and regenerate every table,
 # figure, ablation and extension result into results/.
 #
-#   scripts/run_all.sh [--jobs N] [--sim-threads N] [--resume]
+#   scripts/run_all.sh [--jobs N] [--resume]
 #
 # --jobs N shards the campaign-style benches (figure5_energy,
 # figure6_time, robustness_faults, robustness_seeds) across N host
 # threads. Their output is byte-identical to a serial run, so N only
 # affects wall time.
-#
-# --sim-threads N drives each individual simulation through the
-# conservative PDES engine with N worker threads (docs/PERFORMANCE.md,
-# "Parallel simulation (PDES)"). Like --jobs, results are
-# byte-identical at any N.
 #
 # --resume continues an interrupted invocation: partial results/ are
 # kept, campaign benches skip the points already recorded in their
@@ -25,17 +20,14 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 JOBS=1
-SIM_THREADS=1
 RESUME=0
 while [ $# -gt 0 ]; do
     case "$1" in
         --jobs)   JOBS="$2"; shift 2 ;;
         --jobs=*) JOBS="${1#--jobs=}"; shift ;;
-        --sim-threads)   SIM_THREADS="$2"; shift 2 ;;
-        --sim-threads=*) SIM_THREADS="${1#--sim-threads=}"; shift ;;
         --resume) RESUME=1; shift ;;
         *)
-            echo "usage: $0 [--jobs N] [--sim-threads N] [--resume]" >&2
+            echo "usage: $0 [--jobs N] [--resume]" >&2
             exit 2 ;;
     esac
 done
@@ -50,7 +42,7 @@ mkdir -p results results/.journal
 # emitted by atomic rename, failure manifest on any failed point.
 campaign_args() {
     local name="$1"
-    local args="--jobs $JOBS --sim-threads $SIM_THREADS"
+    local args="--jobs $JOBS"
     args="$args --journal results/.journal/$name.jsonl"
     args="$args --out results/$name.json"
     args="$args --manifest results/$name.manifest.json"

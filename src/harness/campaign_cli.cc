@@ -17,7 +17,7 @@ usage(const char* prog, const char* complaint, bool allowQuick)
     std::fprintf(
         stderr,
         "%s: %s\n"
-        "usage: %s %s[--jobs N] [--sim-threads N] [--sim-partitions P]\n"
+        "usage: %s %s[--jobs N] [--sim-partitions P]\n"
         "       [--deadline-ms N] [--isolate] [--journal FILE] "
         "[--resume]\n"
         "       [--out FILE] [--manifest FILE] [--only-point I]\n"
@@ -104,13 +104,6 @@ CampaignOptions::parse(int argc, char** argv, bool allowQuick)
                 parseUnsigned(prog, "--jobs", value(i), allowQuick);
             if (o.policy.jobs == 0)
                 usage(prog, "option --jobs: must be >= 1", allowQuick);
-        } else if (opt == "--sim-threads") {
-            o.simThreads = parseUnsigned(prog, "--sim-threads",
-                                         value(i), allowQuick);
-            if (o.simThreads == 0) {
-                usage(prog, "option --sim-threads: must be >= 1",
-                      allowQuick);
-            }
         } else if (opt == "--sim-partitions") {
             o.simPartitions = parseUnsigned(prog, "--sim-partitions",
                                             value(i), allowQuick);
@@ -184,9 +177,8 @@ CampaignOptions::reproFlags() const
         flags += " --quick";
     if (policy.isolate)
         flags += " --isolate";
-    // Unlike --sim-threads, the partition count selects the
-    // simulation plan and so shapes results: a repro command must
-    // carry it.
+    // The partition count selects the simulation plan and so shapes
+    // results: a repro command must carry it.
     if (simPartitions != 0)
         flags += " --sim-partitions " + std::to_string(simPartitions);
     return flags;

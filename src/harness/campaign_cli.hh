@@ -9,8 +9,6 @@
  * fallback:
  *
  *   --jobs N          shard points over N worker threads
- *   --sim-threads N   PDES worker threads inside each simulation
- *                     (byte-identical results at any N; default 1)
  *   --sim-partitions P cluster partitions per simulation (selects the
  *                     simulation plan, so it IS part of each point's
  *                     identity; default: by node count)
@@ -48,18 +46,10 @@ struct CampaignOptions
 {
     SupervisorPolicy policy;
     /**
-     * PDES worker threads per simulation (--sim-threads,
-     * harness/parallel_sim.hh). Like --jobs it never changes results,
-     * so it is excluded from config hashes, journals and
-     * reproFlags().
-     */
-    unsigned simThreads = 1;
-    /**
      * Cluster partitions per simulation (--sim-partitions,
      * RunOptions::simPartitions); 0 = default for the node count.
-     * Unlike simThreads this selects the simulation *plan* and can
-     * change results, so it IS part of config hashes, journal keys
-     * and reproFlags().
+     * It selects the simulation *plan* and can change results, so it
+     * IS part of config hashes, journal keys and reproFlags().
      */
     unsigned simPartitions = 0;
     std::string journalPath; ///< "" = no journal

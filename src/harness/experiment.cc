@@ -148,8 +148,8 @@ runExperiment(const SystemConfig& sys, const workloads::AppProfile& app,
     // Pick the simulation plan. Serial-only features — the checker's
     // totally-ordered event stream, fault hooks, structured tracing,
     // the hardening ladder's shared quarantine map — force one
-    // partition; everything else runs the partitioned plan so a
-    // single simulation can use multiple host threads.
+    // partition; everything else runs the default partitioned plan,
+    // whose event order every golden artifact pins.
     const bool force_serial =
         checker || injector || options.traceSink ||
         (custom && custom->hardening.enabled);
@@ -189,10 +189,7 @@ runExperiment(const SystemConfig& sys, const workloads::AppProfile& app,
     machine.memory().addressMap().seal();
 
     program.start();
-    // Host thread count never affects results — stats, traces and
-    // artifacts are byte-identical at any simThreads value within the
-    // chosen partition plan (parallel_sim.hh).
-    runMachinePdes(machine, options.simThreads);
+    runMachinePdes(machine, 1);
 
     provider.mergeStats();
     if (!program.finished())

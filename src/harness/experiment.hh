@@ -179,28 +179,19 @@ struct RunOptions
      */
     Tick livenessBudget = 0;
     /**
-     * Worker threads driving this one simulation through the
-     * conservative PDES engine (harness/parallel_sim.hh). 1 runs the
-     * serial plan on the plain event queue, and a partitioned plan on
-     * the engine's sequential executor; 2 or more run the engine's
-     * window rounds on that many workers (capped at the partition
-     * count, so a serial plan stays sequential). Never affects
-     * results — stats, traces
-     * and artifacts are byte-identical at any value — so it is NOT
-     * part of the experiment's identity (config hashes, journals and
-     * result caches ignore it, exactly like --jobs).
+     * Ignored: every simulation runs on one host thread. Kept only
+     * because the benchmark harness (benchmark/tb_bench.cc) sets it.
      */
     unsigned simThreads = 1;
     /**
      * Cluster partitions the machine is split into for PDES execution
      * (harness/machine.hh); 0 picks the default for the node count
-     * (nodes/8 for machines of 16+ nodes, else 1). Unlike simThreads,
-     * the partition count IS part of the simulation plan: serial and
-     * partitioned plans order some bookkeeping differently (see
-     * docs/PERFORMANCE.md), so runs only promise byte-identical
-     * results across simThreads *within* one partition count. Runs
-     * that need the serial plan (checker, fault injection, structured
-     * tracing, hardening) force 1 regardless.
+     * (nodes/8 for machines of 16+ nodes, else 1). The partition
+     * count IS part of the simulation plan: serial and partitioned
+     * plans order some bookkeeping differently (see
+     * docs/PERFORMANCE.md). Runs that need the serial plan (checker,
+     * fault injection, structured tracing, hardening) force 1
+     * regardless.
      */
     unsigned simPartitions = 0;
 };

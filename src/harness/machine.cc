@@ -39,8 +39,8 @@ Machine::Machine(const SystemConfig& config, unsigned partitions)
             // Keyed mode must be set before ANY event is scheduled on
             // the queue: every event then ties by (cluster, local
             // order) instead of global insertion order, which is what
-            // makes partitioned runs byte-identical at any host
-            // thread count.
+            // makes a partitioned run independent of when the engine
+            // merges a cross-cluster event.
             clusterQs.back()->setKeyedStream(
                 static_cast<std::uint16_t>(c));
         }

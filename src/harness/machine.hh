@@ -5,15 +5,14 @@
  * system, one CPU + thread context per node.
  *
  * A machine can be built *partitioned*: its nodes are split into
- * 2^j contiguous clusters, each with its own event queue, so a
- * conservative PDES engine (sim/pdes.hh) can run the clusters on
- * different host threads within ONE simulation. Cluster queues are put
- * in keyed mode at construction — before any component schedules —
- * which makes event ordering independent of which host thread merges
- * what when; a partitioned run produces byte-identical artifacts at
- * any --sim-threads count. Partitioned machines must be driven by
- * harness::runMachinePdes (run() refuses), and serial-only instruments
- * (protocol checker) refuse to attach to them.
+ * 2^j contiguous clusters, each with its own event queue, driven
+ * together by the conservative PDES engine (sim/pdes.hh). Cluster
+ * queues are put in keyed mode at construction — before any
+ * component schedules — which makes event ordering independent of
+ * when a cross-cluster event is merged into its queue. Partitioned
+ * machines must be driven by harness::runMachinePdes (run() refuses),
+ * and serial-only instruments (protocol checker) refuse to attach to
+ * them.
  */
 
 #ifndef TB_HARNESS_MACHINE_HH_

@@ -2,10 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <stdexcept>
 #include <string>
@@ -106,38 +102,6 @@ ParallelCampaignRunner::rethrowAggregated(
         msg += ' ' + std::to_string(i);
     msg += "); first: " + first_what;
     throw std::runtime_error(msg);
-}
-
-unsigned
-ParallelCampaignRunner::parseJobsArg(int argc, char** argv)
-{
-    const auto usage = [&](const char* text) {
-        std::fprintf(stderr,
-                     "%s: --jobs: '%s' is not a positive integer\n"
-                     "usage: %s [--jobs N]\n",
-                     argv[0], text, argv[0]);
-        std::exit(2);
-    };
-    unsigned jobs = 1;
-    for (int i = 1; i < argc; ++i) {
-        const char* text = nullptr;
-        if (std::strcmp(argv[i], "--jobs") == 0 && i + 1 < argc)
-            text = argv[++i];
-        else if (std::strncmp(argv[i], "--jobs=", 7) == 0)
-            text = argv[i] + 7;
-        if (!text)
-            continue;
-        // Strict: the whole operand must be one integer >= 1 —
-        // `--jobs 4x` or `--jobs garbage` must not silently
-        // serialize the campaign.
-        errno = 0;
-        char* end = nullptr;
-        const long v = std::strtol(text, &end, 10);
-        if (end == text || *end != '\0' || errno == ERANGE || v < 1)
-            usage(text);
-        jobs = static_cast<unsigned>(v);
-    }
-    return jobs;
 }
 
 } // namespace harness

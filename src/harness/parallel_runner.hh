@@ -57,13 +57,6 @@ class ParallelCampaignRunner
     void run(std::size_t count,
              const std::function<void(std::size_t)>& point) const;
 
-    /**
-     * Parse a trailing `--jobs N` / `--jobs=N` option. Absent means
-     * 1; a malformed or non-positive value prints a usage error and
-     * exits with status 2 (never silently serializes the campaign).
-     */
-    static unsigned parseJobsArg(int argc, char** argv);
-
   private:
     static void rethrowAggregated(
         const std::vector<std::exception_ptr>& errors);

@@ -1,9 +1,8 @@
 /**
  * @file
- * Multi-threaded single-simulation driver: runs one Machine under the
- * conservative PDES engine (sim/pdes.hh), selected by --sim-threads N
- * (workers) and --sim-partitions P (clusters) in thrifty_sim and the
- * campaign CLI.
+ * Partitioned single-simulation runner: runs one Machine under the
+ * conservative PDES engine (sim/pdes.hh). --sim-partitions P in
+ * thrifty_sim and the campaign CLI selects the cluster count.
  *
  * A partitioned Machine (harness/machine.hh) splits its nodes into
  * contiguous power-of-two clusters, one event queue each; this driver
@@ -16,16 +15,13 @@
  * gets the engine's channel send installed as crossSchedule for the
  * duration of the run — the only legal way an event crosses clusters.
  *
- * Contract: within one partition plan, any worker thread count
- * produces byte-identical stats, traces and campaign artifacts — the
- * per-simulation analogue of what --jobs guarantees per sweep point.
- * Cluster queues run keyed (cluster, local order) event ordering, so
- * merge timing and host scheduling cannot reorder anything. The CI
- * pdes-determinism job diffs partitioned-machine artifacts at
- * 1/2/3/4/8 threads. The partition count itself IS part of the plan:
- * the serial (1-partition) and partitioned plans order some barrier
- * bookkeeping differently (docs/PERFORMANCE.md), so artifacts are
- * compared across threads, never across partition counts.
+ * The engine drains every cluster on the calling thread. Cluster
+ * queues run keyed (cluster, local order) event ordering, so the
+ * result is a pure function of the simulation. The partition count
+ * itself IS part of the plan: the serial (1-partition) and
+ * partitioned plans order some barrier bookkeeping differently
+ * (docs/PERFORMANCE.md), so their artifacts are never compared with
+ * each other.
  */
 
 #ifndef TB_HARNESS_PARALLEL_SIM_HH_
@@ -43,7 +39,9 @@ class Machine;
 struct PdesRunReport
 {
     Tick finalTick = 0;
-    /** Worker threads actually used. */
+    /** Always 1: the engine runs on the calling thread. Kept only
+     *  because the benchmark harness (benchmark/tb_bench.cc) reports
+     *  it as pdes.threads. */
     unsigned threads = 1;
     /** Engine partitions the machine ran as (1 = serial plan). */
     unsigned partitions = 1;
@@ -52,39 +50,19 @@ struct PdesRunReport
      *  minimum end-to-end message latency for the single-partition
      *  fallback. Recorded so diagnostics state the real number. */
     Tick modelLookahead = 0;
-    /** Engine counters (empty when threads == 1 ran serially). */
+    /** Engine counters (empty for the serial plan, which runs
+     *  without the engine). */
     pdes::EngineStats engine;
 };
 
 /**
- * Drain @p machine's event queue(s) with @p threads workers and close
- * its accounting intervals. A serial (1-partition) machine with
- * threads <= 1 is exactly Machine::run(); a partitioned machine is
- * always engine-driven — its per-cluster queues must be drained
- * together, by the sequential executor at one worker and by window
- * rounds at two or more. Results are byte-identical at any thread
- * count (see file comment).
+ * Drain @p machine's event queue(s) and close its accounting
+ * intervals. A serial (1-partition) machine is exactly
+ * Machine::run(); a partitioned machine's cluster queues are drained
+ * together by the engine's sequential executor. @p threads is
+ * ignored: it stays only because benchmark/tb_bench.cc passes it.
  */
 PdesRunReport runMachinePdes(Machine& machine, unsigned threads);
-
-/**
- * Strict --sim-threads option scan, same contract as
- * ParallelCampaignRunner::parseJobsArg: accepts `--sim-threads N` and
- * `--sim-threads=N`, rejects anything that is not one whole integer
- * >= 1 with a usage message and exit 2, and returns 1 when the option
- * is absent.
- */
-unsigned parseSimThreadsArg(int argc, char** argv);
-
-/**
- * Strict --sim-partitions option scan, same parsing contract as
- * parseSimThreadsArg (N >= 1, exit 2 on malformed input). Returns 0
- * when the option is absent, meaning "pick the default for the node
- * count" (harness/experiment.cc). The value must be a power of two
- * dividing the machine's node count — the Machine constructor
- * enforces that, since only it knows the node count.
- */
-unsigned parseSimPartitionsArg(int argc, char** argv);
 
 } // namespace harness
 } // namespace tb

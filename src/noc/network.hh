@@ -111,8 +111,8 @@ struct PartitionBinding
     /** Number of clusters; stat shards are folded in this order. */
     unsigned clusters = 1;
     /**
-     * Schedule @p fn at @p when on @p dstCluster's queue from
-     * @p srcCluster's worker. Null outside an engine-driven run.
+     * Schedule @p fn at @p when on @p dstCluster's queue from an
+     * event of @p srcCluster. Null outside an engine-driven run.
      */
     std::function<void(unsigned srcCluster, unsigned dstCluster,
                        Tick when, detail::EventClosure fn)>

@@ -387,8 +387,8 @@ class EventQueue
      * This is the substrate of the conservative PDES engine
      * (sim/pdes.hh): a partition's queue receives both locally
      * scheduled events and events merged in from peer partitions'
-     * channels, and the merge happens at horizon boundaries whose
-     * timing depends on host-thread scheduling. Keying every entry by
+     * channels, and when a merge happens depends on how far the
+     * executor's bursts run. Keying every entry by
      * (origin partition, origin sequence) makes the executed total
      * order (time, priority, partition, seq) — a function of the
      * simulation alone, never of when a merge happened to run.

@@ -276,8 +276,7 @@ class PartitionedNoc
         }
     };
 
-    PartitionedNoc(unsigned workers, bool (*stalls)(NodeId, unsigned))
-        : engine(pdes::Engine::Config{workers})
+    explicit PartitionedNoc(bool (*stalls)(NodeId, unsigned))
     {
         noc::NetworkConfig cfg;
         cfg.dimension = 4;
@@ -325,8 +324,8 @@ class PartitionedNoc
     sendAt(Tick at, NodeId src, NodeId dst, unsigned bytes)
     {
         // The stamp is taken at injection, on src's cluster, and the
-        // record at delivery, on dst's: per-cluster books keep the
-        // workers off each other's data.
+        // record at delivery, on dst's: each cluster keeps its own
+        // books, as owner-confined partitions must.
         queues[clusterOf(src)]->schedule(at, [this, src, dst, bytes]() {
             const std::uint64_t seq = sent[clusterOf(src)][{src, dst}]++;
             net->send(src, dst, bytes, [this, src, dst, seq]() {
@@ -366,78 +365,67 @@ class PartitionedNoc
  *  predecessor, after both crossed channels. */
 TEST(Network, PartitionedOvertakerWaitsForItsPredecessor)
 {
-    for (unsigned workers : {1u, 2u}) {
-        // Only the first traversal of router 0 stalls: A (sent first)
-        // sits 2 us there, B passes at once.
-        PartitionedNoc rig(workers, [](NodeId at, unsigned k) {
-            return at == 0 && k == 0;
-        });
-        // 0 -> 15 crosses clusters 0 -> 1 -> 3.
-        rig.sendAt(0, 0, 15, 72);
-        rig.sendAt(kNanosecond, 0, 15, 72);
-        const auto got = rig.run();
-        const auto& d = got.at({0, 15});
-        ASSERT_EQ(d.size(), 2u) << workers << " workers";
-        EXPECT_EQ(d[0].first, 0u);
-        EXPECT_EQ(d[1].first, 1u);
-        const Tick unstalled =
-            kNanosecond + rig.network().zeroLoadLatency(4, 72);
-        EXPECT_EQ(d[0].second, 2 * kMicrosecond + unstalled - kNanosecond);
-        // B arrived first but was held until A landed.
-        EXPECT_EQ(d[1].second, d[0].second);
-        EXPECT_GT(rig.network().statistics().scalarValue(
-                      "orderingStallTicks"),
-                  0.0);
-    }
+    // Only the first traversal of router 0 stalls: A (sent first) sits
+    // 2 us there, B passes at once.
+    PartitionedNoc rig([](NodeId at, unsigned k) {
+        return at == 0 && k == 0;
+    });
+    // 0 -> 15 crosses clusters 0 -> 1 -> 3.
+    rig.sendAt(0, 0, 15, 72);
+    rig.sendAt(kNanosecond, 0, 15, 72);
+    const auto got = rig.run();
+    const auto& d = got.at({0, 15});
+    ASSERT_EQ(d.size(), 2u);
+    EXPECT_EQ(d[0].first, 0u);
+    EXPECT_EQ(d[1].first, 1u);
+    const Tick unstalled =
+        kNanosecond + rig.network().zeroLoadLatency(4, 72);
+    EXPECT_EQ(d[0].second, 2 * kMicrosecond + unstalled - kNanosecond);
+    // B arrived first but was held until A landed.
+    EXPECT_EQ(d[1].second, d[0].second);
+    EXPECT_GT(
+        rig.network().statistics().scalarValue("orderingStallTicks"),
+        0.0);
 }
 
 /**
  * The partitioned sibling of P2pOrderSurvivesContentionAndFaultStalls:
  * random traffic with overtaking on every path, per-pair send order
- * kept at delivery, nothing lost, and identical delivery ticks at one
- * and two workers.
+ * kept at delivery, and nothing lost.
  */
 TEST(Network, PartitionedP2pOrderSurvivesOvertakingAcrossChannels)
 {
-    const auto stalls = [](NodeId at, unsigned k) {
+    PartitionedNoc rig([](NodeId at, unsigned k) {
         return (k * 7 + at) % 4 == 0;
+    });
+    const unsigned n = 16;
+    std::uint64_t lcg = 0x9e3779b97f4a7c15ull;
+    const auto next = [&]() {
+        lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
+        return static_cast<unsigned>(lcg >> 33);
     };
-    PartitionedNoc::Deliveries reference;
-    for (unsigned workers : {1u, 2u}) {
-        PartitionedNoc rig(workers, stalls);
-        const unsigned n = 16;
-        std::uint64_t lcg = 0x9e3779b97f4a7c15ull;
-        const auto next = [&]() {
-            lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
-            return static_cast<unsigned>(lcg >> 33);
-        };
-        for (int i = 0; i < 400; ++i) {
-            const NodeId src = next() % n;
-            const NodeId dst = next() % n;
-            const unsigned bytes = 8 + (next() % 5) * 64;
-            const Tick at = (next() % 50) * kMicrosecond;
-            rig.sendAt(at, src, dst, bytes);
-        }
-        const auto got = rig.run();
-
-        std::size_t total = 0;
-        for (const auto& [pair, d] : got) {
-            total += d.size();
-            for (std::size_t i = 1; i < d.size(); ++i) {
-                EXPECT_EQ(d[i].first, d[i - 1].first + 1)
-                    << "pair (" << pair.first << ", " << pair.second
-                    << ") delivered out of send order";
-            }
-        }
-        EXPECT_EQ(total, 400u); // nothing dropped, nothing duplicated
-        EXPECT_GT(rig.network().statistics().scalarValue(
-                      "orderingStallTicks"),
-                  0.0);
-        if (workers == 1)
-            reference = got;
-        else
-            EXPECT_EQ(got, reference) << "worker count moved a delivery";
+    for (int i = 0; i < 400; ++i) {
+        const NodeId src = next() % n;
+        const NodeId dst = next() % n;
+        const unsigned bytes = 8 + (next() % 5) * 64;
+        const Tick at = (next() % 50) * kMicrosecond;
+        rig.sendAt(at, src, dst, bytes);
     }
+    const auto got = rig.run();
+
+    std::size_t total = 0;
+    for (const auto& [pair, d] : got) {
+        total += d.size();
+        for (std::size_t i = 1; i < d.size(); ++i) {
+            EXPECT_EQ(d[i].first, d[i - 1].first + 1)
+                << "pair (" << pair.first << ", " << pair.second
+                << ") delivered out of send order";
+        }
+    }
+    EXPECT_EQ(total, 400u); // nothing dropped, nothing duplicated
+    EXPECT_GT(
+        rig.network().statistics().scalarValue("orderingStallTicks"),
+        0.0);
 }
 
 } // namespace

@@ -1,10 +1,10 @@
 /**
  * @file
  * ParallelCampaignRunner tests: serial/parallel equivalence, full
- * coverage of the index space, exception propagation and --jobs
- * parsing. The end-to-end guarantee — campaign binaries emit
- * byte-identical output under --jobs N — additionally rests on running
- * real experiments here with per-point Machines.
+ * coverage of the index space and exception propagation. The
+ * end-to-end guarantee — campaign binaries emit byte-identical output
+ * under --jobs N — additionally rests on running real experiments
+ * here with per-point Machines.
  */
 
 #include <gtest/gtest.h>
@@ -108,50 +108,6 @@ TEST(ParallelRunner, SerialPathRunsAllPointsBeforeThrowing)
     // workers would have run them, so the inline path does too.
     for (std::size_t i = 0; i < hits.size(); ++i)
         EXPECT_EQ(hits[i], 1) << "index " << i;
-}
-
-TEST(ParallelRunner, ParseJobsArg)
-{
-    const char* none[] = {"prog"};
-    const char* pair[] = {"prog", "--jobs", "4"};
-    const char* eq[] = {"prog", "--jobs=8"};
-    const char* mixed[] = {"prog", "--quick", "--jobs", "3"};
-    auto parse = [](const char** argv, int argc) {
-        return ParallelCampaignRunner::parseJobsArg(
-            argc, const_cast<char**>(argv));
-    };
-    EXPECT_EQ(parse(none, 1), 1u);
-    EXPECT_EQ(parse(pair, 3), 4u);
-    EXPECT_EQ(parse(eq, 2), 8u);
-    EXPECT_EQ(parse(mixed, 4), 3u);
-}
-
-TEST(ParallelRunnerDeathTest, ParseJobsArgRejectsMalformedValues)
-{
-    // `--jobs garbage` / `--jobs 4x` / non-positive counts must be a
-    // usage error (exit 2), never a silent fallback to 1 worker.
-    auto parse = [](const char** argv, int argc) {
-        ParallelCampaignRunner::parseJobsArg(
-            argc, const_cast<char**>(argv));
-    };
-    const char* garbage[] = {"prog", "--jobs", "garbage"};
-    const char* trailing[] = {"prog", "--jobs", "4x"};
-    const char* eq_junk[] = {"prog", "--jobs=2junk"};
-    const char* zero[] = {"prog", "--jobs", "0"};
-    const char* neg[] = {"prog", "--jobs=-2"};
-    const char* empty[] = {"prog", "--jobs="};
-    EXPECT_EXIT(parse(garbage, 3), testing::ExitedWithCode(2),
-                "not a positive integer");
-    EXPECT_EXIT(parse(trailing, 3), testing::ExitedWithCode(2),
-                "not a positive integer");
-    EXPECT_EXIT(parse(eq_junk, 2), testing::ExitedWithCode(2),
-                "not a positive integer");
-    EXPECT_EXIT(parse(zero, 3), testing::ExitedWithCode(2),
-                "not a positive integer");
-    EXPECT_EXIT(parse(neg, 2), testing::ExitedWithCode(2),
-                "not a positive integer");
-    EXPECT_EXIT(parse(empty, 2), testing::ExitedWithCode(2),
-                "not a positive integer");
 }
 
 /**

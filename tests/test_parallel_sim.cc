@@ -1,10 +1,10 @@
 /**
  * @file
- * Tests of the multi-threaded single-simulation driver
- * (harness/parallel_sim.hh): the --sim-threads option scan, the
- * PdesRunReport bookkeeping and — the contract that matters — real
- * experiments whose serialized results are byte-identical at any
- * worker thread count. The engine itself is covered by test_pdes.cc.
+ * Tests of the partitioned single-simulation runner
+ * (harness/parallel_sim.hh): the PdesRunReport bookkeeping, the
+ * 64-node machine's eight engine partitions, and real experiments
+ * whose serialized results the ignored thread count cannot move. The
+ * engine itself is covered by test_pdes.cc.
  */
 
 #include <gtest/gtest.h>
@@ -22,75 +22,6 @@ namespace tb {
 namespace harness {
 namespace {
 
-TEST(ParallelSim, ParseSimThreadsArg)
-{
-    const char* none[] = {"prog"};
-    const char* pair[] = {"prog", "--sim-threads", "4"};
-    const char* eq[] = {"prog", "--sim-threads=8"};
-    const char* mixed[] = {"prog", "--quick", "--sim-threads", "2"};
-    auto parse = [](const char** argv, int argc) {
-        return parseSimThreadsArg(argc, const_cast<char**>(argv));
-    };
-    EXPECT_EQ(parse(none, 1), 1u);
-    EXPECT_EQ(parse(pair, 3), 4u);
-    EXPECT_EQ(parse(eq, 2), 8u);
-    EXPECT_EQ(parse(mixed, 4), 2u);
-}
-
-TEST(ParallelSimDeathTest, ParseSimThreadsArgRejectsMalformed)
-{
-    // Same contract as --jobs: `--sim-threads 4x` must be a usage
-    // error (exit 2), never a silent fallback to the serial engine.
-    auto parse = [](const char** argv, int argc) {
-        parseSimThreadsArg(argc, const_cast<char**>(argv));
-    };
-    const char* garbage[] = {"prog", "--sim-threads", "garbage"};
-    const char* trailing[] = {"prog", "--sim-threads", "4x"};
-    const char* zero[] = {"prog", "--sim-threads=0"};
-    const char* neg[] = {"prog", "--sim-threads=-2"};
-    const char* empty[] = {"prog", "--sim-threads="};
-    EXPECT_EXIT(parse(garbage, 3), testing::ExitedWithCode(2),
-                "not a positive integer");
-    EXPECT_EXIT(parse(trailing, 3), testing::ExitedWithCode(2),
-                "not a positive integer");
-    EXPECT_EXIT(parse(zero, 2), testing::ExitedWithCode(2),
-                "not a positive integer");
-    EXPECT_EXIT(parse(neg, 2), testing::ExitedWithCode(2),
-                "not a positive integer");
-    EXPECT_EXIT(parse(empty, 2), testing::ExitedWithCode(2),
-                "not a positive integer");
-}
-
-TEST(ParallelSim, ParseSimPartitionsArg)
-{
-    // Absent means 0 — "pick the default plan for the node count" —
-    // which is distinct from an explicit --sim-partitions 1.
-    const char* none[] = {"prog"};
-    const char* pair[] = {"prog", "--sim-partitions", "8"};
-    const char* eq[] = {"prog", "--sim-partitions=4"};
-    const char* one[] = {"prog", "--sim-partitions", "1"};
-    auto parse = [](const char** argv, int argc) {
-        return parseSimPartitionsArg(argc, const_cast<char**>(argv));
-    };
-    EXPECT_EQ(parse(none, 1), 0u);
-    EXPECT_EQ(parse(pair, 3), 8u);
-    EXPECT_EQ(parse(eq, 2), 4u);
-    EXPECT_EQ(parse(one, 3), 1u);
-}
-
-TEST(ParallelSimDeathTest, ParseSimPartitionsArgRejectsMalformed)
-{
-    auto parse = [](const char** argv, int argc) {
-        parseSimPartitionsArg(argc, const_cast<char**>(argv));
-    };
-    const char* zero[] = {"prog", "--sim-partitions=0"};
-    const char* junk[] = {"prog", "--sim-partitions", "2x"};
-    EXPECT_EXIT(parse(zero, 2), testing::ExitedWithCode(2),
-                "not a positive integer");
-    EXPECT_EXIT(parse(junk, 3), testing::ExitedWithCode(2),
-                "not a positive integer");
-}
-
 TEST(ParallelSim, ReportRecordsModelLookahead)
 {
     // The conservative lookahead the partitioned model will use is
@@ -106,21 +37,21 @@ TEST(ParallelSim, ReportRecordsModelLookahead)
 
 TEST(ParallelSim, ThreadedDrainMatchesSerialFinalTick)
 {
-    // An empty machine drains immediately under either engine.
+    // An empty machine drains immediately, and a requested thread
+    // count is ignored: every simulation runs on the calling thread.
     Machine serial(SystemConfig::small(1));
     Machine threaded(SystemConfig::small(1));
     const PdesRunReport a = runMachinePdes(serial, 1);
     const PdesRunReport b = runMachinePdes(threaded, 4);
     EXPECT_EQ(a.finalTick, b.finalTick);
-    EXPECT_EQ(b.threads, 4u);
-    EXPECT_EQ(b.engine.partitions, 1u);
+    EXPECT_EQ(b.threads, 1u);
+    EXPECT_EQ(b.partitions, 1u);
 }
 
 /**
- * The determinism contract end to end: a real experiment run under
- * the PDES engine must serialize byte-identically to the serial
- * reference, episode ledger and all. This is the same invariant the
- * CI pdes-determinism job checks on whole campaign artifacts.
+ * RunOptions::simThreads is kept but ignored: a real experiment must
+ * serialize byte-identically whatever value it carries, episode ledger
+ * and all.
  */
 TEST(ParallelSim, ExperimentResultsByteIdenticalAcrossThreadCounts)
 {
@@ -146,7 +77,8 @@ TEST(ParallelSim, SixtyFourNodeMachineRunsEightRealPartitions)
     // eight managed engine partitions, every cross-cluster channel
     // carrying the real (nonzero) pin-to-pin lookahead.
     Machine m(SystemConfig::small(6), 8);
-    const PdesRunReport r = runMachinePdes(m, 2);
+    const PdesRunReport r = runMachinePdes(m, 1);
+    EXPECT_EQ(r.threads, 1u);
     EXPECT_EQ(r.partitions, 8u);
     EXPECT_EQ(r.engine.partitions, 8u);
     EXPECT_EQ(r.modelLookahead, m.config().noc.pinToPin);
@@ -154,12 +86,11 @@ TEST(ParallelSim, SixtyFourNodeMachineRunsEightRealPartitions)
 }
 
 /**
- * The partitioned plan's own determinism contract: with the partition
- * count fixed, the one-worker engine run is the plan's bit-exact
- * reference and adding workers must never change the serialized
+ * The same for the partitioned plan: with the partition count fixed,
+ * the ignored simThreads value must never change the serialized
  * result — stats and episode ledger included. A seeded scan over
- * (app, partition count) points keeps the property honest beyond one
- * hand-picked workload.
+ * (app, partition count) points covers more than one hand-picked
+ * workload.
  */
 TEST(ParallelSim, PartitionedExperimentByteIdenticalAcrossThreadCounts)
 {

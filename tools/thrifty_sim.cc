@@ -58,10 +58,6 @@ usage(const char* argv0)
         "states (default all)\n"
         "  --three-hop        DASH-style direct owner-to-requester "
         "forwarding\n"
-        "  --sim-threads N    PDES worker threads driving the "
-        "simulation\n"
-        "                     (results byte-identical at any N; "
-        "default 1 = serial)\n"
         "  --sim-partitions P cluster partitions of the machine "
         "(power of two\n"
         "                     dividing the node count; selects the "
@@ -154,7 +150,6 @@ main(int argc, char** argv)
     std::string config = "T";
     unsigned dim = 6;
     std::uint64_t seed = 1;
-    unsigned sim_threads = 1;
     unsigned sim_partitions = 0;
     bool three_hop = false;
     bool check = false;
@@ -211,11 +206,6 @@ main(int argc, char** argv)
                           " out of range [1, 6] (2..64 nodes)");
             } else if (a == "--seed") {
                 seed = parseUnsignedArg("--seed", need(i));
-            } else if (a == "--sim-threads") {
-                sim_threads = static_cast<unsigned>(
-                    parseUnsignedArg("--sim-threads", need(i)));
-                if (sim_threads == 0)
-                    fatal("option --sim-threads: must be >= 1");
             } else if (a == "--sim-partitions") {
                 sim_partitions = static_cast<unsigned>(
                     parseUnsignedArg("--sim-partitions", need(i)));
@@ -306,7 +296,6 @@ main(int argc, char** argv)
 
         harness::RunOptions opt;
         opt.check = check;
-        opt.simThreads = sim_threads;
         opt.simPartitions = sim_partitions;
 
         // Statistics flow through the visitor seam: --stats renders
