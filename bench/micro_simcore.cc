@@ -12,13 +12,11 @@
  *   - eq_schedule_cancel cancel-heavy schedule/cancel/drain throughput
  *   - coherence_txn     end-to-end coherent store ping-pong rate
  *   - barriers          end-to-end thrifty-barrier instances per second
- *   - pdes_fire_1t      conservative-PDES fire-loop throughput on a
- *                       64-partition hypercube workload, plus its
- *                       deterministic total event count (pdes_events)
  * plus the *simulated* latency of one coherence transaction and the
  * simulated execution time of one full 64-node thrifty experiment
  * split into 8 cluster partitions (machine_pdes_exec_ticks), both in
- * ticks, which are seed-deterministic and must never drift.
+ * ticks, which are seed-deterministic and must never drift. The
+ * latter is the determinism check of the cluster-queue drain.
  *
  * Every metric is one JSON line in the shared campaign shape
  * (bench_util.hh), so the output greps and diffs like the robustness
@@ -41,7 +39,6 @@
 #include "mem/memory_system.hh"
 #include "noc/network.hh"
 #include "sim/event_queue.hh"
-#include "sim/pdes.hh"
 
 namespace {
 
@@ -239,132 +236,11 @@ barriersPerSecond(bool quick)
     return m;
 }
 
-/** One measured run of the PDES hypercube workload. */
-struct PdesRun
-{
-    pdes::EngineStats stats;
-    double wall = 0.0;
-};
-
-/**
- * The PDES fire-loop workload: PHOLD on a 6-cube. 64 partitions (the
- * node count of the full machine), channel lookahead = the NoC's
- * minimum cross-node latency (48 ns — the bound the partitioned
- * machine model will use), and a fixed population of jobs, eight per
- * partition. Each fired job burns a fixed xorshift grain and then
- * schedules exactly ONE successor: usually a short local hop, one in
- * sixteen times a hop across a random cube edge — a constant-
- * population load with the communication/computation mix of a real
- * model, never a fork bomb. The total event count is a pure function
- * of the seeds, and the perf gate compares it bit-for-bit.
- */
-PdesRun
-runPdesCube(bool quick)
-{
-    const unsigned dim = 6;
-    const unsigned n = 1u << dim;
-    const unsigned jobsPerPart = 8;
-    const Tick lookahead = noc::NetworkConfig{}.minCrossNodeLatency();
-    const Tick horizon = lookahead * (quick ? 96 : 384);
-
-    pdes::Engine engine;
-    std::vector<pdes::Partition*> parts;
-    parts.reserve(n);
-    for (unsigned i = 0; i < n; ++i)
-        parts.push_back(&engine.addPartition("cube" + std::to_string(i)));
-    for (unsigned i = 0; i < n; ++i)
-        for (unsigned b = 0; b < dim; ++b)
-            engine.connect(parts[i]->id(), parts[i ^ (1u << b)]->id(),
-                           lookahead);
-
-    // Per-partition grain state; owner-confined like the partitions
-    // themselves (only partition i's events touch rng[i]).
-    std::vector<std::uint64_t> rng(n);
-    for (unsigned i = 0; i < n; ++i)
-        rng[i] = 0x9e3779b97f4a7c15ull ^ (i * 0xbf58476d1ce4e5b9ull);
-
-    std::function<void(unsigned)> hop = [&](unsigned i) {
-        pdes::Partition& p = *parts[i];
-        std::uint64_t x = rng[i];
-        for (int r = 0; r < 32; ++r) {
-            x ^= x >> 12;
-            x ^= x << 25;
-            x ^= x >> 27;
-            x *= 0x2545f4914f6cdd1dull;
-        }
-        rng[i] = x;
-        if (p.now() >= horizon)
-            return; // job retires; population only ever shrinks
-        if ((x & 15u) == 0) {
-            const unsigned dst = i ^ (1u << ((x >> 8) % dim));
-            p.send(parts[dst]->id(),
-                   p.now() + lookahead + (x % 257),
-                   [&hop, dst] { hop(dst); });
-        } else {
-            p.scheduleIn(1 + (x % 1024), [&hop, i] { hop(i); });
-        }
-    };
-
-    for (unsigned i = 0; i < n; ++i)
-        for (unsigned j = 0; j < jobsPerPart; ++j)
-            parts[i]->schedule(1 + ((i + 7u * j) % 97), [&hop, i] {
-                hop(i);
-            });
-
-    const auto t0 = Clock::now();
-    engine.run();
-    PdesRun r;
-    r.wall = secondsSince(t0);
-    r.stats = engine.stats();
-    return r;
-}
-
-/**
- * The PDES metric family. Throughput is best-of-N; the deterministic
- * event count is cross-checked between repetitions before anything is
- * reported — a drift is a determinism bug, not a perf number, and
- * fails the benchmark.
- */
-std::vector<bench::MicroMetric>
-pdesMetrics(bool quick, unsigned reps, bool* ok)
-{
-    PdesRun best = runPdesCube(quick);
-    for (unsigned i = 1; i < reps; ++i) {
-        const PdesRun r = runPdesCube(quick);
-        if (r.stats.fired != best.stats.fired) {
-            std::cerr << "pdes event count drifted between "
-                         "repetitions\n";
-            *ok = false;
-        }
-        if (r.wall < best.wall)
-            best = r;
-    }
-
-    std::vector<bench::MicroMetric> ms;
-    bench::MicroMetric fire;
-    fire.benchmark = "pdes_fire_1t";
-    fire.unit = "events/s";
-    fire.ops = best.stats.fired;
-    fire.wallSeconds = best.wall;
-    fire.value = static_cast<double>(best.stats.fired) / best.wall;
-    ms.push_back(fire);
-
-    // Simulated quantity: bit-stable on any host.
-    bench::MicroMetric events;
-    events.benchmark = "pdes_events";
-    events.unit = "count";
-    events.ops = best.stats.fired;
-    events.wallSeconds = best.wall;
-    events.value = static_cast<double>(best.stats.fired);
-    ms.push_back(events);
-    return ms;
-}
-
 /**
  * One complete thrifty experiment on the paper's 64-node machine,
- * split into 8 cluster partitions. Its simulated execution time is
- * the end-to-end check the PHOLD fire loop only approximates:
- * coherence traffic, barrier episodes, per-hop NoC events and all.
+ * split into 8 cluster partitions. Its simulated execution time
+ * checks the whole partitioned plan end to end: coherence traffic,
+ * barrier episodes, per-hop NoC events and all.
  * The serialized result is cross-checked between repetitions first —
  * a drift is a determinism bug and fails the benchmark.
  */
@@ -466,11 +342,9 @@ main(int argc, char** argv)
     }
     metrics.push_back(
         bestOf(reps, [&] { return barriersPerSecond(quick); }));
-    bool pdesOk = true;
-    for (const auto& m : pdesMetrics(quick, reps, &pdesOk))
-        metrics.push_back(m);
-    metrics.push_back(machineExecTicks(quick, reps, &pdesOk));
-    if (!pdesOk)
+    bool machineOk = true;
+    metrics.push_back(machineExecTicks(quick, reps, &machineOk));
+    if (!machineOk)
         return 1;
 
     std::ostringstream out;

@@ -5,7 +5,6 @@
 
 #include "check/protocol_checker.hh"
 #include "fault/fault_injector.hh"
-#include "harness/parallel_sim.hh"
 #include "obs/trace.hh"
 #include "sim/logging.hh"
 #include "thrifty/conventional_barrier.hh"
@@ -189,7 +188,7 @@ runExperiment(const SystemConfig& sys, const workloads::AppProfile& app,
     machine.memory().addressMap().seal();
 
     program.start();
-    runMachinePdes(machine, 1);
+    machine.run();
 
     provider.mergeStats();
     if (!program.finished())

@@ -184,8 +184,8 @@ struct RunOptions
      */
     unsigned simThreads = 1;
     /**
-     * Cluster partitions the machine is split into for PDES execution
-     * (harness/machine.hh); 0 picks the default for the node count
+     * Cluster partitions the machine is split into, one event queue
+     * each (harness/machine.hh); 0 picks the default for the node count
      * (nodes/8 for machines of 16+ nodes, else 1). The partition
      * count IS part of the simulation plan: serial and partitioned
      * plans order some bookkeeping differently (see

@@ -1,6 +1,5 @@
 #include "harness/machine.hh"
 
-#include <algorithm>
 #include <string>
 
 #include "check/protocol_checker.hh"
@@ -25,44 +24,46 @@ SystemConfig::small(unsigned dimension)
     return c;
 }
 
+namespace {
+
+unsigned
+checkedPartitions(unsigned partitions, unsigned nodes)
+{
+    const unsigned parts = partitions == 0 ? 1 : partitions;
+    if ((parts & (parts - 1)) != 0 || parts > nodes)
+        fatal("machine partitions must be a power of two dividing the "
+              "node count; got ", parts, " for ", nodes, " nodes");
+    return parts;
+}
+
+} // namespace
+
 Machine::Machine(const SystemConfig& config, unsigned partitions)
-    : cfg(config), parts_(partitions == 0 ? 1 : partitions)
+    : cfg(config),
+      // A hop leaving a cluster lands at least one pin-to-pin latency
+      // ahead (Network::hopEvent), which makes it the lookahead.
+      queues(checkedPartitions(partitions, config.numNodes()),
+             config.noc.pinToPin)
 {
     const unsigned n = cfg.numNodes();
-    if ((parts_ & (parts_ - 1)) != 0 || parts_ > n)
-        fatal("machine partitions must be a power of two dividing the "
-              "node count; got ", parts_, " for ", n, " nodes");
-    if (parts_ > 1) {
-        clusterQs.reserve(parts_);
-        for (unsigned c = 0; c < parts_; ++c) {
-            clusterQs.push_back(std::make_unique<EventQueue>());
-            // Keyed mode must be set before ANY event is scheduled on
-            // the queue: every event then ties by (cluster, local
-            // order) instead of global insertion order, which is what
-            // makes a partitioned run independent of when the engine
-            // merges a cross-cluster event.
-            clusterQs.back()->setKeyedStream(
-                static_cast<std::uint16_t>(c));
-        }
-    }
-
-    const unsigned nodes_per_cluster = n / parts_;
-    binding.clusters = parts_;
+    const unsigned nodes_per_cluster = n / queues.size();
+    binding.clusters = queues.size();
+    binding.queues = &queues;
     binding.nodeQueue.resize(n);
     binding.nodeCluster.resize(n);
     for (NodeId i = 0; i < n; ++i) {
         const unsigned c = i / nodes_per_cluster;
         binding.nodeCluster[i] = static_cast<std::uint16_t>(c);
-        binding.nodeQueue[i] = parts_ > 1 ? clusterQs[c].get() : &eq;
+        binding.nodeQueue[i] = &queues.queue(c);
     }
 
-    net = std::make_unique<noc::Network>(rootQueue(), cfg.noc, "noc",
+    net = std::make_unique<noc::Network>(eventQueue(), cfg.noc, "noc",
                                          &hooks);
     net->bindPartitions(&binding);
     auto queue_for = [this](NodeId node) -> EventQueue& {
         return *binding.nodeQueue[node];
     };
-    mem_ = std::make_unique<mem::MemorySystem>(rootQueue(), *net,
+    mem_ = std::make_unique<mem::MemorySystem>(eventQueue(), *net,
                                                cfg.memory, &hooks,
                                                queue_for);
     cpus.reserve(n);
@@ -78,27 +79,16 @@ Machine::Machine(const SystemConfig& config, unsigned partitions)
     }
 }
 
-EventQueue&
-Machine::clusterQueue(unsigned c)
-{
-    if (parts_ <= 1) {
-        if (c != 0)
-            panic("serial machine has only cluster 0");
-        return eq;
-    }
-    return *clusterQs.at(c);
-}
-
 void
 Machine::attachChecker(check::ProtocolChecker& checker)
 {
-    if (parts_ > 1)
+    if (queues.size() > 1)
         panic("the protocol checker requires a serial machine (its "
               "global bookkeeping assumes one totally-ordered event "
               "stream); build the Machine with partitions = 1");
-    checker.bindClock(&eq);
+    checker.bindClock(&eventQueue());
     checker.bindAddressMap(&mem_->addressMap());
-    eq.setObserver(&checker);
+    eventQueue().setObserver(&checker);
     hooks.check = &checker;
     hooks.nocAudit = &checker;
 }
@@ -130,10 +120,7 @@ Machine::threadPtrs()
 Tick
 Machine::run()
 {
-    if (parts_ > 1)
-        panic("a partitioned machine cannot be drained serially; "
-              "drive it with harness::runMachinePdes");
-    eq.run();
+    queues.run();
     return finalize();
 }
 
@@ -142,10 +129,7 @@ Machine::finalize()
 {
     for (auto& c : cpus)
         c->finalize();
-    Tick end = eq.now();
-    for (auto& q : clusterQs)
-        end = std::max(end, q->now());
-    return end;
+    return queues.now();
 }
 
 power::EnergyAccount

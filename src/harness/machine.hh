@@ -5,14 +5,14 @@
  * system, one CPU + thread context per node.
  *
  * A machine can be built *partitioned*: its nodes are split into
- * 2^j contiguous clusters, each with its own event queue, driven
- * together by the conservative PDES engine (sim/pdes.hh). Cluster
- * queues are put in keyed mode at construction — before any
- * component schedules — which makes event ordering independent of
- * when a cross-cluster event is merged into its queue. Partitioned
- * machines must be driven by harness::runMachinePdes (run() refuses),
- * and serial-only instruments (protocol checker) refuse to attach to
- * them.
+ * 2^j contiguous clusters, each with its own event queue
+ * (sim/cluster_queues.hh). The only event that crosses clusters is a
+ * NoC hop, which lands at least one pin-to-pin latency ahead, so run()
+ * drains the cluster queues together on the calling thread with that
+ * latency as its lookahead. The cluster count is part of the
+ * simulation plan: the serial and partitioned plans order some
+ * barrier bookkeeping differently. Serial-only instruments (protocol
+ * checker) refuse to attach to a partitioned machine.
  */
 
 #ifndef TB_HARNESS_MACHINE_HH_
@@ -26,6 +26,7 @@
 #include "mem/memory_system.hh"
 #include "noc/network.hh"
 #include "power/energy_model.hh"
+#include "sim/cluster_queues.hh"
 #include "sim/event_queue.hh"
 #include "sim/hooks.hh"
 
@@ -74,7 +75,7 @@ class Machine
      * machine, cluster 0's queue of a partitioned one. Component code
      * must not use this to schedule onto other clusters' nodes.
      */
-    EventQueue& eventQueue() { return rootQueue(); }
+    EventQueue& eventQueue() { return queues.queue(0); }
 
     noc::Network& network() { return *net; }
     mem::MemorySystem& memory() { return *mem_; }
@@ -86,20 +87,16 @@ class Machine
     std::vector<cpu::ThreadContext*> threadPtrs();
 
     /** Number of clusters this machine was built with (>= 1). */
-    unsigned partitions() const { return parts_; }
+    unsigned partitions() const { return queues.size(); }
 
-    /** Cluster @p c's event queue (partitioned machines only). */
-    EventQueue& clusterQueue(unsigned c);
+    /** Cluster @p c's event queue (cluster 0 is the serial queue). */
+    EventQueue& clusterQueue(unsigned c) { return queues.queue(c); }
 
     /** Cluster of node @p n (0 on a serial machine). */
     unsigned cluster(NodeId n) const { return binding.nodeCluster[n]; }
 
-    /**
-     * The node-to-queue map shared with the network. runMachinePdes
-     * installs (and uninstalls) the engine's crossSchedule channel
-     * here around a partitioned run.
-     */
-    noc::PartitionBinding& partitionBinding() { return binding; }
+    /** Cross-cluster NoC hops sent so far (0 on a serial machine). */
+    std::uint64_t crossClusterSends() const { return queues.sent(); }
 
     /**
      * Arm @p checker over the whole machine: event queue, fabric,
@@ -127,22 +124,11 @@ class Machine
     void attachTraceSink(obs::TraceSink* sink);
 
     /**
-     * Drain the event queue and close every CPU's accounting
-     * interval. Serial machines only — a partitioned machine's queues
-     * must be driven together by runMachinePdes.
-     * @return the final simulated tick.
-     */
-    Tick run();
-
-    /**
-     * Close every CPU's accounting interval after the queue(s) were
-     * drained by an external driver — the conservative PDES runner
-     * (harness/parallel_sim.hh) drives the machine through a
-     * pdes::Engine and then calls this. run() is exactly drain +
-     * finalize().
+     * Drain every cluster queue and close every CPU's accounting
+     * interval.
      * @return the final simulated tick (max over all queues).
      */
-    Tick finalize();
+    Tick run();
 
     /** Machine-wide energy/time ledger (valid after run()). */
     power::EnergyAccount totalEnergy() const;
@@ -155,13 +141,11 @@ class Machine
     void visitStats(stats::StatVisitor& v);
 
   private:
-    EventQueue& rootQueue() { return parts_ > 1 ? *clusterQs[0] : eq; }
+    /** Close every CPU's accounting interval; returns queues.now(). */
+    Tick finalize();
 
     SystemConfig cfg;
-    unsigned parts_ = 1;
-    EventQueue eq;
-    /** Per-cluster queues (empty on a serial machine). */
-    std::vector<std::unique_ptr<EventQueue>> clusterQs;
+    ClusterQueues queues;
     /**
      * Machine-wide instrumentation seams. Components hold a pointer to
      * this one struct; attach* methods mutate its fields in place.

@@ -6,26 +6,20 @@
  * coherent value of every word lives here. Loads read the backend when
  * they complete; stores and atomics update it when the directory (the
  * serialization point) grants them. Conflicting accesses to one word
- * are serialized at the line's home directory, so per-word accesses
- * never race even when the machine is partitioned across host threads.
+ * are serialized at the line's home directory.
  *
  * Storage is page-granular: the address map pre-faults every allocated
  * page (ensureRange) and then seals the backend before the simulated
  * program starts, so the page table never grows mid-run. The table is
  * a vector indexed by page number, dense because the address map
- * allocates pages with a bump pointer from a low base. That is
- * what makes the image safe under partitioned execution — concurrent
- * partitions touch disjoint words of pre-existing pages, never the map
- * structure itself. The only same-page shared state is the written
- * bitmap, which uses relaxed atomic fetch_or because two causally
- * unrelated stores to different words of one page may land from
- * different host threads.
+ * allocates pages with a bump pointer from a low base. A simulation
+ * runs on one host thread and owns its Machine, so nothing here is
+ * shared between threads.
  */
 
 #ifndef TB_MEM_BACKEND_HH_
 #define TB_MEM_BACKEND_HH_
 
-#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <memory>
@@ -59,8 +53,7 @@ class Backend
         Page& p = pageFor(a);
         const std::size_t i = wordIndex(a);
         p.w[i] = v;
-        p.written[i / 64].fetch_or(std::uint64_t{1} << (i % 64),
-                                   std::memory_order_relaxed);
+        p.written[i / 64] |= std::uint64_t{1} << (i % 64);
     }
 
     /** Add @p delta to the word at @p a; returns the *old* value. */
@@ -92,8 +85,7 @@ class Backend
 
     /**
      * Freeze the page table. Reads of never-faulted pages still return
-     * zero; writes to them panic (a sealed map mutation would race with
-     * concurrent partition lookups).
+     * zero; writes to them panic.
      */
     void seal() { sealed_ = true; }
 
@@ -107,9 +99,8 @@ class Backend
         for (const auto& p : pages) {
             if (!p)
                 continue;
-            for (const auto& bm : p->written)
-                n += static_cast<std::size_t>(std::popcount(
-                    bm.load(std::memory_order_relaxed)));
+            for (const std::uint64_t bm : p->written)
+                n += static_cast<std::size_t>(std::popcount(bm));
         }
         return n;
     }
@@ -120,13 +111,7 @@ class Backend
     struct Page
     {
         std::uint64_t w[kWordsPerPage]{};
-        std::atomic<std::uint64_t> written[kWordsPerPage / 64];
-
-        Page()
-        {
-            for (auto& bm : written)
-                bm.store(0, std::memory_order_relaxed);
-        }
+        std::uint64_t written[kWordsPerPage / 64]{};
     };
 
     static std::size_t

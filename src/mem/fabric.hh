@@ -70,9 +70,8 @@ class Fabric
     /**
      * Minimum latency of any coherence message between two distinct
      * nodes. Every fabric hop rides the NoC, so this is exactly the
-     * network's minimum cross-node latency — the conservative
-     * lookahead bound a per-node PDES partitioning of the memory
-     * system would use (docs/PERFORMANCE.md "Parallel simulation").
+     * network's minimum cross-node latency. The serial plan reports
+     * it as its lookahead (harness/parallel_sim.hh).
      */
     Tick minMessageLatency() const;
 

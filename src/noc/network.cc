@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "obs/trace.hh"
+#include "sim/cluster_queues.hh"
 #include "sim/fault_hooks.hh"
 #include "sim/logging.hh"
 
@@ -178,11 +179,10 @@ void
 Network::forwardAcross(unsigned cfrom, unsigned cto, Tick when,
                        detail::EventClosure fn)
 {
-    if (!parts || !parts->crossSchedule)
-        panic("cross-cluster hop without an engine channel (cluster ",
-              cfrom, " -> ", cto,
-              "); partitioned machines must run under runMachinePdes");
-    parts->crossSchedule(cfrom, cto, when, std::move(fn));
+    if (!parts || !parts->queues)
+        panic("cross-cluster hop (cluster ", cfrom, " -> ", cto,
+              ") on a binding without cluster queues");
+    parts->queues->send(cfrom, cto, when, std::move(fn));
 }
 
 void

@@ -37,9 +37,9 @@
  *   stat shards             — one per cluster, folded on demand
  *
  * so a partitioned machine (harness/machine.hh) can run node clusters
- * on different PDES partitions and the only cross-cluster traffic is
- * the hop events themselves, which always lie >= pinToPin in the
- * future — the engine's conservative lookahead.
+ * on separate event queues and the only cross-cluster traffic is the
+ * hop events themselves, which always lie >= pinToPin in the future —
+ * the lookahead of the cluster drain (sim/cluster_queues.hh).
  */
 
 #ifndef TB_NOC_NETWORK_HH_
@@ -61,6 +61,9 @@
 #include "sim/types.hh"
 
 namespace tb {
+
+class ClusterQueues;
+
 namespace noc {
 
 /** Static configuration of the interconnect. */
@@ -86,9 +89,7 @@ struct NetworkConfig
      * Minimum latency of any cross-node message: marshal + one
      * pin-to-pin hop + unmarshal, with zero contention and a
      * single-flit payload. Nothing a node sends can affect another
-     * node sooner, which makes this the machine's natural
-     * conservative lookahead for per-node PDES partitioning
-     * (sim/pdes.hh, docs/PERFORMANCE.md).
+     * node sooner (Fabric::minMessageLatency reports it).
      */
     Tick minCrossNodeLatency() const { return marshal + pinToPin + marshal; }
 };
@@ -97,26 +98,21 @@ struct NetworkConfig
  * How the machine's nodes map onto event queues. The machine always
  * installs one of these (a serial machine maps every node to the one
  * queue of cluster 0); a standalone Network without a binding behaves
- * as a single cluster on its own queue. crossSchedule is only set
- * while a PDES engine is driving the queues — it routes an event onto
- * another cluster's queue through the engine's partition channels,
- * which is the only legal way to touch a foreign queue mid-run.
+ * as a single cluster on its own queue. A hop between clusters is
+ * scheduled through queues->send(), never straight into the foreign
+ * queue, so it gets its cross-cluster key and bounds the drain.
  */
 struct PartitionBinding
 {
     /** Queue that owns each node's events. */
     std::vector<EventQueue*> nodeQueue;
-    /** Cluster (= partition id) of each node. */
+    /** Cluster of each node. */
     std::vector<std::uint16_t> nodeCluster;
     /** Number of clusters; stat shards are folded in this order. */
     unsigned clusters = 1;
-    /**
-     * Schedule @p fn at @p when on @p dstCluster's queue from an
-     * event of @p srcCluster. Null outside an engine-driven run.
-     */
-    std::function<void(unsigned srcCluster, unsigned dstCluster,
-                       Tick when, detail::EventClosure fn)>
-        crossSchedule;
+    /** The cluster queues a cross-cluster hop is sent through (may be
+     *  null when there is only one cluster). */
+    ClusterQueues* queues = nullptr;
 };
 
 /**
@@ -280,8 +276,8 @@ class Network : public SimObject
     void deliverInOrder(FlightPtr f, Tick tail);
 
     /** Schedule @p fn at @p when on @p to's queue (cross-cluster hops
-     *  go through the engine channel). @p from is the node whose queue
-     *  the caller is running on. */
+     *  go through ClusterQueues::send). @p from is the node whose
+     *  queue the caller is running on. */
     template <typename F>
     void
     forward(NodeId from, NodeId to, Tick when, F&& fn)
@@ -296,7 +292,7 @@ class Network : public SimObject
                       detail::EventClosure(std::forward<F>(fn)));
     }
 
-    /** Cross-cluster half of forward(): hand @p fn to the channel. */
+    /** Cross-cluster half of forward(): send @p fn to cluster @p cto. */
     void forwardAcross(unsigned cfrom, unsigned cto, Tick when,
                        detail::EventClosure fn);
 

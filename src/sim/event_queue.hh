@@ -384,19 +384,19 @@ class EventQueue
      * (when, priority) run in ascending (@p stream, @p order) order
      * instead of insertion order.
      *
-     * This is the substrate of the conservative PDES engine
-     * (sim/pdes.hh): a partition's queue receives both locally
-     * scheduled events and events merged in from peer partitions'
-     * channels, and when a merge happens depends on how far the
-     * executor's bursts run. Keying every entry by
-     * (origin partition, origin sequence) makes the executed total
-     * order (time, priority, partition, seq) — a function of the
-     * simulation alone, never of when a merge happened to run.
+     * This is how a cross-cluster event enters a cluster queue
+     * (sim/cluster_queues.hh): a cluster's queue receives both its own
+     * events and events sent from other clusters, and when a send
+     * happens depends on how far the drain's bursts run. Keying every
+     * entry by (origin cluster, origin sequence) makes the executed
+     * total order (time, priority, cluster, seq) — a function of the
+     * simulation alone, never of when a send happened to run.
      *
-     * A queue must be driven either entirely through schedule() or
-     * entirely through scheduleKeyed(): the two pack their heap keys
-     * differently, so mixing them interleaves ties arbitrarily (each
-     * style alone is a strict total order).
+     * Unless the queue is in keyed mode (setKeyedStream), drive it
+     * either entirely through schedule() or entirely through
+     * scheduleKeyed(): the two pack their heap keys differently, so
+     * mixing them interleaves ties arbitrarily (each style alone is a
+     * strict total order).
      */
     template <typename F,
               typename = std::enable_if_t<
@@ -453,12 +453,11 @@ class EventQueue
      * Switch this queue into keyed mode: every plain schedule() from
      * here on ties by (priority, @p stream, local order) instead of
      * global insertion order, making it mixable with scheduleKeyed()
-     * merges from PDES channels (the two then share one strict total
-     * order). Used by managed engine partitions
-     * (pdes::Engine::addManagedPartition); @p stream must equal the
-     * partition id the queue is registered under, so local keys can
-     * never collide with merged keys (self-channels are forbidden).
-     * One-way and sticky: call before any event is scheduled.
+     * sends from other clusters (the two then share one strict total
+     * order). ClusterQueues sets @p stream to the queue's own cluster
+     * id, which no send into it carries, so local keys never collide
+     * with sent ones. One-way and sticky: call before any event is
+     * scheduled.
      */
     void
     setKeyedStream(std::uint16_t stream)
@@ -468,12 +467,6 @@ class EventQueue
         keyed_ = true;
         stream_ = stream;
     }
-
-    /** True once setKeyedStream() switched this queue to keyed mode. */
-    bool keyed() const { return keyed_; }
-
-    /** The keyed-mode stream id (valid only when keyed()). */
-    std::uint16_t keyedStream() const { return stream_; }
 
     /** Attach (or with nullptr detach) a scheduling observer. */
     void setObserver(EventQueueObserver* observer) { obs = observer; }

@@ -107,14 +107,13 @@ struct SyncStats
 /**
  * Per-thread sharding of one SyncStats sink.
  *
- * On a partitioned machine (harness/machine.hh) different threads'
- * barrier bookkeeping executes on different host threads, so they must
- * not bump one shared counter set. Each thread gets its own shard —
- * shard 0 aliases the experiment's target SyncStats — and merge()
- * folds the extras back after the run, in thread order, so the merged
- * totals are identical at any host thread count. A thread only ever
- * touches its own shard from its own execution context; merge() runs
- * after the queues are drained.
+ * Each simulated thread records its barrier bookkeeping in its own
+ * shard — shard 0 aliases the experiment's target SyncStats — and
+ * merge() folds the extras back after the queues are drained, in
+ * thread order. A simulation runs on one host thread, so the shards
+ * are not there for safety: they fix the order of the merged trace
+ * and episode records (thread by thread, not interleaved by event
+ * time), and the golden artifacts pin that order.
  */
 class SyncLedger
 {

@@ -39,11 +39,9 @@ class BitPredictor
 
     /**
      * Pre-insert barrier @p pc's table entry (idempotent; keeps any
-     * recorded state). Called at barrier construction so that runtime
-     * predictor access never mutates the table *structure* — on a
-     * partitioned machine different barriers' entries are touched from
-     * different host threads, which is only safe against a frozen
-     * table.
+     * recorded state). Called at barrier construction, so the event
+     * path only looks entries up and updates them in place and never
+     * inserts one.
      */
     virtual void prepare(BarrierPc pc) = 0;
 

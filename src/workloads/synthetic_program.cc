@@ -60,10 +60,8 @@ SyntheticProgram::SyntheticProgram(EventQueue& queue,
     cursors.resize(tcs.size());
     finishTick_.assign(tcs.size(), 0);
 
-    // Materialize every barrier up front: on a partitioned machine
-    // threads reach first arrivals concurrently from different host
-    // threads, and barrier construction (provider map insert, shared-
-    // page allocation) must not race — nor happen after the address
+    // Materialize every barrier up front: barrier construction
+    // allocates shared pages, which must not happen after the address
     // map is sealed.
     for (const Step& s : sequence)
         provider.barrierFor(s.spec->pc);
@@ -203,10 +201,9 @@ SyntheticProgram::issueAccess(ThreadId tid)
 void
 SyntheticProgram::threadFinished(ThreadId tid)
 {
-    // Per-thread bookkeeping only: threads of a partitioned machine
-    // finish on different host threads, so there is no shared counter
-    // to bump and no root clock to consult — the thread's own tick is
-    // its finish time.
+    // Per-thread bookkeeping only: on a partitioned machine each
+    // thread runs on its own cluster's clock, so the thread's own tick
+    // (not the root queue's) is its finish time.
     tcs[tid]->markDone();
     finishTick_[tid] = tcs[tid]->curTick();
 }

@@ -23,7 +23,6 @@
 
 #include "harness/experiment.hh"
 #include "harness/machine.hh"
-#include "harness/parallel_sim.hh"
 #include "workloads/app_profile.hh"
 #include "workloads/synthetic_program.hh"
 
@@ -96,7 +95,7 @@ TEST(AllocBudget, DefaultPlanRunStaysUnderBudget)
     program.start();
 
     const std::uint64_t before = allocations.load();
-    harness::runMachinePdes(machine, 1);
+    machine.run();
     const std::uint64_t allocs = allocations.load() - before;
     ASSERT_TRUE(program.finished());
 

@@ -5,20 +5,18 @@
 
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "noc/network.hh"
+#include "sim/cluster_queues.hh"
 #include "sim/event_queue.hh"
 #include "sim/fault_hooks.hh"
 #include "sim/hooks.hh"
 #include "sim/logging.hh"
-#include "sim/pdes.hh"
 
 namespace tb {
 namespace {
@@ -239,9 +237,9 @@ TEST(Network, P2pOrderSurvivesContentionAndFaultStalls)
 
 /**
  * A 16-node network split into 4 clusters of 4 nodes, each cluster on
- * its own keyed queue, drained by a pdes::Engine the way a partitioned
- * machine is (harness/parallel_sim.cc). Messages between clusters
- * cross engine channels hop by hop.
+ * its own keyed queue of a ClusterQueues, drained the way a
+ * partitioned machine is (harness/machine.cc). Messages between
+ * clusters are sent through ClusterQueues::send hop by hop.
  *
  * Link contention is off and link stalls vary per traversal, so a
  * message can overtake an earlier one on the same path (with
@@ -277,6 +275,7 @@ class PartitionedNoc
     };
 
     explicit PartitionedNoc(bool (*stalls)(NodeId, unsigned))
+        : queues(kClusters, noc::NetworkConfig{}.pinToPin)
     {
         noc::NetworkConfig cfg;
         cfg.dimension = 4;
@@ -285,32 +284,14 @@ class PartitionedNoc
         faults.stalls = stalls;
         faults.calls.assign(n, 0);
         hooks.faults = &faults;
-        for (unsigned c = 0; c < kClusters; ++c) {
-            queues.push_back(std::make_unique<EventQueue>());
-            queues.back()->setKeyedStream(static_cast<std::uint16_t>(c));
-            engine.addManagedPartition("cluster" + std::to_string(c),
-                                       *queues.back());
-        }
         for (NodeId node = 0; node < n; ++node) {
-            binding.nodeQueue.push_back(queues[clusterOf(node)].get());
+            binding.nodeQueue.push_back(&queues.queue(clusterOf(node)));
             binding.nodeCluster.push_back(
                 static_cast<std::uint16_t>(clusterOf(node)));
         }
         binding.clusters = kClusters;
-        for (unsigned a = 0; a < kClusters; ++a)
-            for (unsigned b = 0; b < kClusters; ++b)
-                if (std::popcount(a ^ b) == 1)
-                    engine.connect(static_cast<pdes::PartitionId>(a),
-                                   static_cast<pdes::PartitionId>(b),
-                                   cfg.pinToPin);
-        binding.crossSchedule = [this](unsigned src, unsigned dst,
-                                       Tick when,
-                                       detail::EventClosure fn) {
-            engine.partition(static_cast<pdes::PartitionId>(src))
-                .send(static_cast<pdes::PartitionId>(dst), when,
-                      std::move(fn));
-        };
-        net = std::make_unique<noc::Network>(*queues[0], cfg, "noc",
+        binding.queues = &queues;
+        net = std::make_unique<noc::Network>(queues.queue(0), cfg, "noc",
                                              &hooks);
         net->bindPartitions(&binding);
         sent.resize(kClusters);
@@ -325,13 +306,14 @@ class PartitionedNoc
     {
         // The stamp is taken at injection, on src's cluster, and the
         // record at delivery, on dst's: each cluster keeps its own
-        // books, as owner-confined partitions must.
-        queues[clusterOf(src)]->schedule(at, [this, src, dst, bytes]() {
+        // books.
+        queues.queue(clusterOf(src)).schedule(at, [this, src, dst,
+                                                   bytes]() {
             const std::uint64_t seq = sent[clusterOf(src)][{src, dst}]++;
             net->send(src, dst, bytes, [this, src, dst, seq]() {
                 const unsigned c = clusterOf(dst);
-                delivered[c][{src, dst}].emplace_back(seq,
-                                                      queues[c]->now());
+                delivered[c][{src, dst}].emplace_back(
+                    seq, queues.queue(c).now());
             });
         });
     }
@@ -340,7 +322,7 @@ class PartitionedNoc
     Deliveries
     run()
     {
-        engine.run();
+        queues.run();
         Deliveries all;
         for (const Deliveries& d : delivered)
             for (const auto& [pair, got] : d)
@@ -351,8 +333,7 @@ class PartitionedNoc
     noc::Network& network() { return *net; }
 
   private:
-    pdes::Engine engine;
-    std::vector<std::unique_ptr<EventQueue>> queues;
+    ClusterQueues queues;
     VaryingStalls faults;
     Hooks hooks;
     noc::PartitionBinding binding;
@@ -362,7 +343,7 @@ class PartitionedNoc
 };
 
 /** A message held in the stash is released right behind its
- *  predecessor, after both crossed channels. */
+ *  predecessor, after both crossed clusters. */
 TEST(Network, PartitionedOvertakerWaitsForItsPredecessor)
 {
     // Only the first traversal of router 0 stalls: A (sent first) sits

@@ -1,22 +1,26 @@
 /**
  * @file
- * Tests of the partitioned single-simulation runner
- * (harness/parallel_sim.hh): the PdesRunReport bookkeeping, the
- * 64-node machine's eight engine partitions, and real experiments
- * whose serialized results the ignored thread count cannot move. The
- * engine itself is covered by test_pdes.cc.
+ * Tests of the machine drain report (harness/parallel_sim.hh) and of
+ * the partitioned plan end to end: the PdesRunReport bookkeeping, the
+ * 64-node machine's eight clusters, Machine::run() against the report
+ * path, and real experiments whose serialized results the ignored
+ * thread count cannot move. The drain itself is covered by
+ * test_cluster_queues.cc.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <sstream>
 #include <string>
 
 #include "harness/experiment.hh"
 #include "harness/machine.hh"
 #include "harness/parallel_sim.hh"
 #include "harness/result_serde.hh"
+#include "obs/stat_writers.hh"
 #include "workloads/app_profile.hh"
+#include "workloads/synthetic_program.hh"
 
 namespace tb {
 namespace harness {
@@ -74,15 +78,60 @@ TEST(ParallelSim, ExperimentResultsByteIdenticalAcrossThreadCounts)
 TEST(ParallelSim, SixtyFourNodeMachineRunsEightRealPartitions)
 {
     // The headline acceptance shape: a 64-node machine decomposes into
-    // eight managed engine partitions, every cross-cluster channel
-    // carrying the real (nonzero) pin-to-pin lookahead.
+    // eight clusters, drained with the real (nonzero) pin-to-pin
+    // lookahead.
     Machine m(SystemConfig::small(6), 8);
     const PdesRunReport r = runMachinePdes(m, 1);
     EXPECT_EQ(r.threads, 1u);
     EXPECT_EQ(r.partitions, 8u);
-    EXPECT_EQ(r.engine.partitions, 8u);
     EXPECT_EQ(r.modelLookahead, m.config().noc.pinToPin);
     EXPECT_GT(r.modelLookahead, Tick{0});
+}
+
+/**
+ * Machine::run() drains a 64-node, 8-cluster machine by itself, and
+ * the whole run — finish tick, energy ledger,
+ * every component's stats, cross-cluster sends — matches the same
+ * composition drained through runMachinePdes.
+ */
+TEST(ParallelSim, MachineRunMatchesRunMachinePdesOnEightPartitions)
+{
+    const SystemConfig sys = SystemConfig::paperDefault();
+    workloads::AppProfile app = workloads::appByName("Volrend");
+    app.iterations = 4;
+
+    const auto runOnce = [&](bool viaReport) {
+        Machine machine(sys, 8);
+        thrifty::SyncStats sync;
+        ConfigBarrierProvider provider(machine, ConfigKind::Thrifty,
+                                       nullptr, sync);
+        workloads::SyntheticProgram program(
+            machine.eventQueue(), machine.memory(), machine.threadPtrs(),
+            app, provider, sys.seed);
+        machine.memory().addressMap().seal();
+        program.start();
+        const Tick end = viaReport ? runMachinePdes(machine, 1).finalTick
+                                   : machine.run();
+        provider.mergeStats();
+        EXPECT_TRUE(program.finished());
+        // The run crossed clusters: the drain had real work to order.
+        EXPECT_GT(machine.crossClusterSends(), 0u);
+
+        std::ostringstream out;
+        out << end << ' ' << program.finishTick() << ' '
+            << machine.crossClusterSends() << ' '
+            << sync.instances << '\n';
+        const power::EnergyAccount energy = machine.totalEnergy();
+        for (std::size_t i = 0; i < power::kNumBuckets; ++i) {
+            const auto b = static_cast<power::Bucket>(i);
+            out << energy.energy(b) << ' ' << energy.time(b) << '\n';
+        }
+        obs::TextStatWriter stats(out);
+        machine.visitStats(stats);
+        return out.str();
+    };
+
+    EXPECT_EQ(runOnce(false), runOnce(true));
 }
 
 /**

@@ -521,64 +521,6 @@ TEST(TblintUnguardedTrace, AllowSilences)
 }
 
 // ----------------------------------------------------------------------
-// TBL022 — cross-partition queue access outside the channel API
-// ----------------------------------------------------------------------
-
-TEST(TblintUnsafeQueue, HarnessCallSiteFires)
-{
-    const auto fs = lintContent("src/harness/model.cc", R"tb(
-        void Model::poke(pdes::Partition& other) {
-            other.unsafeQueue().schedule(when_, fn_);
-        }
-    )tb");
-    EXPECT_EQ(countRule(fs, "TBL022"), 1u);
-}
-
-TEST(TblintUnsafeQueue, PointerCallSiteFires)
-{
-    const auto fs = lintContent("bench/micro.cc", R"tb(
-        void drive(pdes::Partition* p) {
-            p->unsafeQueue().run();
-        }
-    )tb");
-    EXPECT_EQ(countRule(fs, "TBL022"), 1u);
-}
-
-TEST(TblintUnsafeQueue, SimLayerIsExempt)
-{
-    // The engine itself wires queues; the rule polices the layers
-    // above it.
-    const auto fs = lintContent("src/sim/pdes.cc", R"tb(
-        void Engine::wire(Partition& p) {
-            p.unsafeQueue().setObserver(obs_);
-        }
-    )tb");
-    EXPECT_TRUE(fs.empty());
-}
-
-TEST(TblintUnsafeQueue, UnrelatedIdentifierIsClean)
-{
-    // A declaration or mention without a member call is not a
-    // call site.
-    const auto fs = lintContent("src/harness/model.cc", R"tb(
-        EventQueue& unsafeQueue();
-        void note() { log("unsafeQueue is owner-confined"); }
-    )tb");
-    EXPECT_TRUE(fs.empty());
-}
-
-TEST(TblintUnsafeQueue, AllowSilences)
-{
-    const auto fs = lintContent("src/harness/model.cc", R"tb(
-        void Model::wire(pdes::Partition& mine) {
-            // tblint-allow(TBL022): queue of this model's own partition
-            mine.unsafeQueue().setObserver(obs_);
-        }
-    )tb");
-    EXPECT_TRUE(fs.empty());
-}
-
-// ----------------------------------------------------------------------
 // TBL023 — raw POSIX I/O outside harness/posix_io.cc
 // ----------------------------------------------------------------------
 
@@ -683,12 +625,12 @@ TEST(TblintRawNocSend, QualifiedSpellingFires)
 
 TEST(TblintRawNocSend, FabricAndPartitionSendsAreClean)
 {
-    // Fabric wrappers and PDES channel sends share the method name
+    // Fabric wrappers and cluster-queue sends share the method name
     // but not the receiver type.
     const auto fs = lintContent("src/thrifty/notifier.cc", R"tb(
-        void Notifier::ping(mem::Fabric& fab, pdes::Partition& p) {
+        void Notifier::ping(mem::Fabric& fab, ClusterQueues& q) {
             fab.sendControl(0, 1, 8, [] {});
-            p.send(1, when_, [] {});
+            q.send(0, 1, when_, [] {});
         }
     )tb");
     EXPECT_TRUE(fs.empty());

@@ -588,41 +588,6 @@ ruleUnguardedTrace(const FileCtx& ctx, std::vector<Finding>* out)
 }
 
 // ----------------------------------------------------------------------
-// TBL022 — cross-partition queue access outside the channel API
-// ----------------------------------------------------------------------
-
-void
-ruleUnsafeQueueAccess(const FileCtx& ctx, std::vector<Finding>* out)
-{
-    // Partition::unsafeQueue() is the owner-thread escape hatch for
-    // wiring model objects into their own partition; the PDES engine
-    // itself (src/sim) is the only layer allowed to reach for it
-    // freely. Anywhere else, a call site is one partition touching a
-    // queue that may belong to another — a data race under threaded
-    // runs and a determinism bug even without one, because it bypasses
-    // the channel timestamps the engine's per-round bounds trust.
-    if (pathUnder(ctx.path, "src/sim"))
-        return;
-    const auto& t = ctx.toks;
-    for (std::size_t i = 0; i < t.size(); ++i) {
-        if (!isIdent(t, i, "unsafeQueue"))
-            continue;
-        if (i == 0 ||
-            !(isPunct(t, i - 1, ".") || isPunct(t, i - 1, "->")))
-            continue;
-        if (!isPunct(t, i + 1, "("))
-            continue;
-        emit(out, ctx, "TBL022", t[i].line,
-             "direct EventQueue access through 'unsafeQueue()' outside "
-             "src/sim — cross-partition work must travel a channel so "
-             "the conservative round bound stays truthful",
-             "use Partition::send()/sendCancelable() for remote "
-             "effects; if this queue provably belongs to the calling "
-             "partition, say so in a tblint-allow reason");
-    }
-}
-
-// ----------------------------------------------------------------------
 // TBL023 — raw POSIX I/O outside harness/posix_io.cc
 // ----------------------------------------------------------------------
 
@@ -700,12 +665,10 @@ void
 ruleDirectNetworkSend(const FileCtx& ctx, std::vector<Finding>* out)
 {
     // The protocol layers speak to the NoC only through mem::Fabric:
-    // its wrappers attach the coherence observer, the byte accounting
-    // and (on a partitioned machine) the cross-cluster channel hop
-    // that keeps the conservative lookahead truthful. A raw
-    // Network::send from src/mem or src/thrifty skips all three, so a
-    // message can arrive unobserved, unbilled, and — worst — inside
-    // another partition's past. The fabric itself carries the allows.
+    // its wrappers attach the coherence observer and the byte
+    // accounting. A raw Network::send from src/mem or src/thrifty
+    // skips both, so a message can arrive unobserved and unbilled.
+    // The fabric itself carries the allows.
     if (!pathUnder(ctx.path, "src/mem") &&
         !pathUnder(ctx.path, "src/thrifty"))
         return;
@@ -732,8 +695,7 @@ ruleDirectNetworkSend(const FileCtx& ctx, std::vector<Finding>* out)
              "layers must not hand raw deliveries to the NoC",
              "route the message through mem::Fabric "
              "(toDirectory/toController/sendControl) or the per-hop "
-             "API so observer, byte accounting and partition channels "
-             "all see it");
+             "API so the observer and byte accounting see it");
     }
 }
 
@@ -838,16 +800,13 @@ ruleCatalog()
         {"TBL021", "unguarded-trace",
          "TraceSink emission outside src/obs must sit under "
          "TB_TRACED() so -DTB_TRACING=OFF compiles it out"},
-        {"TBL022", "pdes-channel-bypass",
-         "no Partition::unsafeQueue() call sites outside src/sim — "
-         "cross-partition effects must use the channel API"},
         {"TBL023", "raw-posix-io",
          "no raw ::read/::write/::poll/::accept in src/ outside "
          "harness/posix_io.cc — I/O must use its EINTR-safe helpers"},
         {"TBL024", "raw-noc-send",
          "no direct Network::send from src/mem or src/thrifty — "
          "messages must travel mem::Fabric (or the hop API) so "
-         "observer, accounting and partition channels see them"},
+         "the observer and byte accounting see them"},
     };
     return kRules;
 }
@@ -872,7 +831,6 @@ lintContent(const std::string& path, const std::string& content,
     ruleUseAfterCancel(ctx, &raw);
     ruleSimLayering(ctx, &raw);
     ruleUnguardedTrace(ctx, &raw);
-    ruleUnsafeQueueAccess(ctx, &raw);
     ruleRawPosixIo(ctx, &raw);
     ruleDirectNetworkSend(ctx, &raw);
 

@@ -33,19 +33,14 @@
  *   TBL021  layering: TraceSink::instant/complete calls outside
  *           src/obs must sit under a TB_TRACED(...) guard, so
  *           -DTB_TRACING=OFF compiles every seam out.
- *   TBL022  layering: Partition::unsafeQueue() call sites outside
- *           src/sim — a partition reaching into a raw EventQueue
- *           bypasses the PDES channel timestamps that keep threaded
- *           runs race-free and bit-identical to serial; remote
- *           effects must use Partition::send().
  *   TBL023  robustness: raw ::read/::write/::poll/::accept in
  *           src/ outside src/harness/posix_io.cc — I/O must use the
  *           posix_io helpers, which own the EINTR-as-retry policy.
  *   TBL024  layering: direct Network::send from src/mem or
  *           src/thrifty — protocol messages must travel mem::Fabric
- *           (or the per-hop API) so the coherence observer, byte
- *           accounting and cross-partition channels all see them;
- *           the fabric's own wrappers carry inline allows.
+ *           (or the per-hop API) so the coherence observer and byte
+ *           accounting see them; the fabric's own wrappers carry
+ *           inline allows.
  *
  * Findings are suppressed by an inline comment directive — the allow
  * tag with the rule ID in parentheses, then a mandatory reason — on
