@@ -14,11 +14,11 @@
 #include <vector>
 
 #include "harness/campaign_cli.hh"
+#include "harness/campaign_journal.hh"
 #include "harness/campaign_supervisor.hh"
 #include "harness/experiment.hh"
 #include "harness/obs_capture.hh"
 #include "harness/result_serde.hh"
-#include "harness/parallel_runner.hh"
 #include "harness/report.hh"
 #include "obs/json_writer.hh"
 #include "workloads/app_profile.hh"
@@ -36,48 +36,10 @@ figureConfigs()
             harness::ConfigKind::Thrifty, harness::ConfigKind::Ideal};
 }
 
-/** Run every figure configuration of @p app on @p sys. */
-inline std::vector<harness::ExperimentResult>
-runAllConfigs(const harness::SystemConfig& sys,
-              const workloads::AppProfile& app)
-{
-    std::vector<harness::ExperimentResult> out;
-    for (harness::ConfigKind k : figureConfigs())
-        out.push_back(harness::runExperiment(sys, app, k));
-    return out;
-}
-
-/**
- * Run the full (app x configuration) matrix, sharding the independent
- * simulations across @p jobs host threads. Results come back grouped
- * per app in figure order — identical to looping runAllConfigs over
- * the apps serially, regardless of jobs.
- */
-inline std::vector<std::vector<harness::ExperimentResult>>
-runAppConfigMatrix(const harness::SystemConfig& sys,
-                   const std::vector<workloads::AppProfile>& apps,
-                   unsigned jobs)
-{
-    const std::vector<harness::ConfigKind> kinds = figureConfigs();
-    std::vector<std::vector<harness::ExperimentResult>> groups(
-        apps.size());
-    for (auto& g : groups)
-        g.resize(kinds.size());
-    const harness::ParallelCampaignRunner runner(jobs);
-    runner.run(apps.size() * kinds.size(), [&](std::size_t i) {
-        const std::size_t a = i / kinds.size();
-        const std::size_t k = i % kinds.size();
-        groups[a][k] = harness::runExperiment(sys, apps[a], kinds[k]);
-    });
-    return groups;
-}
-
 /**
  * The (app x configuration) matrix as a supervised PointTask. The
  * closures reference @p sys, @p apps, @p opts and @p capture — all
- * must outlive the returned task. The config hash covers everything
- * that shapes a point's result, so journal entries never satisfy a
- * differently-configured campaign. `--only-point` runs `task.run(i)`
+ * must outlive the returned task. `--only-point` runs `task.run(i)`
  * too, so a repro command simulates exactly the plan that failed.
  */
 inline harness::PointTask
@@ -89,13 +51,10 @@ matrixPointTask(const harness::SystemConfig& sys,
 {
     const std::vector<harness::ConfigKind> kinds = figureConfigs();
     harness::PointTask task;
-    task.run = [&sys, &apps, &opts, capture, kinds](std::size_t i) {
+    task.run = [&sys, &apps, capture, kinds](std::size_t i) {
         const std::size_t a = i / kinds.size();
         const std::size_t k = i % kinds.size();
         harness::RunOptions ro;
-        // The partition count selects the simulation plan and
-        // therefore enters task.key below.
-        ro.simPartitions = opts.simPartitions;
         harness::ObsCapture::PointScope scope;
         if (capture)
             capture->arm(i, &ro, &scope);
@@ -108,23 +67,6 @@ matrixPointTask(const harness::SystemConfig& sys,
         }
         return harness::serializeResult(r);
     };
-    task.key = [&sys, &apps, &opts, prog, kinds](std::size_t i) {
-        const std::size_t a = i / kinds.size();
-        const std::size_t k = i % kinds.size();
-        std::ostringstream id;
-        id << prog << '|' << apps[a].name << '|'
-           << harness::configName(kinds[k]) << "|dim="
-           << sys.noc.dimension << "|seed=" << sys.seed
-           << "|three=" << sys.memory.threeHopForwarding
-           << "|iters=" << apps[a].iterations;
-        // 0 means "the default plan for this node count" and hashes
-        // distinctly from an explicit count on purpose: cheap and
-        // always conservative.
-        if (opts.simPartitions != 0)
-            id << "|parts=" << opts.simPartitions;
-        return harness::fnv1a64(id.str());
-    };
-    task.seed = [&sys](std::size_t) { return sys.seed; };
     task.repro = [&opts, prog](std::size_t i) {
         return std::string(prog) + " --only-point " +
                std::to_string(i) + opts.reproFlags();
@@ -133,22 +75,20 @@ matrixPointTask(const harness::SystemConfig& sys,
 }
 
 /**
- * Supervised variant of runAppConfigMatrix for the figure campaigns:
- * the same (app x configuration) point space under a local
- * CampaignSupervisor, each point's full ExperimentResult serialized
- * losslessly so it survives --isolate's process boundary and the
- * journal's disk boundary alike. @p groups is filled exactly like
- * runAppConfigMatrix for every resolved point; consult the returned
- * report before rendering — failed points leave default-constructed
- * entries. A non-null @p capture records each in-process point's
- * trace and stats (--trace / --stats-json).
+ * Run the figure campaigns' (app x configuration) matrix under a
+ * local CampaignSupervisor, each point's full ExperimentResult
+ * serialized losslessly so it survives --isolate's process boundary.
+ * @p groups comes back grouped per app in figure order, whatever
+ * --jobs is; consult the returned report before rendering — failed
+ * points leave default-constructed entries. A non-null @p capture
+ * records each in-process point's trace and stats (--trace /
+ * --stats-json).
  */
 inline harness::SupervisorReport
 runAppConfigMatrixSupervised(
     const harness::SystemConfig& sys,
     const std::vector<workloads::AppProfile>& apps,
     const harness::CampaignOptions& opts, const char* prog,
-    harness::CampaignJournal* journal,
     std::vector<std::vector<harness::ExperimentResult>>* groups,
     harness::ObsCapture* capture = nullptr)
 {
@@ -158,7 +98,6 @@ runAppConfigMatrixSupervised(
         matrixPointTask(sys, apps, opts, prog, capture);
 
     harness::CampaignSupervisor supervisor(opts.policy);
-    supervisor.attachJournal(journal);
     harness::SupervisorReport report = supervisor.run(count, task);
 
     groups->assign(apps.size(),
@@ -254,8 +193,8 @@ printMicroJson(std::ostream& os, const MicroMetric& m)
 /**
  * Extract an unsigned integer field (`"key": N`) from one of our own
  * campaign-JSON lines; 0 when absent. Campaign summaries aggregate
- * counters from result lines this way so journaled (replayed) points
- * count exactly like freshly-run ones.
+ * counters from result lines this way, so points run in --isolate
+ * children count exactly like in-process ones.
  */
 inline std::uint64_t
 extractJsonU64(const std::string& line, const std::string& key)
@@ -272,11 +211,10 @@ extractJsonU64(const std::string& line, const std::string& key)
  * command per failed point) to stderr plus optional atomic artifact
  * files, and map the report to the process exit code. @p artifact is
  * the campaign's canonical deterministic output — already printed to
- * stdout by the caller — which `--out` persists via atomic rename so
- * a resumed campaign can be diffed byte-for-byte against a straight
- * run. The supervisor counter line (kind "supervisor") goes to stdout
- * only: it legitimately differs between a straight and a resumed run
- * (the journaled count), so it must not pollute the artifact.
+ * stdout by the caller — which `--out` persists via atomic rename, so
+ * no partial artifact ever appears. The supervisor counter line (kind
+ * "supervisor") goes to stdout only: it describes the run (failures,
+ * timeouts), not the paper artifact.
  */
 inline int
 finishSupervisedCampaign(const harness::CampaignOptions& opts,
@@ -302,12 +240,9 @@ finishSupervisedCampaign(const harness::CampaignOptions& opts,
         else
             std::remove(opts.manifestPath.c_str());
     }
-    if (!opts.outPath.empty() && !report.interrupted)
+    if (!opts.outPath.empty())
         harness::writeFileAtomic(opts.outPath, artifact);
-
-    if (report.interrupted)
-        return 130;
-    return report.failures() == 0 ? 0 : 1;
+    return report.ok() ? 0 : 1;
 }
 
 /** Standard banner for every bench binary. */

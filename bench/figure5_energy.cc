@@ -6,16 +6,13 @@
  * Compute / Spin / Transition / Sleep, plus the Section 5.1 headline
  * averages over the five target applications.
  *
- *   figure5_energy [--jobs N] [--sim-partitions P]
- *                  [--deadline-ms N] [--isolate] [--journal FILE]
- *                  [--resume] [--out FILE] [--manifest FILE]
- *                  [--only-point I] [--trace FILE[:categories]]
- *                  [--stats-json FILE]
+ *   figure5_energy [--jobs N] [--deadline-ms N] [--isolate]
+ *                  [--out FILE] [--manifest FILE] [--only-point I]
+ *                  [--trace FILE[:categories]] [--stats-json FILE]
  *
  * The 50 (app x configuration) simulations run under the campaign
  * supervisor: sharded over --jobs threads, optionally deadline-bounded
- * and forked per point, and journaled so an interrupted run resumes
- * with byte-identical output (see docs/ROBUSTNESS.md, "Supervised
+ * and forked per point (see docs/ROBUSTNESS.md, "Supervised
  * campaigns"). --only-point I prints point I's serialized result
  * under the same plan the campaign would use.
  */
@@ -32,7 +29,6 @@ main(int argc, char** argv)
     const harness::CampaignOptions opts =
         harness::CampaignOptions::parse(argc, argv,
                                         /*allowQuick=*/false);
-    harness::CampaignSupervisor::installSigintHandler();
     const harness::SystemConfig sys =
         harness::SystemConfig::paperDefault();
     const auto apps = workloads::paperApps();
@@ -57,19 +53,14 @@ main(int argc, char** argv)
 
     bench::banner("Figure 5 — normalized energy consumption", sys);
 
-    harness::CampaignJournal journal;
-    if (!opts.journalPath.empty())
-        journal.open(opts.journalPath, opts.resume);
-
     std::vector<std::vector<harness::ExperimentResult>> groups;
     const harness::SupervisorReport report =
         bench::runAppConfigMatrixSupervised(sys, apps, opts,
-                                            "figure5_energy", &journal,
-                                            &groups, &capture);
-    journal.flush();
+                                            "figure5_energy", &groups,
+                                            &capture);
 
     std::ostringstream artifact;
-    if (report.failures() == 0 && !report.interrupted) {
+    if (report.ok()) {
         for (const auto& group : groups) {
             harness::report::printBreakdownGroup(artifact, group,
                                                  /*use_energy=*/true);
@@ -89,9 +80,7 @@ main(int argc, char** argv)
         std::cout << artifact.str() << std::flush;
     } else {
         std::cout << "figure withheld: " << report.failures()
-                  << " point failure(s)"
-                  << (report.interrupted ? ", interrupted" : "")
-                  << " — see the failure manifest\n";
+                  << " point failure(s) — see the failure manifest\n";
     }
 
     return bench::finishSupervisedCampaign(opts, report,

@@ -4,11 +4,9 @@
  * applications under the five configurations, broken into
  * Compute / Spin / Transition / Sleep per-CPU time.
  *
- *   figure6_time [--jobs N] [--sim-partitions P]
- *                [--deadline-ms N] [--isolate] [--journal FILE]
- *                [--resume] [--out FILE] [--manifest FILE]
- *                [--only-point I] [--trace FILE[:categories]]
- *                [--stats-json FILE]
+ *   figure6_time [--jobs N] [--deadline-ms N] [--isolate]
+ *                [--out FILE] [--manifest FILE] [--only-point I]
+ *                [--trace FILE[:categories]] [--stats-json FILE]
  *
  * The 50 (app x configuration) simulations run under the campaign
  * supervisor — same surface as figure5_energy (docs/ROBUSTNESS.md,
@@ -27,7 +25,6 @@ main(int argc, char** argv)
     const harness::CampaignOptions opts =
         harness::CampaignOptions::parse(argc, argv,
                                         /*allowQuick=*/false);
-    harness::CampaignSupervisor::installSigintHandler();
     const harness::SystemConfig sys =
         harness::SystemConfig::paperDefault();
     const auto apps = workloads::paperApps();
@@ -52,19 +49,14 @@ main(int argc, char** argv)
 
     bench::banner("Figure 6 — normalized execution time", sys);
 
-    harness::CampaignJournal journal;
-    if (!opts.journalPath.empty())
-        journal.open(opts.journalPath, opts.resume);
-
     std::vector<std::vector<harness::ExperimentResult>> groups;
     const harness::SupervisorReport report =
         bench::runAppConfigMatrixSupervised(sys, apps, opts,
-                                            "figure6_time", &journal,
-                                            &groups, &capture);
-    journal.flush();
+                                            "figure6_time", &groups,
+                                            &capture);
 
     std::ostringstream artifact;
-    if (report.failures() == 0 && !report.interrupted) {
+    if (report.ok()) {
         for (const auto& group : groups) {
             harness::report::printBreakdownGroup(artifact, group,
                                                  /*use_energy=*/false);
@@ -83,9 +75,7 @@ main(int argc, char** argv)
         std::cout << artifact.str() << std::flush;
     } else {
         std::cout << "figure withheld: " << report.failures()
-                  << " point failure(s)"
-                  << (report.interrupted ? ", interrupted" : "")
-                  << " — see the failure manifest\n";
+                  << " point failure(s) — see the failure manifest\n";
     }
 
     return bench::finishSupervisedCampaign(opts, report,

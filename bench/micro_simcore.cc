@@ -238,7 +238,7 @@ barriersPerSecond(bool quick)
 
 /**
  * One complete thrifty experiment on the paper's 64-node machine,
- * split into 8 cluster partitions. Its simulated execution time
+ * split into its default 8 cluster partitions. Its simulated execution time
  * checks the whole partitioned plan end to end: coherence traffic,
  * barrier episodes, per-hop NoC events and all.
  * The serialized result is cross-checked between repetitions first —
@@ -251,8 +251,6 @@ machineExecTicks(bool quick, unsigned reps, bool* ok)
     sys.seed = 1;
     workloads::AppProfile app = workloads::appByName("Volrend");
     app.iterations = quick ? 6 : 24;
-    harness::RunOptions ro;
-    ro.simPartitions = 8;
 
     std::string reference;
     bench::MicroMetric exec;
@@ -262,7 +260,7 @@ machineExecTicks(bool quick, unsigned reps, bool* ok)
     for (unsigned i = 0; i < reps; ++i) {
         const auto t0 = Clock::now();
         const harness::ExperimentResult r = harness::runExperiment(
-            sys, app, harness::ConfigKind::Thrifty, ro);
+            sys, app, harness::ConfigKind::Thrifty);
         const double wall = secondsSince(t0);
         const std::string serialized = harness::serializeResult(r);
         if (i == 0) {

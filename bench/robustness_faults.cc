@@ -15,16 +15,13 @@
  * bit-identical determinism from (spec, seed).
  *
  *   robustness_faults [--quick] [--jobs N] [--deadline-ms N]
- *                     [--isolate] [--journal FILE] [--resume]
- *                     [--out FILE] [--manifest FILE] [--only-point I]
+ *                     [--isolate] [--out FILE] [--manifest FILE]
+ *                     [--only-point I]
  *
  * Points are independent simulations supervised by
  * harness::CampaignSupervisor: sharded over --jobs threads, bounded
- * by per-point deadlines, optionally forked (--isolate) so a crashing
- * point cannot take the campaign down, and journaled so an
- * interrupted campaign resumes with byte-identical final output
- * (--journal/--resume; Ctrl-C flushes the journal and emits the
- * manifest before exiting).
+ * by per-point deadlines, and optionally forked (--isolate) so a
+ * crashing point cannot take the campaign down.
  *
  * Emits one JSON line per run in the shared campaign shape (see
  * bench_util.hh), comparable with robustness_seeds output, plus one
@@ -151,7 +148,6 @@ main(int argc, char** argv)
     const harness::CampaignOptions opts =
         harness::CampaignOptions::parse(argc, argv,
                                         /*allowQuick=*/true);
-    harness::CampaignSupervisor::installSigintHandler();
 
     // Shrunk workload: the campaign is about surviving faults, not
     // about the headline numbers, so a few barrier instances per run
@@ -222,12 +218,6 @@ main(int argc, char** argv)
         return runPoint(points[i], app, i,
                         capture.active() ? &capture : nullptr);
     };
-    task.key = [&](std::size_t i) {
-        return harness::fnv1a64("faults|iters=" +
-                                std::to_string(app.iterations) + '|' +
-                                pointLabel(points[i]));
-    };
-    task.seed = [&](std::size_t i) { return points[i].seed; };
     task.repro = [&](std::size_t i) {
         return "robustness_faults --only-point " + std::to_string(i) +
                opts.reproFlags() + "   # " + pointLabel(points[i]);
@@ -236,18 +226,12 @@ main(int argc, char** argv)
     tb::bench::banner("Robustness — fault-injection campaign",
                       harness::SystemConfig::small(dims.back()));
 
-    harness::CampaignJournal journal;
-    if (!opts.journalPath.empty())
-        journal.open(opts.journalPath, opts.resume);
-
     harness::CampaignSupervisor supervisor(opts.policy);
-    supervisor.attachJournal(&journal);
     const harness::SupervisorReport report =
         supervisor.run(points.size(), task);
-    journal.flush();
 
-    // Canonical campaign output: deterministic across straight,
-    // supervised and resumed runs (--out persists it atomically).
+    // Canonical campaign output: deterministic whatever --jobs and
+    // --isolate are (--out persists it atomically).
     std::ostringstream artifact;
     std::uint64_t injected = 0, watchdogs = 0, quarantines = 0;
     for (const std::string& line : supervisor.results()) {
@@ -263,9 +247,8 @@ main(int argc, char** argv)
         static_cast<unsigned>(report.failures());
 
     // Determinism: an identical (spec, seed) pair must replay to
-    // bit-identical stats and timing. Skipped when interrupted —
-    // resume reruns it.
-    if (!report.interrupted) {
+    // bit-identical stats and timing.
+    {
         harness::SystemConfig sys = harness::SystemConfig::small(2);
         sys.seed = 1;
         thrifty::ThriftyConfig custom =
@@ -314,9 +297,7 @@ main(int argc, char** argv)
             static_cast<unsigned long long>(quarantines));
         artifact << buf;
     }
-    artifact << (failures == 0 && !report.interrupted ? "PASS"
-                                                      : "FAIL")
-             << '\n';
+    artifact << (failures == 0 ? "PASS" : "FAIL") << '\n';
 
     std::fputs(artifact.str().c_str(), stdout);
     std::fflush(stdout);

@@ -6,14 +6,12 @@
  * not hinge on one draw of the random streams.
  *
  *   robustness_seeds [--jobs N] [--deadline-ms N] [--isolate]
- *                    [--journal FILE] [--resume] [--out FILE]
- *                    [--manifest FILE] [--only-point I]
+ *                    [--out FILE] [--manifest FILE] [--only-point I]
  *
  * Each (seed, application) pair is one supervised campaign point
  * running the Baseline / Thrifty-Halt / Thrifty triple; points are
- * independent, so the campaign shards, isolates and resumes exactly
- * like robustness_faults (docs/ROBUSTNESS.md, "Supervised
- * campaigns").
+ * independent, so the campaign shards and isolates exactly like
+ * robustness_faults (docs/ROBUSTNESS.md, "Supervised campaigns").
  *
  * Each run emits one JSON line in the shared campaign shape
  * (bench_util.hh), directly comparable with the fault-injection
@@ -56,7 +54,7 @@ pointSpace()
  * Run one point's Baseline/Halt/Thrifty triple. The artifact is the
  * three campaign JSON lines followed by one `#metrics` trailer
  * carrying the savings/slowdown at full double precision, so the
- * cross-seed aggregation reproduces exactly from a journal replay.
+ * cross-seed aggregation reproduces exactly from an --isolate child.
  */
 std::string
 runPoint(const Point& p, std::size_t index,
@@ -132,7 +130,6 @@ main(int argc, char** argv)
     const harness::CampaignOptions opts =
         harness::CampaignOptions::parse(argc, argv,
                                         /*allowQuick=*/false);
-    harness::CampaignSupervisor::installSigintHandler();
     const std::vector<Point> points = pointSpace();
 
     if (opts.onlyPoint >= 0) {
@@ -167,12 +164,6 @@ main(int argc, char** argv)
         return runPoint(points[i], i,
                         capture.active() ? &capture : nullptr);
     };
-    task.key = [&](std::size_t i) {
-        return harness::fnv1a64(
-            "seeds|" + std::to_string(points[i].seed) + '|' +
-            points[i].app);
-    };
-    task.seed = [&](std::size_t i) { return points[i].seed; };
     task.repro = [&](std::size_t i) {
         return "robustness_seeds --only-point " + std::to_string(i) +
                opts.reproFlags() + "   # seed=" +
@@ -183,24 +174,17 @@ main(int argc, char** argv)
     tb::bench::banner("Robustness — headline averages across seeds",
                       harness::SystemConfig::paperDefault());
 
-    harness::CampaignJournal journal;
-    if (!opts.journalPath.empty())
-        journal.open(opts.journalPath, opts.resume);
-
     harness::CampaignSupervisor supervisor(opts.policy);
-    supervisor.attachJournal(&journal);
     const harness::SupervisorReport report =
         supervisor.run(points.size(), task);
-    journal.flush();
 
     std::ostringstream artifact;
     const std::size_t apps_per_seed =
         workloads::targetAppNames().size();
     std::vector<double> halt_savings, thrifty_savings,
         thrifty_slowdowns;
-    bool complete = report.failures() == 0 && !report.interrupted;
 
-    if (complete) {
+    if (report.ok()) {
         char row[128];
         std::snprintf(row, sizeof(row), "%6s %16s %16s %14s\n",
                       "seed", "H saving", "T saving", "T slowdown");
@@ -264,10 +248,9 @@ main(int argc, char** argv)
         std::fputs(artifact.str().c_str(), stdout);
         std::fflush(stdout);
     } else {
-        std::printf("summary withheld: %zu point failure(s)%s — see "
-                    "the failure manifest\n",
-                    report.failures(),
-                    report.interrupted ? ", interrupted" : "");
+        std::printf("summary withheld: %zu point failure(s) — see the "
+                    "failure manifest\n",
+                    report.failures());
     }
 
     return tb::bench::finishSupervisedCampaign(opts, report, "seeds",

@@ -25,11 +25,11 @@ Policy:
   failure, not a perf regression, and always fails regardless of
   threshold.
 * Supervised campaigns emit one counter line per run
-  (``"kind": "supervisor"``: timeouts, isolated crashes, journaled
-  resumes — see docs/ROBUSTNESS.md). Counters found in the
-  current file are printed next to the metrics; a supervisor line
-  reporting failed or unfinished points fails the comparison, since
-  metrics from a partially-failed campaign are not trustworthy.
+  (``"kind": "supervisor"``: timeouts, isolated crashes, exceptions —
+  see docs/ROBUSTNESS.md). Counters found in the current file are
+  printed next to the metrics; a supervisor line reporting failed
+  points fails the comparison, since metrics from a partially-failed
+  campaign are not trustworthy.
 * Campaigns run with ``--stats-json`` also print one
   ``"kind": "prediction"`` line summarizing barrier-prediction
   accuracy (episodes, early/late wake split, mean absolute BIT error —
@@ -119,12 +119,10 @@ def report_supervisor(lines):
         campaign = obj.get("campaign", "?")
         counters = ", ".join(
             f"{key}={obj[key]}"
-            for key in ("points", "ok", "journaled", "timeouts",
-                        "crashes", "exceptions", "checker_violations",
-                        "not_run")
+            for key in ("points", "ok", "timeouts", "crashes",
+                        "exceptions", "checker_violations")
             if key in obj)
-        print(f"  {campaign}: {counters} "
-              f"interrupted={obj.get('interrupted', False)}")
+        print(f"  {campaign}: {counters}")
         failed = sum(
             obj.get(key, 0)
             for key in ("timeouts", "crashes", "exceptions",
@@ -132,11 +130,6 @@ def report_supervisor(lines):
         if failed:
             failures.append(
                 f"supervisor[{campaign}]: {failed} failed point(s)")
-        if obj.get("interrupted") or obj.get("not_run", 0):
-            failures.append(
-                f"supervisor[{campaign}]: campaign did not finish "
-                f"(interrupted={obj.get('interrupted', False)}, "
-                f"not_run={obj.get('not_run', 0)})")
     print()
     return failures
 

@@ -2,32 +2,25 @@
 # Rebuild everything, run the test suite, and regenerate every table,
 # figure, ablation and extension result into results/.
 #
-#   scripts/run_all.sh [--jobs N] [--resume]
+#   scripts/run_all.sh [--jobs N]
 #
 # --jobs N shards the campaign-style benches (figure5_energy,
 # figure6_time, robustness_faults, robustness_seeds) across N host
 # threads. Their output is byte-identical to a serial run, so N only
-# affects wall time.
-#
-# --resume continues an interrupted invocation: partial results/ are
-# kept, campaign benches skip the points already recorded in their
-# journals under results/.journal/, and the regenerated artifacts are
-# byte-identical to an uninterrupted run. Campaign failures no longer
-# zero out the sweep: each campaign writes a failure manifest
+# affects wall time. A failed campaign point does not zero out the
+# sweep: each campaign writes a failure manifest
 # (results/<bench>.manifest.json) with one repro command per failed
 # point.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 JOBS=1
-RESUME=0
 while [ $# -gt 0 ]; do
     case "$1" in
         --jobs)   JOBS="$2"; shift 2 ;;
         --jobs=*) JOBS="${1#--jobs=}"; shift ;;
-        --resume) RESUME=1; shift ;;
         *)
-            echo "usage: $0 [--jobs N] [--resume]" >&2
+            echo "usage: $0 [--jobs N]" >&2
             exit 2 ;;
     esac
 done
@@ -36,17 +29,15 @@ cmake -B build -G Ninja
 cmake --build build
 ctest --test-dir build --output-on-failure
 
-mkdir -p results results/.journal
+mkdir -p results
 
-# Supervised campaign benches: journaled (resumable), final artifact
-# emitted by atomic rename, failure manifest on any failed point.
+# Supervised campaign benches: final artifact emitted by atomic
+# rename, failure manifest on any failed point.
 campaign_args() {
     local name="$1"
     local args="--jobs $JOBS"
-    args="$args --journal results/.journal/$name.jsonl"
     args="$args --out results/$name.json"
     args="$args --manifest results/$name.manifest.json"
-    [ "$RESUME" = 1 ] && args="$args --resume"
     echo "$args"
 }
 

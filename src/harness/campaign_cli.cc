@@ -17,9 +17,7 @@ usage(const char* prog, const char* complaint, bool allowQuick)
     std::fprintf(
         stderr,
         "%s: %s\n"
-        "usage: %s %s[--jobs N] [--sim-partitions P]\n"
-        "       [--deadline-ms N] [--isolate] [--journal FILE] "
-        "[--resume]\n"
+        "usage: %s %s[--jobs N] [--deadline-ms N] [--isolate]\n"
         "       [--out FILE] [--manifest FILE] [--only-point I]\n"
         "       [--trace FILE[:categories]] [--stats-json FILE]\n",
         prog, complaint, prog, allowQuick ? "[--quick] " : "");
@@ -104,22 +102,12 @@ CampaignOptions::parse(int argc, char** argv, bool allowQuick)
                 parseUnsigned(prog, "--jobs", value(i), allowQuick);
             if (o.policy.jobs == 0)
                 usage(prog, "option --jobs: must be >= 1", allowQuick);
-        } else if (opt == "--sim-partitions") {
-            o.simPartitions = parseUnsigned(prog, "--sim-partitions",
-                                            value(i), allowQuick);
-            if (o.simPartitions == 0) {
-                usage(prog, "option --sim-partitions: must be >= 1",
-                      allowQuick);
-            }
         } else if (opt == "--deadline-ms") {
-            o.policy.deadlineMs =
-                parseU64(prog, "--deadline-ms", value(i), allowQuick);
+            o.policy.deadlineMs = parseU64(prog, "--deadline-ms",
+                                           value(i), allowQuick,
+                                           kMaxDeadlineMs);
         } else if (opt == "--isolate") {
             o.policy.isolate = true;
-        } else if (opt == "--journal") {
-            o.journalPath = value(i);
-        } else if (opt == "--resume") {
-            o.resume = true;
         } else if (opt == "--out") {
             o.outPath = value(i);
         } else if (opt == "--manifest") {
@@ -163,9 +151,6 @@ CampaignOptions::parse(int argc, char** argv, bool allowQuick)
             usage(prog, buf, allowQuick);
         }
     }
-
-    if (o.resume && o.journalPath.empty())
-        usage(prog, "--resume requires --journal FILE", allowQuick);
     return o;
 }
 
@@ -177,10 +162,6 @@ CampaignOptions::reproFlags() const
         flags += " --quick";
     if (policy.isolate)
         flags += " --isolate";
-    // The partition count selects the simulation plan and so shapes
-    // results: a repro command must carry it.
-    if (simPartitions != 0)
-        flags += " --sim-partitions " + std::to_string(simPartitions);
     return flags;
 }
 

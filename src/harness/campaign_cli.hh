@@ -9,13 +9,9 @@
  * fallback:
  *
  *   --jobs N          shard points over N worker threads
- *   --sim-partitions P cluster partitions per simulation (selects the
- *                     simulation plan, so it IS part of each point's
- *                     identity; default: by node count)
- *   --deadline-ms N   per-point wall-clock deadline (0 = none)
+ *   --deadline-ms N   per-point wall-clock deadline (0 = none,
+ *                     at most 2^31 - 1)
  *   --isolate         fork each point (crash containment)
- *   --journal FILE    append completed points to FILE (JSONL)
- *   --resume          skip points already in the journal
  *   --out FILE        atomically write the final artifact to FILE
  *   --manifest FILE   atomically write the failure manifest to FILE
  *   --only-point I    run just point I inline (repro mode)
@@ -45,15 +41,6 @@ namespace harness {
 struct CampaignOptions
 {
     SupervisorPolicy policy;
-    /**
-     * Cluster partitions per simulation (--sim-partitions,
-     * RunOptions::simPartitions); 0 = default for the node count.
-     * It selects the simulation *plan* and can change results, so it
-     * IS part of config hashes, journal keys and reproFlags().
-     */
-    unsigned simPartitions = 0;
-    std::string journalPath; ///< "" = no journal
-    bool resume = false;
     std::string outPath;      ///< "" = stdout only
     std::string manifestPath; ///< "" = stderr only
     long onlyPoint = -1;      ///< >= 0: run one point and exit
@@ -65,19 +52,17 @@ struct CampaignOptions
 
     /**
      * Parse @p argv strictly. Unknown options, malformed numbers,
-     * numbers too large for their field, `--quick` when @p allowQuick
-     * is false, and `--resume` without `--journal` all print a usage
-     * error and exit 2.
+     * numbers too large for their field and `--quick` when
+     * @p allowQuick is false all print a usage error and exit 2.
      */
     static CampaignOptions parse(int argc, char** argv,
                                  bool allowQuick);
 
     /**
      * The flags a repro command needs to rerun one of this
-     * invocation's points as it ran: `--quick` (point space),
-     * `--isolate` (crash containment) and `--sim-partitions P`
-     * (simulation plan), each only when set, with a leading space
-     * when non-empty.
+     * invocation's points as it ran: `--quick` (point space) and
+     * `--isolate` (crash containment), each only when set, with a
+     * leading space when non-empty.
      */
     std::string reproFlags() const;
 };

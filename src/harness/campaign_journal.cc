@@ -1,12 +1,8 @@
 #include "harness/campaign_journal.hh"
 
 #include <cerrno>
-#include <cinttypes>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 
-#include "obs/json_writer.hh"
 #include "sim/logging.hh"
 
 namespace tb {
@@ -42,235 +38,6 @@ writeFileAtomic(const std::string& path, const std::string& content)
     if (std::rename(tmp.c_str(), path.c_str()) != 0)
         fatal("cannot rename ", tmp, " -> ", path, ": ",
               errnoMessage(errno));
-}
-
-std::string
-CampaignJournal::escapeJson(const std::string& s)
-{
-    // The journal's historical escape policy is the repo-wide one now:
-    // obs::JsonWriter adopted it verbatim, so existing journal files
-    // keep their bytes.
-    return obs::JsonWriter::escape(s);
-}
-
-namespace {
-
-/** Unescape a JSON string body; false on a malformed escape. */
-bool
-unescapeJson(const std::string& s, std::string* out)
-{
-    out->clear();
-    out->reserve(s.size());
-    for (std::size_t i = 0; i < s.size(); ++i) {
-        if (s[i] != '\\') {
-            *out += s[i];
-            continue;
-        }
-        if (++i >= s.size())
-            return false;
-        switch (s[i]) {
-          case '"':  *out += '"'; break;
-          case '\\': *out += '\\'; break;
-          case 'n':  *out += '\n'; break;
-          case 'r':  *out += '\r'; break;
-          case 't':  *out += '\t'; break;
-          case 'u': {
-            if (i + 4 >= s.size())
-                return false;
-            unsigned v = 0;
-            for (int k = 0; k < 4; ++k) {
-                const char c = s[++i];
-                v <<= 4;
-                if (c >= '0' && c <= '9')
-                    v |= static_cast<unsigned>(c - '0');
-                else if (c >= 'a' && c <= 'f')
-                    v |= static_cast<unsigned>(c - 'a' + 10);
-                else if (c >= 'A' && c <= 'F')
-                    v |= static_cast<unsigned>(c - 'A' + 10);
-                else
-                    return false;
-            }
-            *out += static_cast<char>(v);
-            break;
-          }
-          default:
-            return false;
-        }
-    }
-    return true;
-}
-
-/**
- * Pull one field out of a journal line we wrote ourselves. Numbers
- * are matched after `"key": `; strings additionally skip the opening
- * quote. Returns the offset just past the key prelude, or npos.
- */
-std::size_t
-fieldStart(const std::string& line, const char* key, bool string_field)
-{
-    const std::string pat = std::string("\"") + key + "\": ";
-    const std::size_t at = line.find(pat);
-    if (at == std::string::npos)
-        return std::string::npos;
-    std::size_t off = at + pat.size();
-    if (string_field) {
-        if (off >= line.size() || line[off] != '"')
-            return std::string::npos;
-        ++off;
-    }
-    return off;
-}
-
-bool
-parseU64Field(const std::string& line, const char* key, int base,
-              std::uint64_t* out)
-{
-    const std::size_t off = fieldStart(line, key, base == 16);
-    if (off == std::string::npos)
-        return false;
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long v =
-        std::strtoull(line.c_str() + off, &end, base);
-    if (end == line.c_str() + off || errno == ERANGE)
-        return false;
-    *out = v;
-    return true;
-}
-
-/** Parse one journal line; false (= skip it) on any malformation. */
-bool
-parseLine(const std::string& line, std::size_t* index, JournalEntry* e)
-{
-    std::uint64_t point = 0, cfg = 0, seed = 0, sum = 0;
-    if (!parseU64Field(line, "point", 10, &point) ||
-        !parseU64Field(line, "config", 16, &cfg) ||
-        !parseU64Field(line, "seed", 10, &seed) ||
-        !parseU64Field(line, "checksum", 16, &sum))
-        return false;
-    const std::size_t off = fieldStart(line, "result", true);
-    // The result string is the last field: the line must end `"}`.
-    if (off == std::string::npos || line.size() < off + 2 ||
-        line.compare(line.size() - 2, 2, "\"}") != 0)
-        return false;
-    std::string body;
-    if (!unescapeJson(line.substr(off, line.size() - 2 - off), &body))
-        return false;
-    if (fnv1a64(body) != sum)
-        return false;
-    *index = static_cast<std::size_t>(point);
-    e->configHash = cfg;
-    e->seed = seed;
-    e->result = std::move(body);
-    return true;
-}
-
-} // namespace
-
-CampaignJournal::~CampaignJournal()
-{
-    LockGuard lock(mu_);
-    if (out_)
-        std::fclose(out_);
-}
-
-void
-CampaignJournal::open(const std::string& path, bool resume)
-{
-    LockGuard lock(mu_);
-    path_ = path;
-    entries_.clear();
-    loaded_ = 0;
-
-    if (resume) {
-        std::ifstream in(path);
-        std::string line;
-        while (in && std::getline(in, line)) {
-            std::size_t index = 0;
-            JournalEntry e;
-            if (!parseLine(line, &index, &e))
-                continue; // torn/partial line: not yet recorded
-            // A point may legitimately appear twice (crash between
-            // write and rename, journal shared across resumes) but
-            // only with identical content. Conflicting entries mean
-            // two campaigns — or two concurrent daemons — shared this
-            // journal file, and silently keeping either one would
-            // poison every later resume.
-            const auto it = entries_.find(index);
-            if (it != entries_.end()) {
-                char a[17], b[17];
-                std::snprintf(a, sizeof(a), "%016" PRIx64,
-                              it->second.configHash);
-                std::snprintf(b, sizeof(b), "%016" PRIx64,
-                              e.configHash);
-                if (it->second.configHash != e.configHash) {
-                    fatal("journal ", path, ": point ", index,
-                          " recorded under conflicting config hashes ",
-                          a, " and ", b,
-                          " — this journal was shared by two "
-                          "different campaigns (concurrent writers?); "
-                          "delete it or give each campaign its own "
-                          "--journal file");
-                }
-                if (it->second.result != e.result) {
-                    fatal("journal ", path, ": point ", index,
-                          " (config ", a,
-                          ") recorded twice with different results — "
-                          "concurrent writers or a nondeterministic "
-                          "point; this journal cannot be trusted for "
-                          "--resume");
-                }
-            }
-            if (it == entries_.end())
-                ++loaded_;
-            entries_[index] = std::move(e);
-        }
-    }
-
-    // Append on resume; truncate otherwise. Loaded entries stay on
-    // disk untouched — the journal only ever grows within one run.
-    out_ = std::fopen(path.c_str(), resume ? "ab" : "wb");
-    if (!out_)
-        fatal("cannot open journal ", path, ": ",
-              errnoMessage(errno));
-}
-
-bool
-CampaignJournal::lookup(std::size_t index, std::uint64_t configHash,
-                        std::string* result) const
-{
-    LockGuard lock(mu_);
-    const auto it = entries_.find(index);
-    if (it == entries_.end() || it->second.configHash != configHash)
-        return false;
-    *result = it->second.result;
-    return true;
-}
-
-void
-CampaignJournal::record(std::size_t index, std::uint64_t configHash,
-                        std::uint64_t seed, const std::string& result)
-{
-    LockGuard lock(mu_);
-    if (!out_)
-        return;
-    entries_[index] = JournalEntry{configHash, seed, result};
-    std::fprintf(
-        out_,
-        "{\"point\": %zu, \"config\": \"%016" PRIx64
-        "\", \"seed\": %" PRIu64 ", \"checksum\": \"%016" PRIx64
-        "\", \"result\": \"%s\"}\n",
-        index, configHash, seed, fnv1a64(result),
-        escapeJson(result).c_str());
-    std::fflush(out_);
-}
-
-void
-CampaignJournal::flush()
-{
-    LockGuard lock(mu_);
-    if (out_)
-        std::fflush(out_);
 }
 
 } // namespace harness

@@ -1,35 +1,22 @@
 /**
  * @file
- * Append-only campaign journal: checkpoint/resume for sweep campaigns.
+ * Artifact helpers shared by the campaign benches, the CLI and the
+ * benchmark harness: FNV-1a checksums and atomic file writes.
  *
- * A campaign writes one JSONL record per *completed* point — point
- * index, a caller-supplied config hash, the workload seed, an FNV-1a
- * checksum of the serialized result, and the result itself. An
- * interrupted campaign resumes by loading the journal and skipping
- * every point whose (index, config hash) matches a recorded entry;
- * the stored result is replayed verbatim, so the resumed final
- * artifact is byte-identical to an uninterrupted run.
- *
- * Records are flushed line-by-line as points complete, so a crash or
- * SIGKILL loses at most the in-flight points. A torn trailing line
- * (partial write) fails its checksum or parse and is simply ignored
- * on load — that point reruns.
+ * The header keeps its historical name because the benchmark harness
+ * (benchmark/tb_bench.cc) includes it by that path.
  */
 
 #ifndef TB_HARNESS_CAMPAIGN_JOURNAL_HH_
 #define TB_HARNESS_CAMPAIGN_JOURNAL_HH_
 
 #include <cstdint>
-#include <cstdio>
-#include <map>
 #include <string>
-
-#include "sim/thread_safety.hh"
 
 namespace tb {
 namespace harness {
 
-/** FNV-1a 64-bit hash of @p data (config hashes, result checksums). */
+/** FNV-1a 64-bit hash of @p data (artifact and result checksums). */
 std::uint64_t fnv1a64(const std::string& data);
 
 /**
@@ -38,83 +25,6 @@ std::uint64_t fnv1a64(const std::string& data);
  * artifact. Throws FatalError on I/O failure.
  */
 void writeFileAtomic(const std::string& path, const std::string& content);
-
-/** One completed point as recorded in the journal. */
-struct JournalEntry
-{
-    std::uint64_t configHash = 0;
-    std::uint64_t seed = 0;
-    std::string result;
-};
-
-/** Append-only JSONL checkpoint of completed campaign points. */
-class CampaignJournal
-{
-  public:
-    CampaignJournal() = default;
-    ~CampaignJournal();
-
-    CampaignJournal(const CampaignJournal&) = delete;
-    CampaignJournal& operator=(const CampaignJournal&) = delete;
-
-    /**
-     * Open the journal at @p path. With @p resume, existing records
-     * are loaded (unparseable or checksum-failing lines are skipped)
-     * and subsequent records append; without it any previous journal
-     * is truncated. Throws FatalError when the file cannot be opened.
-     */
-    void open(const std::string& path, bool resume);
-
-    /** Whether open() succeeded (journalling is optional). */
-    bool active() const
-    {
-        LockGuard lock(mu_);
-        return out_ != nullptr;
-    }
-
-    /** Journal file path ("" when inactive). */
-    std::string path() const
-    {
-        LockGuard lock(mu_);
-        return path_;
-    }
-
-    /**
-     * Look up the recorded result of point @p index. Returns true and
-     * fills @p result only when an entry exists *and* its config hash
-     * matches — a journal written by a differently-configured campaign
-     * (other sweep shape, other --quick) never satisfies a lookup.
-     */
-    bool lookup(std::size_t index, std::uint64_t configHash,
-                std::string* result) const;
-
-    /**
-     * Record a completed point and flush it to disk. Thread-safe:
-     * workers record concurrently, one line per call.
-     */
-    void record(std::size_t index, std::uint64_t configHash,
-                std::uint64_t seed, const std::string& result);
-
-    /** Entries loaded from a resumed journal. */
-    std::size_t loaded() const
-    {
-        LockGuard lock(mu_);
-        return loaded_;
-    }
-
-    /** Flush buffered records to disk (SIGINT path; also per-record). */
-    void flush();
-
-    /** Escape @p s for embedding in a JSON string literal. */
-    static std::string escapeJson(const std::string& s);
-
-  private:
-    mutable Mutex mu_;
-    std::string path_ TB_GUARDED_BY(mu_);
-    std::FILE* out_ TB_GUARDED_BY(mu_) = nullptr;
-    std::map<std::size_t, JournalEntry> entries_ TB_GUARDED_BY(mu_);
-    std::size_t loaded_ TB_GUARDED_BY(mu_) = 0;
-};
 
 } // namespace harness
 } // namespace tb

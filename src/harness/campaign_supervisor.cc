@@ -22,36 +22,15 @@
 namespace tb {
 namespace harness {
 
-namespace {
-
-volatile std::sig_atomic_t g_stop_requested = 0;
-
-void
-sigintHandler(int)
-{
-    // Second ^C: the user really means it — restore default handling
-    // and die on the spot (the journal is flushed per record anyway).
-    if (g_stop_requested) {
-        std::signal(SIGINT, SIG_DFL);
-        std::raise(SIGINT);
-        return;
-    }
-    g_stop_requested = 1;
-}
-
-} // namespace
-
 const char*
 outcomeName(PointOutcome o)
 {
     switch (o) {
       case PointOutcome::Ok:               return "ok";
-      case PointOutcome::Journaled:        return "journaled";
       case PointOutcome::Exception:        return "exception";
       case PointOutcome::CheckerViolation: return "checker-violation";
       case PointOutcome::Timeout:          return "timeout";
       case PointOutcome::Crash:            return "crash";
-      case PointOutcome::NotRun:           return "not-run";
     }
     return "?";
 }
@@ -79,10 +58,7 @@ SupervisorReport::writeManifest(std::ostream& os,
 {
     for (std::size_t i = 0; i < points.size(); ++i) {
         const PointRecord& r = points[i];
-        if (r.outcome == PointOutcome::Ok ||
-            r.outcome == PointOutcome::Journaled)
-            continue;
-        if (r.outcome == PointOutcome::NotRun && !interrupted)
+        if (r.outcome == PointOutcome::Ok)
             continue;
         obs::JsonWriter w(os);
         w.beginObject();
@@ -92,15 +68,6 @@ SupervisorReport::writeManifest(std::ostream& os,
             .field("outcome", outcomeName(r.outcome))
             .field("error", r.message)
             .field("repro", r.repro);
-        w.endObject();
-        os << '\n';
-    }
-    if (interrupted) {
-        obs::JsonWriter w(os);
-        w.beginObject();
-        w.field("campaign", campaign)
-            .field("kind", "manifest")
-            .field("outcome", "interrupted");
         w.endObject();
         os << '\n';
     }
@@ -116,35 +83,14 @@ SupervisorReport::summaryJson(const std::string& campaign) const
         .field("kind", "supervisor")
         .field("points", points.size())
         .field("ok", count(PointOutcome::Ok))
-        .field("journaled", count(PointOutcome::Journaled))
         .field("timeouts", count(PointOutcome::Timeout))
         .field("crashes", count(PointOutcome::Crash))
         .field("exceptions", count(PointOutcome::Exception))
         .field("checker_violations",
-               count(PointOutcome::CheckerViolation))
-        .field("not_run", count(PointOutcome::NotRun))
-        .field("interrupted", interrupted);
+               count(PointOutcome::CheckerViolation));
     w.endObject();
     os << '\n';
     return os.str();
-}
-
-void
-CampaignSupervisor::installSigintHandler()
-{
-    std::signal(SIGINT, sigintHandler);
-}
-
-bool
-CampaignSupervisor::interruptRequested()
-{
-    return g_stop_requested != 0;
-}
-
-void
-CampaignSupervisor::clearInterruptForTest()
-{
-    g_stop_requested = 0;
 }
 
 CampaignSupervisor::~CampaignSupervisor()
@@ -295,8 +241,8 @@ CampaignSupervisor::runAttemptForked(const PointTask& task,
     int status = 0;
     bool timed_out = false;
     for (;;) {
-        // readSome retries EINTR (SIGINT/SIGCHLD must not abort the
-        // drain) but passes EAGAIN through — the pipe is non-blocking.
+        // readSome retries EINTR (SIGCHLD must not abort the drain)
+        // but passes EAGAIN through — the pipe is non-blocking.
         for (;;) {
             const ssize_t r = readSome(fds[0], buf, sizeof(buf));
             if (r > 0)
@@ -382,18 +328,6 @@ CampaignSupervisor::supervisePoint(const PointTask& task,
                                    SupervisorReport* report)
 {
     PointRecord& rec = report->points[i];
-    const std::uint64_t key =
-        task.key ? task.key(i)
-                 : fnv1a64("point:" + std::to_string(i));
-
-    if (journal_ && journal_->active()) {
-        std::string stored;
-        if (journal_->lookup(i, key, &stored)) {
-            results_[i] = std::move(stored);
-            rec.outcome = PointOutcome::Journaled;
-            return;
-        }
-    }
     Attempt a = policy_.isolate ? runAttemptForked(task, i)
                                 : runAttemptInProcess(task, i);
     rec.outcome = a.outcome;
@@ -403,27 +337,21 @@ CampaignSupervisor::supervisePoint(const PointTask& task,
         return;
     }
     results_[i] = std::move(a.payload);
-    if (journal_ && journal_->active()) {
-        journal_->record(i, key, task.seed ? task.seed(i) : 0,
-                         results_[i]);
-    }
 }
 
 SupervisorReport
 CampaignSupervisor::run(std::size_t count, const PointTask& task)
 {
     // A child of --isolate may write its artifact into a pipe whose
-    // parent-side reader is gone (campaign interrupted): EPIPE, not
-    // process death.
+    // parent-side reader is gone (parent killed): EPIPE, not process
+    // death.
     ignoreSigpipe();
 
     SupervisorReport report;
     report.points.assign(count, PointRecord{});
     results_.assign(count, std::string());
-    if (count == 0) {
-        report.interrupted = interruptRequested();
+    if (count == 0)
         return report;
-    }
 
     const unsigned workers = static_cast<unsigned>(
         std::min<std::size_t>(policy_.jobs == 0 ? 1 : policy_.jobs,
@@ -431,8 +359,6 @@ CampaignSupervisor::run(std::size_t count, const PointTask& task)
     std::atomic<std::size_t> next{0};
     const auto worker = [&]() {
         for (;;) {
-            if (interruptRequested())
-                return;
             const std::size_t i =
                 next.fetch_add(1, std::memory_order_relaxed);
             if (i >= count)
@@ -450,14 +376,6 @@ CampaignSupervisor::run(std::size_t count, const PointTask& task)
             pool.emplace_back(worker);
         for (auto& t : pool)
             t.join();
-    }
-
-    report.interrupted = interruptRequested();
-    if (report.interrupted && task.repro) {
-        for (std::size_t i = 0; i < count; ++i) {
-            if (report.points[i].outcome == PointOutcome::NotRun)
-                report.points[i].repro = task.repro(i);
-        }
     }
     return report;
 }

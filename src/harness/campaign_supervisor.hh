@@ -16,19 +16,15 @@
  *    into a failure manifest with a one-line repro command;
  *  - optional **crash isolation** (`--isolate`): each point forks into
  *    a child process, so a SIGSEGV/abort is recorded as a point
- *    failure instead of taking down the campaign;
- *  - journaled **checkpoint/resume** via CampaignJournal: completed
- *    points are skipped on resume and their stored results replayed,
- *    keeping the final artifact byte-identical to an unbroken run.
+ *    failure instead of taking down the campaign.
  *
  * Each point runs once. Simulations are deterministic, so a failed
  * point would fail the same way again; the manifest's repro command
  * is the way to rerun it.
  *
  * Points return their artifact as a string (deposited by index,
- * emitted in order by the caller) because that is the only result
- * shape that survives both the process boundary of --isolate and the
- * disk boundary of resume.
+ * emitted in order by the caller) because that is the result shape
+ * that survives the process boundary of --isolate.
  *
  * Caveats, by mode: without --isolate a timed-out point's thread is
  * *abandoned* (it cannot be killed portably) — the memory it may
@@ -50,8 +46,6 @@
 
 #include "sim/thread_safety.hh"
 
-#include "harness/campaign_journal.hh"
-
 namespace tb {
 namespace harness {
 
@@ -59,23 +53,27 @@ namespace harness {
 enum class PointOutcome
 {
     Ok,               ///< point completed, result deposited
-    Journaled,        ///< skipped: result replayed from the journal
     Exception,        ///< threw (FatalError or other std::exception)
     CheckerViolation, ///< threw PanicError (protocol/liveness checker)
     Timeout,          ///< exceeded the per-point deadline
     Crash,            ///< child died on a signal / unknown exit (--isolate)
-    NotRun,           ///< never attempted (campaign interrupted)
 };
 
 /** Short lower-case name ("ok", "timeout", ...) of @p o. */
 const char* outcomeName(PointOutcome o);
+
+/**
+ * Largest per-point deadline, 2^31 - 1 ms (about 24.8 days). Larger
+ * values would overflow the steady-clock arithmetic of the watchdog.
+ */
+constexpr std::uint64_t kMaxDeadlineMs = 2147483647;
 
 /** Knobs of one supervised campaign. */
 struct SupervisorPolicy
 {
     /** Worker threads; 0 and 1 both mean "run inline". */
     unsigned jobs = 1;
-    /** Per-point wall-clock deadline; 0 = none. */
+    /** Per-point wall-clock deadline; 0 = none, at most kMaxDeadlineMs. */
     std::uint64_t deadlineMs = 0;
     /** Fork every point into a child process. */
     bool isolate = false;
@@ -84,7 +82,7 @@ struct SupervisorPolicy
 /** What happened to one point (indexed like the campaign). */
 struct PointRecord
 {
-    PointOutcome outcome = PointOutcome::NotRun;
+    PointOutcome outcome = PointOutcome::Ok;
     std::string message;      ///< failure diagnostic ("" when ok)
     std::string repro;        ///< one-line repro command ("" if none)
 };
@@ -93,19 +91,17 @@ struct PointRecord
 struct SupervisorReport
 {
     std::vector<PointRecord> points;
-    bool interrupted = false; ///< SIGINT stopped the campaign early
 
     /** Points with the given outcome. */
     std::size_t count(PointOutcome o) const;
     /** Failed points (exception/checker/timeout/crash). */
     std::size_t failures() const;
-    /** No failures and not interrupted. */
-    bool ok() const { return failures() == 0 && !interrupted; }
+    /** No failures. */
+    bool ok() const { return failures() == 0; }
 
     /**
      * Failure manifest: one JSON line per non-ok point with its
-     * outcome, diagnostic and repro command, plus a
-     * trailing line when the campaign was interrupted.
+     * outcome, diagnostic and repro command.
      */
     void writeManifest(std::ostream& os,
                        const std::string& campaign) const;
@@ -123,14 +119,6 @@ struct PointTask
 {
     /** Run point i, return its serialized artifact. Required. */
     std::function<std::string(std::size_t)> run;
-    /**
-     * Config hash of point i for journal validity (sweep shape,
-     * flags, workload knobs). Optional; defaults to hashing the
-     * index only.
-     */
-    std::function<std::uint64_t(std::size_t)> key;
-    /** Workload seed of point i (recorded in the journal). Optional. */
-    std::function<std::uint64_t(std::size_t)> seed;
     /** One-line repro command for point i. Optional. */
     std::function<std::string(std::size_t)> repro;
 };
@@ -147,9 +135,6 @@ class CampaignSupervisor
     CampaignSupervisor(const CampaignSupervisor&) = delete;
     CampaignSupervisor& operator=(const CampaignSupervisor&) = delete;
 
-    /** Journal to consult/append; may be inactive or null. */
-    void attachJournal(CampaignJournal* journal) { journal_ = journal; }
-
     /**
      * Run all @p count points under the policy. Never throws for
      * point failures — every point is classified in the returned
@@ -157,22 +142,8 @@ class CampaignSupervisor
      */
     SupervisorReport run(std::size_t count, const PointTask& task);
 
-    /** Artifacts of ok/journaled points, by index ("" otherwise). */
+    /** Artifacts of ok points, by index ("" otherwise). */
     const std::vector<std::string>& results() const { return results_; }
-
-    /**
-     * Install the campaign SIGINT handler: first ^C requests a stop
-     * (workers finish their current point, the journal is already
-     * on disk, the caller emits the manifest), a second ^C falls back
-     * to default handling.
-     */
-    static void installSigintHandler();
-
-    /** Whether a stop was requested (SIGINT). */
-    static bool interruptRequested();
-
-    /** Reset the interrupt flag (tests). */
-    static void clearInterruptForTest();
 
     /** Join abandoned timed-out attempt threads (tests only). */
     void joinAbandonedForTest();
@@ -191,7 +162,6 @@ class CampaignSupervisor
                         SupervisorReport* report);
 
     SupervisorPolicy policy_;
-    CampaignJournal* journal_ = nullptr;
     std::vector<std::string> results_;
     Mutex mu_;
     /// Timed-out attempt threads, kept alive until process exit.

@@ -152,10 +152,7 @@ runExperiment(const SystemConfig& sys, const workloads::AppProfile& app,
     const bool force_serial =
         checker || injector || options.traceSink ||
         (custom && custom->hardening.enabled);
-    const unsigned parts =
-        force_serial ? 1
-                     : (options.simPartitions ? options.simPartitions
-                                              : defaultPartitions(sys));
+    const unsigned parts = force_serial ? 1 : defaultPartitions(sys);
 
     Machine machine(sys, parts);
     if (checker)

@@ -183,23 +183,15 @@ struct RunOptions
      * because the benchmark harness (benchmark/tb_bench.cc) sets it.
      */
     unsigned simThreads = 1;
-    /**
-     * Cluster partitions the machine is split into, one event queue
-     * each (harness/machine.hh); 0 picks the default for the node count
-     * (nodes/8 for machines of 16+ nodes, else 1). The partition
-     * count IS part of the simulation plan: serial and partitioned
-     * plans order some bookkeeping differently (see
-     * docs/PERFORMANCE.md). Runs that need the serial plan (checker,
-     * fault injection, structured tracing, hardening) force 1
-     * regardless.
-     */
-    unsigned simPartitions = 0;
 };
 
 /**
- * Cluster partitions of the default simulation plan for @p sys:
- * nodes/8 for machines of 16+ nodes, else 1 (RunOptions::simPartitions
- * = 0 picks this).
+ * Cluster partitions of the simulation plan for @p sys: nodes/8 for
+ * machines of 16+ nodes, else 1, one event queue each
+ * (harness/machine.hh). The partition count IS part of the plan:
+ * serial and partitioned plans order some bookkeeping differently
+ * (see docs/PERFORMANCE.md). Runs that need the serial plan (checker,
+ * fault injection, structured tracing, hardening) use 1 regardless.
  */
 unsigned defaultPartitions(const SystemConfig& sys);
 

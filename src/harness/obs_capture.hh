@@ -22,8 +22,8 @@
  * StatVisitor seam) and the per-episode prediction ledger.
  *
  * Coverage caveat: only points simulated in this process are captured.
- * Points replayed from a resume journal or run in `--isolate` children
- * carry their result across the boundary but not their trace/stats.
+ * Points run in `--isolate` children carry their result across the
+ * pipe but not their trace/stats.
  */
 
 #ifndef TB_HARNESS_OBS_CAPTURE_HH_
@@ -87,7 +87,7 @@ class ObsCapture
     /**
      * Aggregate prediction-accuracy line (`"kind": "prediction"`)
      * over every deposited episode; "" when --stats-json is off.
-     * Stdout-only: resumed campaigns skip replayed points, so the
+     * Stdout-only: `--isolate` children deposit no episodes, so the
      * line is not part of the deterministic artifact.
      */
     std::string predictionSummaryJson() const;

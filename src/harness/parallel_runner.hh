@@ -52,7 +52,7 @@ class ParallelCampaignRunner
      * the campaign never hides how much of it failed.
      *
      * (CampaignSupervisor wraps this model with deadlines, crash
-     * isolation and journaled resume — prefer it for long campaigns.)
+     * isolation and a failure manifest — prefer it for campaigns.)
      */
     void run(std::size_t count,
              const std::function<void(std::size_t)>& point) const;

@@ -5,9 +5,9 @@
  *
  * Two failure modes recur around pipes:
  *
- *  - **EINTR**: any signal (SIGINT from the campaign handler, SIGCHLD
- *    from a reaped child) can interrupt a blocking read/write
- *    mid-call. Every loop here retries transparently.
+ *  - **EINTR**: any handled signal (SIGCHLD from a reaped child, a
+ *    profiler's timer) can interrupt a blocking read/write mid-call.
+ *    Every loop here retries transparently.
  *  - **SIGPIPE**: writing to a pipe whose reader died kills the whole
  *    process by default. A supervisor must never die because one of
  *    its children did, so setup calls ignoreSigpipe() once and write

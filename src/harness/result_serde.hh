@@ -2,19 +2,18 @@
  * @file
  * Lossless one-line serialization of ExperimentResult.
  *
- * The campaign supervisor moves point results across two boundaries a
- * C++ object cannot cross: the process boundary of `--isolate` (the
- * point runs in a forked child and reports through a pipe) and the
- * disk boundary of the campaign journal (a resumed campaign replays
- * completed points from disk). Both require the full result — every
- * field the report renderers consume — to round-trip exactly, so
- * doubles are emitted with max_digits10 precision and ticks verbatim:
- * deserialize(serialize(r)) reproduces bit-identical report output.
+ * The campaign supervisor moves point results across a boundary a C++
+ * object cannot cross: the process boundary of `--isolate` (the point
+ * runs in a forked child and reports through a pipe). That requires
+ * the full result — every field the report renderers consume — to
+ * round-trip exactly, so doubles are emitted with max_digits10
+ * precision and ticks verbatim: deserialize(serialize(r)) reproduces
+ * bit-identical report output. `--only-point` prints the same line,
+ * and the benchmark harness checksums it.
  *
  * The format is a single `TBRESULT1 key=value ...` line with quoted,
- * backslash-escaped strings — self-describing enough to survive in a
- * JSONL journal as an embedded string, cheap enough to parse without
- * a JSON library. The per-departure trace is intentionally not
+ * backslash-escaped strings — cheap enough to parse without a JSON
+ * library. The per-departure trace is intentionally not
  * carried: campaigns never enable it.
  */
 

@@ -7,9 +7,8 @@
  * with its own escaping and number-precision policy. JsonWriter is the
  * single policy point:
  *
- *  - escaping matches the campaign journal's historical policy
- *    (backslash-escape `"` `\` `\n` `\r` `\t`, \u00XX for other
- *    control characters), so existing journal files keep their bytes;
+ *  - escaping backslash-escapes `"` `\` `\n` `\r` `\t` and writes
+ *    \u00XX for other control characters;
  *  - doubles render with the shortest decimal form that round-trips
  *    to the exact same bits (%.15g, widening to %.17g only when
  *    needed), so serialize/deserialize cycles are lossless without
@@ -18,8 +17,8 @@
  *
  * The writer is a thin state machine over an std::ostream — it tracks
  * only "does the next element need a comma" per nesting level, and
- * never buffers. Emitters that need whole-line atomicity (the journal)
- * render into an std::ostringstream first.
+ * never buffers. Emitters that need whole-line atomicity render into
+ * an std::ostringstream first.
  */
 
 #ifndef TB_OBS_JSON_WRITER_HH_
@@ -159,9 +158,8 @@ class JsonWriter
     }
 
     /**
-     * Escape @p s for a JSON string body. Same policy the campaign
-     * journal has always used: `"` `\` `\n` `\r` `\t` get two-char
-     * escapes, other bytes below 0x20 become \u00XX.
+     * Escape @p s for a JSON string body: `"` `\` `\n` `\r` `\t` get
+     * two-char escapes, other bytes below 0x20 become \u00XX.
      */
     static std::string escape(std::string_view s);
 

@@ -100,7 +100,7 @@ std::string errnoMessage(int err);
 /**
  * Deterministic name for signal @p sig ("SIGSEGV", ...). Replacement
  * for strsignal(), which is mt-unsafe and locale-dependent — signal
- * names reach crash payloads in journaled artifacts, so the spelling
+ * names reach crash payloads in failure manifests, so the spelling
  * must not vary with the environment.
  */
 std::string signalName(int sig);

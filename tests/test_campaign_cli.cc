@@ -30,10 +30,10 @@ parseArgs(std::initializer_list<const char*> args)
 TEST(CampaignCli, SupervisorFlagsParse)
 {
     const CampaignOptions o = parseArgs(
-        {"--journal", "J", "--resume", "--isolate", "--deadline-ms",
+        {"--out", "A", "--manifest=M", "--isolate", "--deadline-ms",
          "5"});
-    EXPECT_EQ(o.journalPath, "J");
-    EXPECT_TRUE(o.resume);
+    EXPECT_EQ(o.outPath, "A");
+    EXPECT_EQ(o.manifestPath, "M");
     EXPECT_TRUE(o.policy.isolate);
     EXPECT_EQ(o.policy.deadlineMs, 5u);
     EXPECT_EQ(o.policy.jobs, 1u);
@@ -42,9 +42,9 @@ TEST(CampaignCli, SupervisorFlagsParse)
 TEST(CampaignCli, LargestUnsignedValueIsAccepted)
 {
     const CampaignOptions o =
-        parseArgs({"--jobs", "4294967295", "--sim-partitions=8"});
+        parseArgs({"--jobs", "4294967295", "--deadline-ms=2147483647"});
     EXPECT_EQ(o.policy.jobs, 4294967295u);
-    EXPECT_EQ(o.simPartitions, 8u);
+    EXPECT_EQ(o.policy.deadlineMs, 2147483647u);
 }
 
 TEST(CampaignCliDeathTest, UnsignedValuesDoNotWrap)
@@ -54,9 +54,14 @@ TEST(CampaignCliDeathTest, UnsignedValuesDoNotWrap)
                 testing::ExitedWithCode(2), "--jobs.*out of range");
     EXPECT_EXIT(parseArgs({"--jobs=4294967296"}),
                 testing::ExitedWithCode(2), "--jobs.*out of range");
-    EXPECT_EXIT(parseArgs({"--sim-partitions", "4294967304"}),
+    // A deadline past 2^31 - 1 ms used to overflow the watchdog's
+    // clock arithmetic and time out every point at once.
+    EXPECT_EXIT(parseArgs({"--deadline-ms", "18446744073709551615"}),
                 testing::ExitedWithCode(2),
-                "--sim-partitions.*out of range");
+                "--deadline-ms.*out of range");
+    EXPECT_EXIT(parseArgs({"--deadline-ms", "9223372036854"}),
+                testing::ExitedWithCode(2),
+                "--deadline-ms.*out of range");
     EXPECT_EXIT(parseArgs({"--only-point", "9223372036854775808"}),
                 testing::ExitedWithCode(2),
                 "--only-point.*out of range");
@@ -68,7 +73,7 @@ TEST(CampaignCliDeathTest, RemovedFlagsAreUnknown)
          {"--serve", "--worker", "--cache", "--lease-ms",
           "--heartbeat-ms", "--worker-name", "--net-faults",
           "--reconnect-ms", "--retries", "--backoff-ms",
-          "--sim-threads"}) {
+          "--sim-threads", "--sim-partitions"}) {
         EXPECT_EXIT(parseArgs({flag, "1"}), testing::ExitedWithCode(2),
                     std::string("unknown option '") + flag + "'")
             << flag;

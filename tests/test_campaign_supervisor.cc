@@ -236,47 +236,6 @@ TEST(Supervisor, ManifestListsEveryFailureWithRepro)
               std::string::npos);
     EXPECT_NE(summary.find("\"exceptions\": 3"), std::string::npos);
     EXPECT_NE(summary.find("\"ok\": 3"), std::string::npos);
-    EXPECT_NE(summary.find("\"interrupted\": false"),
-              std::string::npos);
-}
-
-TEST(Supervisor, InterruptStopsClaimingAndMarksNotRun)
-{
-    CampaignSupervisor::installSigintHandler();
-    CampaignSupervisor::clearInterruptForTest();
-
-    SupervisorPolicy p;
-    p.jobs = 1; // deterministic claim order for the assertion below
-    CampaignSupervisor sup(p);
-    PointTask task;
-    task.run = [](std::size_t i) {
-        if (i == 2)
-            std::raise(SIGINT); // the handler only sets the flag
-        return "ran:" + std::to_string(i);
-    };
-    task.repro = [](std::size_t i) {
-        return "bench --only-point " + std::to_string(i);
-    };
-    const SupervisorReport r = sup.run(6, task);
-    CampaignSupervisor::clearInterruptForTest();
-
-    EXPECT_TRUE(r.interrupted);
-    // The in-flight point finishes gracefully; nothing after it runs.
-    EXPECT_EQ(r.points[2].outcome, PointOutcome::Ok);
-    for (std::size_t i = 3; i < 6; ++i) {
-        EXPECT_EQ(r.points[i].outcome, PointOutcome::NotRun) << i;
-        EXPECT_EQ(r.points[i].repro,
-                  "bench --only-point " + std::to_string(i));
-    }
-    EXPECT_FALSE(r.ok());
-    EXPECT_EQ(r.failures(), 0u); // interrupted != failed
-
-    std::ostringstream manifest;
-    r.writeManifest(manifest, "test");
-    EXPECT_NE(manifest.str().find("\"outcome\": \"interrupted\""),
-              std::string::npos);
-    EXPECT_NE(manifest.str().find("\"outcome\": \"not-run\""),
-              std::string::npos);
 }
 
 TEST(Supervisor, ZeroPointsIsANoop)

@@ -116,7 +116,6 @@ runCapturedCampaign(unsigned jobs)
     policy.jobs = jobs;
     harness::CampaignSupervisor sup{policy};
     harness::PointTask task;
-    task.key = [](std::size_t) { return 42ull; };
     task.run = [&](std::size_t i) {
         harness::RunOptions ro;
         harness::ObsCapture::PointScope scope;

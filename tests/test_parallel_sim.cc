@@ -134,40 +134,6 @@ TEST(ParallelSim, MachineRunMatchesRunMachinePdesOnEightPartitions)
     EXPECT_EQ(runOnce(false), runOnce(true));
 }
 
-/**
- * The same for the partitioned plan: with the partition count fixed,
- * the ignored simThreads value must never change the serialized
- * result — stats and episode ledger included. A seeded scan over
- * (app, partition count) points covers more than one hand-picked
- * workload.
- */
-TEST(ParallelSim, PartitionedExperimentByteIdenticalAcrossThreadCounts)
-{
-    const SystemConfig sys = SystemConfig::small(4); // 16 nodes
-    std::uint64_t lcg = 0x2545f4914f6cdd1dull;
-    const auto next = [&]() {
-        lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
-        return static_cast<unsigned>(lcg >> 33);
-    };
-    const char* apps[] = {"Volrend", "Radix", "Ocean"};
-    for (int trial = 0; trial < 3; ++trial) {
-        const workloads::AppProfile app =
-            workloads::appByName(apps[next() % 3]);
-        const unsigned parts = 1u << (1 + next() % 3); // 2, 4 or 8
-        const auto runAt = [&](unsigned threads) {
-            RunOptions ro;
-            ro.episodeLedger = true;
-            ro.simPartitions = parts;
-            ro.simThreads = threads;
-            return serializeResult(
-                runExperiment(sys, app, ConfigKind::Thrifty, ro));
-        };
-        const std::string reference = runAt(1);
-        EXPECT_EQ(reference, runAt(4))
-            << app.name << " at " << parts << " partitions";
-    }
-}
-
 } // namespace
 } // namespace harness
 } // namespace tb

@@ -596,9 +596,9 @@ ruleRawPosixIo(const FileCtx& ctx, std::vector<Finding>* out)
 {
     // Pipe I/O (the --isolate fork pipe) must go through the harness
     // posix_io helpers (readSome/writeFull): they own the
-    // EINTR-as-retry policy, so a signal landing mid-syscall — SIGINT
-    // from the campaign handler, SIGCHLD from a reaped child, a
-    // profiler — never truncates a point's artifact. A raw ::read
+    // EINTR-as-retry policy, so a signal landing mid-syscall — SIGCHLD
+    // from a reaped child, a profiler — never truncates a point's
+    // artifact. A raw ::read
     // anywhere else in src/ is a reintroduced EINTR bug waiting for a
     // signal to happen; posix_io.cc itself is where the raw calls
     // live.

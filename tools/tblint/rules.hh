@@ -4,8 +4,8 @@
  * time (docs/CHECKING.md, "Static analysis").
  *
  * The load-bearing property of this repo is that simulation artifacts
- * are byte-identical across serial runs, `--jobs N` campaigns and
- * journal resume. CI enforces that dynamically by diffing artifacts;
+ * are byte-identical across serial runs, `--jobs N` and `--isolate`
+ * campaigns. CI enforces that dynamically by diffing artifacts;
  * these rules catch the bug classes that break it *before* they run:
  *
  *   TBL000  suppression hygiene: a tblint-allow directive must name

@@ -58,12 +58,6 @@ usage(const char* argv0)
         "states (default all)\n"
         "  --three-hop        DASH-style direct owner-to-requester "
         "forwarding\n"
-        "  --sim-partitions P cluster partitions of the machine "
-        "(power of two\n"
-        "                     dividing the node count; selects the "
-        "simulation plan;\n"
-        "                     default: nodes/8 for 16+ nodes, else "
-        "1)\n"
         "  --faults SPEC      deterministic fault injection, e.g.\n"
         "                     seed=3,drop-wake=0.5,timer-drift=0.4 "
         "(see docs/ROBUSTNESS.md)\n"
@@ -150,7 +144,6 @@ main(int argc, char** argv)
     std::string config = "T";
     unsigned dim = 6;
     std::uint64_t seed = 1;
-    unsigned sim_partitions = 0;
     bool three_hop = false;
     bool check = false;
     bool dump_stats = false;
@@ -206,11 +199,6 @@ main(int argc, char** argv)
                           " out of range [1, 6] (2..64 nodes)");
             } else if (a == "--seed") {
                 seed = parseUnsignedArg("--seed", need(i));
-            } else if (a == "--sim-partitions") {
-                sim_partitions = static_cast<unsigned>(
-                    parseUnsignedArg("--sim-partitions", need(i)));
-                if (sim_partitions == 0)
-                    fatal("option --sim-partitions: must be >= 1");
             } else if (a == "--wakeup") {
                 const std::string v = need(i);
                 customized = true;
@@ -256,6 +244,13 @@ main(int argc, char** argv)
             } else if (a == "--liveness-budget") {
                 liveness_ms =
                     parseUnsignedArg("--liveness-budget", need(i));
+                // The budget is kept in ticks; a larger value would
+                // wrap the product below.
+                constexpr std::uint64_t kMaxLivenessMs =
+                    ~Tick{0} / kMillisecond;
+                if (liveness_ms > kMaxLivenessMs)
+                    fatal("option --liveness-budget: ", liveness_ms,
+                          " out of range [0, ", kMaxLivenessMs, "]");
                 have_liveness = true;
             } else if (a == "--check") {
                 check = true;
@@ -296,7 +291,6 @@ main(int argc, char** argv)
 
         harness::RunOptions opt;
         opt.check = check;
-        opt.simPartitions = sim_partitions;
 
         // Statistics flow through the visitor seam: --stats renders
         // the text report on stderr, --stats-json buffers a machine
