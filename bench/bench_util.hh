@@ -77,11 +77,11 @@ matrixPointTask(const harness::SystemConfig& sys,
 /**
  * Run the figure campaigns' (app x configuration) matrix under a
  * local CampaignSupervisor, each point's full ExperimentResult
- * serialized losslessly so it survives --isolate's process boundary.
+ * serialized losslessly (harness/result_serde.hh).
  * @p groups comes back grouped per app in figure order, whatever
  * --jobs is; consult the returned report before rendering — failed
  * points leave default-constructed entries. A non-null @p capture
- * records each in-process point's trace and stats (--trace /
+ * records each finished point's trace and stats (--trace /
  * --stats-json).
  */
 inline harness::SupervisorReport
@@ -193,8 +193,8 @@ printMicroJson(std::ostream& os, const MicroMetric& m)
 /**
  * Extract an unsigned integer field (`"key": N`) from one of our own
  * campaign-JSON lines; 0 when absent. Campaign summaries aggregate
- * counters from result lines this way, so points run in --isolate
- * children count exactly like in-process ones.
+ * counters from the supervisor's result lines this way, so they count
+ * exactly the points that finished.
  */
 inline std::uint64_t
 extractJsonU64(const std::string& line, const std::string& key)

@@ -6,13 +6,13 @@
  * Compute / Spin / Transition / Sleep, plus the Section 5.1 headline
  * averages over the five target applications.
  *
- *   figure5_energy [--jobs N] [--deadline-ms N] [--isolate]
+ *   figure5_energy [--jobs N] [--deadline-ms N]
  *                  [--out FILE] [--manifest FILE] [--only-point I]
  *                  [--trace FILE[:categories]] [--stats-json FILE]
  *
  * The 50 (app x configuration) simulations run under the campaign
- * supervisor: sharded over --jobs threads, optionally deadline-bounded
- * and forked per point (see docs/ROBUSTNESS.md, "Supervised
+ * supervisor: sharded over --jobs threads and optionally
+ * deadline-bounded per point (see docs/ROBUSTNESS.md, "Supervised
  * campaigns"). --only-point I prints point I's serialized result
  * under the same plan the campaign would use.
  */

@@ -4,7 +4,7 @@
  * applications under the five configurations, broken into
  * Compute / Spin / Transition / Sleep per-CPU time.
  *
- *   figure6_time [--jobs N] [--deadline-ms N] [--isolate]
+ *   figure6_time [--jobs N] [--deadline-ms N]
  *                [--out FILE] [--manifest FILE] [--only-point I]
  *                [--trace FILE[:categories]] [--stats-json FILE]
  *

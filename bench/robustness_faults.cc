@@ -10,18 +10,17 @@
  * with the protocol checker and its liveness watchdogs armed. A run
  * passes when every barrier releases, every sleeper wakes and no
  * invariant trips; failed points are classified (exception /
- * checker-violation / timeout / crash) in the failure manifest with a
+ * checker-violation / timeout) in the failure manifest with a
  * one-line repro command each. One point is replayed to prove
  * bit-identical determinism from (spec, seed).
  *
  *   robustness_faults [--quick] [--jobs N] [--deadline-ms N]
- *                     [--isolate] [--out FILE] [--manifest FILE]
- *                     [--only-point I]
+ *                     [--out FILE] [--manifest FILE] [--only-point I]
  *
  * Points are independent simulations supervised by
- * harness::CampaignSupervisor: sharded over --jobs threads, bounded
- * by per-point deadlines, and optionally forked (--isolate) so a
- * crashing point cannot take the campaign down.
+ * harness::CampaignSupervisor: sharded over --jobs threads and
+ * bounded by per-point deadlines, so a livelocked point is classified
+ * as a timeout instead of hanging the campaign.
  *
  * Emits one JSON line per run in the shared campaign shape (see
  * bench_util.hh), comparable with robustness_seeds output, plus one
@@ -230,8 +229,8 @@ main(int argc, char** argv)
     const harness::SupervisorReport report =
         supervisor.run(points.size(), task);
 
-    // Canonical campaign output: deterministic whatever --jobs and
-    // --isolate are (--out persists it atomically).
+    // Canonical campaign output: deterministic whatever --jobs is
+    // (--out persists it atomically).
     std::ostringstream artifact;
     std::uint64_t injected = 0, watchdogs = 0, quarantines = 0;
     for (const std::string& line : supervisor.results()) {

@@ -5,12 +5,12 @@
  * five different synthetic-workload seeds. The paper's claim should
  * not hinge on one draw of the random streams.
  *
- *   robustness_seeds [--jobs N] [--deadline-ms N] [--isolate]
+ *   robustness_seeds [--jobs N] [--deadline-ms N]
  *                    [--out FILE] [--manifest FILE] [--only-point I]
  *
  * Each (seed, application) pair is one supervised campaign point
  * running the Baseline / Thrifty-Halt / Thrifty triple; points are
- * independent, so the campaign shards and isolates exactly like
+ * independent, so the campaign shards and bounds them exactly like
  * robustness_faults (docs/ROBUSTNESS.md, "Supervised campaigns").
  *
  * Each run emits one JSON line in the shared campaign shape
@@ -54,7 +54,8 @@ pointSpace()
  * Run one point's Baseline/Halt/Thrifty triple. The artifact is the
  * three campaign JSON lines followed by one `#metrics` trailer
  * carrying the savings/slowdown at full double precision, so the
- * cross-seed aggregation reproduces exactly from an --isolate child.
+ * cross-seed aggregation reproduces exactly from the point's string
+ * artifact alone.
  */
 std::string
 runPoint(const Point& p, std::size_t index,

@@ -17,7 +17,7 @@ usage(const char* prog, const char* complaint, bool allowQuick)
     std::fprintf(
         stderr,
         "%s: %s\n"
-        "usage: %s %s[--jobs N] [--deadline-ms N] [--isolate]\n"
+        "usage: %s %s[--jobs N] [--deadline-ms N]\n"
         "       [--out FILE] [--manifest FILE] [--only-point I]\n"
         "       [--trace FILE[:categories]] [--stats-json FILE]\n",
         prog, complaint, prog, allowQuick ? "[--quick] " : "");
@@ -106,8 +106,6 @@ CampaignOptions::parse(int argc, char** argv, bool allowQuick)
             o.policy.deadlineMs = parseU64(prog, "--deadline-ms",
                                            value(i), allowQuick,
                                            kMaxDeadlineMs);
-        } else if (opt == "--isolate") {
-            o.policy.isolate = true;
         } else if (opt == "--out") {
             o.outPath = value(i);
         } else if (opt == "--manifest") {
@@ -143,6 +141,10 @@ CampaignOptions::parse(int argc, char** argv, bool allowQuick)
                       allowQuick);
             }
         } else if (opt == "--quick" && allowQuick) {
+            // A switch takes no value: `--quick=no` must not turn
+            // quick mode on.
+            if (inline_val)
+                usage(prog, "option --quick takes no value", allowQuick);
             o.quick = true;
         } else {
             char buf[128];
@@ -157,12 +159,7 @@ CampaignOptions::parse(int argc, char** argv, bool allowQuick)
 std::string
 CampaignOptions::reproFlags() const
 {
-    std::string flags;
-    if (quick)
-        flags += " --quick";
-    if (policy.isolate)
-        flags += " --isolate";
-    return flags;
+    return quick ? " --quick" : "";
 }
 
 } // namespace harness

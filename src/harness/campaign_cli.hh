@@ -11,7 +11,6 @@
  *   --jobs N          shard points over N worker threads
  *   --deadline-ms N   per-point wall-clock deadline (0 = none,
  *                     at most 2^31 - 1)
- *   --isolate         fork each point (crash containment)
  *   --out FILE        atomically write the final artifact to FILE
  *   --manifest FILE   atomically write the failure manifest to FILE
  *   --only-point I    run just point I inline (repro mode)
@@ -52,17 +51,17 @@ struct CampaignOptions
 
     /**
      * Parse @p argv strictly. Unknown options, malformed numbers,
-     * numbers too large for their field and `--quick` when
-     * @p allowQuick is false all print a usage error and exit 2.
+     * numbers too large for their field, `--quick=VALUE` and
+     * `--quick` when @p allowQuick is false all print a usage error
+     * and exit 2.
      */
     static CampaignOptions parse(int argc, char** argv,
                                  bool allowQuick);
 
     /**
      * The flags a repro command needs to rerun one of this
-     * invocation's points as it ran: `--quick` (point space) and
-     * `--isolate` (crash containment), each only when set, with a
-     * leading space when non-empty.
+     * invocation's points as it ran: ` --quick` (point space) when
+     * set, else "".
      */
     std::string reproFlags() const;
 };

@@ -4,34 +4,28 @@
  * campaigns.
  *
  * ParallelCampaignRunner shards independent points across threads but
- * treats every point as infallible: the first exception aborts the
- * campaign, a hung point blocks it forever, and a crashing point kills
- * the process. The supervisor wraps the same claim-from-a-counter
- * execution model with the machinery a long campaign actually needs:
+ * treats every point as infallible: failures surface as one exception
+ * after the join and a hung point blocks it forever. The supervisor runs
+ * each point through that runner with the machinery a long campaign
+ * actually needs:
  *
  *  - a per-point wall-clock **deadline** enforced by a watchdog, so a
  *    hung point is classified and the campaign moves on;
  *  - **continue-on-error** execution that classifies every point
- *    outcome (ok / exception / checker-violation / timeout / crash)
- *    into a failure manifest with a one-line repro command;
- *  - optional **crash isolation** (`--isolate`): each point forks into
- *    a child process, so a SIGSEGV/abort is recorded as a point
- *    failure instead of taking down the campaign.
+ *    outcome (ok / exception / checker-violation / timeout) into a
+ *    failure manifest with a one-line repro command.
  *
- * Each point runs once. Simulations are deterministic, so a failed
- * point would fail the same way again; the manifest's repro command
- * is the way to rerun it.
+ * Each point runs once, in this process. Simulations are
+ * deterministic, so a failed point would fail the same way again; the
+ * manifest's repro command is the way to rerun it.
  *
- * Points return their artifact as a string (deposited by index,
- * emitted in order by the caller) because that is the result shape
- * that survives the process boundary of --isolate.
- *
- * Caveats, by mode: without --isolate a timed-out point's thread is
- * *abandoned* (it cannot be killed portably) — the memory it may
- * still touch is kept alive by the supervisor, but a truly wedged
- * point still burns a core until process exit, and a crashing point
- * still kills the process. `--isolate` bounds both: the child is
- * SIGKILLed on deadline and dies alone on a crash.
+ * Points return their artifact as a string, deposited by index and
+ * emitted in order by the caller. A timed-out attempt is abandoned,
+ * not stopped (a thread cannot be killed portably), so it may write
+ * only its own result box, never caller-owned state: the attempt
+ * thread co-owns that box, and its late result is dropped. An
+ * abandoned point still burns a core until process exit, and a
+ * crashing point kills the process.
  */
 
 #ifndef TB_HARNESS_CAMPAIGN_SUPERVISOR_HH_
@@ -56,7 +50,6 @@ enum class PointOutcome
     Exception,        ///< threw (FatalError or other std::exception)
     CheckerViolation, ///< threw PanicError (protocol/liveness checker)
     Timeout,          ///< exceeded the per-point deadline
-    Crash,            ///< child died on a signal / unknown exit (--isolate)
 };
 
 /** Short lower-case name ("ok", "timeout", ...) of @p o. */
@@ -75,8 +68,6 @@ struct SupervisorPolicy
     unsigned jobs = 1;
     /** Per-point wall-clock deadline; 0 = none, at most kMaxDeadlineMs. */
     std::uint64_t deadlineMs = 0;
-    /** Fork every point into a child process. */
-    bool isolate = false;
 };
 
 /** What happened to one point (indexed like the campaign). */
@@ -94,7 +85,7 @@ struct SupervisorReport
 
     /** Points with the given outcome. */
     std::size_t count(PointOutcome o) const;
-    /** Failed points (exception/checker/timeout/crash). */
+    /** Failed points (exception/checker/timeout). */
     std::size_t failures() const;
     /** No failures. */
     bool ok() const { return failures() == 0; }
@@ -148,7 +139,7 @@ class CampaignSupervisor
     /** Join abandoned timed-out attempt threads (tests only). */
     void joinAbandonedForTest();
 
-    /** One attempt's classification (exposed for the executor fns). */
+    /** One attempt's classification. */
     struct Attempt
     {
         PointOutcome outcome = PointOutcome::Exception;
@@ -156,8 +147,7 @@ class CampaignSupervisor
     };
 
   private:
-    Attempt runAttemptInProcess(const PointTask& task, std::size_t i);
-    Attempt runAttemptForked(const PointTask& task, std::size_t i);
+    Attempt runAttempt(const PointTask& task, std::size_t i);
     void supervisePoint(const PointTask& task, std::size_t i,
                         SupervisorReport* report);
 

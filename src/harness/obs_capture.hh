@@ -21,9 +21,10 @@
  * counters, the full per-component machine statistics (through the
  * StatVisitor seam) and the per-episode prediction ledger.
  *
- * Coverage caveat: only points simulated in this process are captured.
- * Points run in `--isolate` children carry their result across the
- * pipe but not their trace/stats.
+ * Coverage caveat: only points that finish are captured; a point that
+ * throws deposits nothing. A timed-out point's abandoned attempt can
+ * still deposit if it finishes before writeFiles(), so with timeouts
+ * the artifacts are not deterministic.
  */
 
 #ifndef TB_HARNESS_OBS_CAPTURE_HH_
@@ -87,8 +88,9 @@ class ObsCapture
     /**
      * Aggregate prediction-accuracy line (`"kind": "prediction"`)
      * over every deposited episode; "" when --stats-json is off.
-     * Stdout-only: `--isolate` children deposit no episodes, so the
-     * line is not part of the deterministic artifact.
+     * Stdout-only, like the supervisor counter line: it covers
+     * whatever the points deposited, so it describes the run and is
+     * not part of the deterministic artifact.
      */
     std::string predictionSummaryJson() const;
 

@@ -51,8 +51,9 @@ class ParallelCampaignRunner
      * aggregating *every* failed index plus the first diagnostic —
      * the campaign never hides how much of it failed.
      *
-     * (CampaignSupervisor wraps this model with deadlines, crash
-     * isolation and a failure manifest — prefer it for campaigns.)
+     * (CampaignSupervisor runs its points through this runner and
+     * adds deadlines and a failure manifest — prefer it for
+     * campaigns.)
      */
     void run(std::size_t count,
              const std::function<void(std::size_t)>& point) const;

@@ -2,14 +2,15 @@
  * @file
  * Lossless one-line serialization of ExperimentResult.
  *
- * The campaign supervisor moves point results across a boundary a C++
- * object cannot cross: the process boundary of `--isolate` (the point
- * runs in a forked child and reports through a pipe). That requires
- * the full result — every field the report renderers consume — to
- * round-trip exactly, so doubles are emitted with max_digits10
- * precision and ticks verbatim: deserialize(serialize(r)) reproduces
- * bit-identical report output. `--only-point` prints the same line,
- * and the benchmark harness checksums it.
+ * A campaign point hands its result to the supervisor as a string
+ * (`PointTask::run`): a timed-out attempt is abandoned, so it may
+ * write only its own result box, never a caller-owned
+ * ExperimentResult. That requires the full result — every field the
+ * report renderers consume — to round-trip exactly, so doubles are
+ * emitted with max_digits10 precision and ticks verbatim:
+ * deserialize(serialize(r)) reproduces bit-identical report output.
+ * `--only-point` prints the same line, and the benchmark harness
+ * checksums it.
  *
  * The format is a single `TBRESULT1 key=value ...` line with quoted,
  * backslash-escaped strings — cheap enough to parse without a JSON

@@ -1,7 +1,5 @@
 #include "sim/logging.hh"
 
-#include <csignal>
-
 #include <atomic>
 #include <cstdint>
 #include <iostream>
@@ -40,29 +38,6 @@ errnoMessage(int err)
 {
     return std::generic_category().message(err) + " (errno " +
            std::to_string(err) + ")";
-}
-
-std::string
-signalName(int sig)
-{
-    switch (sig) {
-      case SIGHUP: return "SIGHUP";
-      case SIGINT: return "SIGINT";
-      case SIGQUIT: return "SIGQUIT";
-      case SIGILL: return "SIGILL";
-      case SIGTRAP: return "SIGTRAP";
-      case SIGABRT: return "SIGABRT";
-      case SIGBUS: return "SIGBUS";
-      case SIGFPE: return "SIGFPE";
-      case SIGKILL: return "SIGKILL";
-      case SIGUSR1: return "SIGUSR1";
-      case SIGSEGV: return "SIGSEGV";
-      case SIGUSR2: return "SIGUSR2";
-      case SIGPIPE: return "SIGPIPE";
-      case SIGALRM: return "SIGALRM";
-      case SIGTERM: return "SIGTERM";
-      default: return "signal " + std::to_string(sig);
-    }
 }
 
 std::uint64_t

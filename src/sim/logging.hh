@@ -97,14 +97,6 @@ inform(Args&&... args)
  */
 std::string errnoMessage(int err);
 
-/**
- * Deterministic name for signal @p sig ("SIGSEGV", ...). Replacement
- * for strsignal(), which is mt-unsafe and locale-dependent — signal
- * names reach crash payloads in failure manifests, so the spelling
- * must not vary with the environment.
- */
-std::string signalName(int sig);
-
 /** Number of warn() calls so far (tests use this to observe warnings). */
 std::uint64_t warnCount();
 

@@ -30,13 +30,13 @@ parseArgs(std::initializer_list<const char*> args)
 TEST(CampaignCli, SupervisorFlagsParse)
 {
     const CampaignOptions o = parseArgs(
-        {"--out", "A", "--manifest=M", "--isolate", "--deadline-ms",
-         "5"});
+        {"--out", "A", "--manifest=M", "--deadline-ms", "5", "--quick"});
     EXPECT_EQ(o.outPath, "A");
     EXPECT_EQ(o.manifestPath, "M");
-    EXPECT_TRUE(o.policy.isolate);
     EXPECT_EQ(o.policy.deadlineMs, 5u);
     EXPECT_EQ(o.policy.jobs, 1u);
+    EXPECT_TRUE(o.quick);
+    EXPECT_EQ(o.reproFlags(), " --quick");
 }
 
 TEST(CampaignCli, LargestUnsignedValueIsAccepted)
@@ -73,11 +73,21 @@ TEST(CampaignCliDeathTest, RemovedFlagsAreUnknown)
          {"--serve", "--worker", "--cache", "--lease-ms",
           "--heartbeat-ms", "--worker-name", "--net-faults",
           "--reconnect-ms", "--retries", "--backoff-ms",
-          "--sim-threads", "--sim-partitions"}) {
+          "--sim-threads", "--sim-partitions", "--isolate"}) {
         EXPECT_EXIT(parseArgs({flag, "1"}), testing::ExitedWithCode(2),
                     std::string("unknown option '") + flag + "'")
             << flag;
     }
+}
+
+TEST(CampaignCliDeathTest, SwitchRejectsInlineValue)
+{
+    // A switch takes no value; an ignored inline value would turn
+    // quick mode on for `--quick=no`.
+    EXPECT_EXIT(parseArgs({"--quick=no"}), testing::ExitedWithCode(2),
+                "option --quick takes no value");
+    EXPECT_EXIT(parseArgs({"--quick="}), testing::ExitedWithCode(2),
+                "option --quick takes no value");
 }
 
 } // namespace

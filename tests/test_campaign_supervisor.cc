@@ -2,24 +2,20 @@
  * @file
  * CampaignSupervisor tests: one run per point, continue-on-error
  * outcome classification, timeout classification of a deliberately
- * hung point, forked-crash containment under isolate mode, and the
- * failure manifest / counter surfaces.
+ * hung point, and the failure manifest / counter surfaces.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
-#include <csignal>
 #include <cstddef>
 #include <memory>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
 #include "harness/campaign_supervisor.hh"
 #include "sim/logging.hh"
@@ -118,8 +114,8 @@ TEST(Supervisor, TimeoutClassifiesHungPoint)
     };
     const SupervisorReport r = sup.run(4, task);
     EXPECT_EQ(r.points[1].outcome, PointOutcome::Timeout);
-    EXPECT_NE(r.points[1].message.find("deadline"),
-              std::string::npos);
+    EXPECT_EQ(r.points[1].message,
+              "deadline of 50 ms exceeded (attempt thread abandoned)");
     EXPECT_EQ(r.count(PointOutcome::Ok), 3u);
     EXPECT_EQ(r.failures(), 1u);
 
@@ -129,76 +125,6 @@ TEST(Supervisor, TimeoutClassifiesHungPoint)
     }
     latch->cv.notify_all();
     sup.joinAbandonedForTest();
-}
-
-TEST(Supervisor, IsolateContainsCrashingPoint)
-{
-    SupervisorPolicy p;
-    p.jobs = 1; // fork from a single-threaded supervisor
-    p.isolate = true;
-    CampaignSupervisor sup(p);
-
-    PointTask task;
-    task.run = [](std::size_t i) -> std::string {
-        if (i == 1) {
-            // SIGKILL dies identically under every sanitizer — the
-            // classifier sees a signaled child either way.
-            std::raise(SIGKILL);
-        }
-        if (i == 2)
-            throw std::runtime_error("forked exception");
-        return "isolated:" + std::to_string(i);
-    };
-    const SupervisorReport r = sup.run(4, task);
-    EXPECT_EQ(r.points[0].outcome, PointOutcome::Ok);
-    EXPECT_EQ(sup.results()[0], "isolated:0");
-    EXPECT_EQ(r.points[1].outcome, PointOutcome::Crash);
-    EXPECT_NE(r.points[1].message.find("signal"), std::string::npos);
-    EXPECT_EQ(r.points[2].outcome, PointOutcome::Exception);
-    EXPECT_EQ(r.points[2].message, "forked exception");
-    EXPECT_EQ(r.points[3].outcome, PointOutcome::Ok);
-    EXPECT_EQ(sup.results()[3], "isolated:3");
-    EXPECT_EQ(r.failures(), 2u);
-}
-
-TEST(Supervisor, IsolateEnforcesDeadlineWithSigkill)
-{
-    SupervisorPolicy p;
-    p.jobs = 1;
-    p.isolate = true;
-    p.deadlineMs = 50;
-    CampaignSupervisor sup(p);
-
-    PointTask task;
-    task.run = [](std::size_t i) -> std::string {
-        if (i == 0) {
-            for (;;)
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(10));
-        }
-        return "quick";
-    };
-    const SupervisorReport r = sup.run(2, task);
-    EXPECT_EQ(r.points[0].outcome, PointOutcome::Timeout);
-    EXPECT_NE(r.points[0].message.find("child killed"),
-              std::string::npos);
-    EXPECT_EQ(r.points[1].outcome, PointOutcome::Ok);
-}
-
-TEST(Supervisor, IsolateCarriesLargeArtifactsAcrossThePipe)
-{
-    SupervisorPolicy p;
-    p.isolate = true;
-    CampaignSupervisor sup(p);
-
-    // Larger than a pipe buffer (64 KiB on Linux): the parent must
-    // drain concurrently or the child deadlocks on write.
-    const std::string big(256 * 1024, 'x');
-    PointTask task;
-    task.run = [&](std::size_t) { return big; };
-    const SupervisorReport r = sup.run(1, task);
-    ASSERT_EQ(r.points[0].outcome, PointOutcome::Ok);
-    EXPECT_EQ(sup.results()[0], big);
 }
 
 TEST(Supervisor, ManifestListsEveryFailureWithRepro)
@@ -236,6 +162,7 @@ TEST(Supervisor, ManifestListsEveryFailureWithRepro)
               std::string::npos);
     EXPECT_NE(summary.find("\"exceptions\": 3"), std::string::npos);
     EXPECT_NE(summary.find("\"ok\": 3"), std::string::npos);
+    EXPECT_EQ(summary.find("crashes"), std::string::npos) << summary;
 }
 
 TEST(Supervisor, ZeroPointsIsANoop)

@@ -2,8 +2,8 @@
  * @file
  * Tests of the campaign artifact helpers: the FNV-1a checksum, atomic
  * artifact writes, and the lossless one-line ExperimentResult
- * serialization that carries a point's result out of an --isolate
- * child.
+ * serialization that carries a point's result from its campaign
+ * attempt to the report renderers.
  */
 
 #include <gtest/gtest.h>
@@ -94,7 +94,7 @@ TEST(ResultSerde, RealExperimentRoundTripsLosslessly)
     EXPECT_EQ(back.sync.spins, r.sync.spins);
 
     // Idempotence covers every field the line carries, bit for bit —
-    // the byte-identical --isolate artifact rests on exactly this.
+    // the byte-identical campaign artifact rests on exactly this.
     EXPECT_EQ(harness::serializeResult(back), line);
 }
 

@@ -235,8 +235,8 @@ isBannedClockCall(const std::string& s)
            s == "clock_gettime" || s == "timespec_get" ||
            s == "localtime" || s == "gmtime" || s == "mktime" ||
            // Blocking sleeps are wall-clock dependencies too: a
-           // genuine host-time wait (the --isolate deadline watch)
-           // carries an inline allow saying so.
+           // genuine host-time wait carries an inline allow saying
+           // so.
            s == "sleep" || s == "usleep" || s == "nanosleep" ||
            s == "alarm" || s == "sleep_for" || s == "sleep_until";
 }
@@ -588,22 +588,19 @@ ruleUnguardedTrace(const FileCtx& ctx, std::vector<Finding>* out)
 }
 
 // ----------------------------------------------------------------------
-// TBL023 — raw POSIX I/O outside harness/posix_io.cc
+// TBL023 — raw POSIX I/O in src/
 // ----------------------------------------------------------------------
 
 void
 ruleRawPosixIo(const FileCtx& ctx, std::vector<Finding>* out)
 {
-    // Pipe I/O (the --isolate fork pipe) must go through the harness
-    // posix_io helpers (readSome/writeFull): they own the
-    // EINTR-as-retry policy, so a signal landing mid-syscall — SIGCHLD
-    // from a reaped child, a profiler — never truncates a point's
-    // artifact. A raw ::read
-    // anywhere else in src/ is a reintroduced EINTR bug waiting for a
-    // signal to happen; posix_io.cc itself is where the raw calls
-    // live.
-    if (!pathUnder(ctx.path, "src") ||
-        pathEndsWith(ctx.path, "src/harness/posix_io.cc"))
+    // Nothing in src/ does descriptor I/O: artifacts go through
+    // iostreams and writeFileAtomic, which checks every byte and
+    // fails loudly. A raw ::read/::write must retry EINTR and short
+    // transfers itself, or a signal landing mid-syscall (a profiler's
+    // timer) silently truncates an artifact — so every such call in
+    // src/ is flagged, with no file exempt.
+    if (!pathUnder(ctx.path, "src"))
         return;
     const auto& t = ctx.toks;
     for (std::size_t i = 0; i < t.size(); ++i) {
@@ -623,12 +620,12 @@ ruleRawPosixIo(const FileCtx& ctx, std::vector<Finding>* out)
             continue;
         emit(out, ctx, "TBL023", t[i].line,
              "raw '::" + t[i].text +
-                 "()' outside harness/posix_io.cc — bypasses the "
-                 "posix_io EINTR-as-retry policy, so a mid-syscall "
-                 "signal becomes a short read or a failed write",
-             "use harness::readSome/writeFull (or add an EINTR-safe "
-             "helper to posix_io); a deliberate raw call needs a "
-             "tblint-allow reason");
+                 "()' in src/ — nothing here retries EINTR or short "
+                 "transfers, so a mid-syscall signal becomes a short "
+                 "read or a failed write",
+             "use iostreams or harness::writeFileAtomic; a deliberate "
+             "raw call needs a tblint-allow reason saying how it "
+             "handles EINTR and short transfers");
     }
 }
 
@@ -801,8 +798,8 @@ ruleCatalog()
          "TraceSink emission outside src/obs must sit under "
          "TB_TRACED() so -DTB_TRACING=OFF compiles it out"},
         {"TBL023", "raw-posix-io",
-         "no raw ::read/::write/::poll/::accept in src/ outside "
-         "harness/posix_io.cc — I/O must use its EINTR-safe helpers"},
+         "no raw ::read/::write/::poll/::accept anywhere in src/ — "
+         "I/O goes through iostreams and writeFileAtomic"},
         {"TBL024", "raw-noc-send",
          "no direct Network::send from src/mem or src/thrifty — "
          "messages must travel mem::Fabric (or the hop API) so "

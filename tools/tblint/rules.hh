@@ -4,9 +4,9 @@
  * time (docs/CHECKING.md, "Static analysis").
  *
  * The load-bearing property of this repo is that simulation artifacts
- * are byte-identical across serial runs, `--jobs N` and `--isolate`
- * campaigns. CI enforces that dynamically by diffing artifacts;
- * these rules catch the bug classes that break it *before* they run:
+ * are byte-identical across serial runs and `--jobs N` campaigns. CI
+ * enforces that dynamically by diffing artifacts; these rules catch
+ * the bug classes that break it *before* they run:
  *
  *   TBL000  suppression hygiene: a tblint-allow directive must name
  *           known rule IDs and carry a non-empty reason.
@@ -15,8 +15,8 @@
  *           (stats, serde, JSON) must use sorted emission instead.
  *   TBL002  determinism: wall-clock / ambient entropy (chrono clocks,
  *           time(), rand(), std::random_device, ...) anywhere but
- *           src/sim/random.hh. True wall-clock sites (supervisor
- *           deadlines, bench timing) carry an inline allow.
+ *           src/sim/random.hh. True wall-clock sites (bench
+ *           timing) carry an inline allow.
  *   TBL003  determinism: pointer identity reaching output — "%p" in a
  *           format string, std::hash of a pointer type, or a
  *           pointer-to-integer reinterpret_cast.
@@ -33,9 +33,9 @@
  *   TBL021  layering: TraceSink::instant/complete calls outside
  *           src/obs must sit under a TB_TRACED(...) guard, so
  *           -DTB_TRACING=OFF compiles every seam out.
- *   TBL023  robustness: raw ::read/::write/::poll/::accept in
- *           src/ outside src/harness/posix_io.cc — I/O must use the
- *           posix_io helpers, which own the EINTR-as-retry policy.
+ *   TBL023  robustness: raw ::read/::write/::poll/::accept anywhere
+ *           in src/ — I/O goes through iostreams and writeFileAtomic;
+ *           no code here owns an EINTR/short-transfer retry.
  *   TBL024  layering: direct Network::send from src/mem or
  *           src/thrifty — protocol messages must travel mem::Fabric
  *           (or the per-hop API) so the coherence observer and byte
