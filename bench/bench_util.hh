@@ -7,10 +7,10 @@
 #define TB_BENCH_BENCH_UTIL_HH_
 
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/campaign_cli.hh"
@@ -37,35 +37,33 @@ figureConfigs()
 }
 
 /**
- * The (app x configuration) matrix as a supervised PointTask. The
- * closures reference @p sys, @p apps, @p opts and @p capture — all
- * must outlive the returned task. `--only-point` runs `task.run(i)`
- * too, so a repro command simulates exactly the plan that failed.
+ * The (app x configuration) matrix as a supervised PointTask: point i
+ * writes its result to (*results)[i]. The closures reference @p sys,
+ * @p apps, @p opts, @p results and @p capture — all must outlive the
+ * returned task. `--only-point` runs `task.run(i)` too, so a repro
+ * command simulates exactly the plan that failed.
  */
 inline harness::PointTask
 matrixPointTask(const harness::SystemConfig& sys,
                 const std::vector<workloads::AppProfile>& apps,
                 const harness::CampaignOptions& opts,
                 const char* prog,
-                harness::ObsCapture* capture = nullptr)
+                std::vector<harness::ExperimentResult>* results,
+                harness::ObsCapture* capture)
 {
     const std::vector<harness::ConfigKind> kinds = figureConfigs();
     harness::PointTask task;
-    task.run = [&sys, &apps, capture, kinds](std::size_t i) {
+    task.run = [&sys, &apps, results, capture, kinds](std::size_t i) {
         const std::size_t a = i / kinds.size();
         const std::size_t k = i % kinds.size();
         harness::RunOptions ro;
         harness::ObsCapture::PointScope scope;
-        if (capture)
-            capture->arm(i, &ro, &scope);
-        const harness::ExperimentResult r =
+        capture->arm(i, &ro, &scope);
+        (*results)[i] =
             harness::runExperiment(sys, apps[a], kinds[k], ro);
-        if (capture) {
-            capture->deposit(i, r, &scope,
-                             apps[a].name + "/" +
-                                 harness::configName(kinds[k]));
-        }
-        return harness::serializeResult(r);
+        capture->deposit(i, (*results)[i], &scope,
+                         apps[a].name + "/" +
+                             harness::configName(kinds[k]));
     };
     task.repro = [&opts, prog](std::size_t i) {
         return std::string(prog) + " --only-point " +
@@ -75,14 +73,39 @@ matrixPointTask(const harness::SystemConfig& sys,
 }
 
 /**
- * Run the figure campaigns' (app x configuration) matrix under a
- * local CampaignSupervisor, each point's full ExperimentResult
- * serialized losslessly (harness/result_serde.hh).
- * @p groups comes back grouped per app in figure order, whatever
- * --jobs is; consult the returned report before rendering — failed
- * points leave default-constructed entries. A non-null @p capture
- * records each finished point's trace and stats (--trace /
- * --stats-json).
+ * `--only-point` of the figure campaigns: run that point through the
+ * campaign's own task and print its serialized result
+ * (harness/result_serde.hh). Returns the exit code.
+ */
+inline int
+runOnlyMatrixPoint(const harness::SystemConfig& sys,
+                   const std::vector<workloads::AppProfile>& apps,
+                   const harness::CampaignOptions& opts,
+                   const char* prog, harness::ObsCapture* capture)
+{
+    const std::size_t count = apps.size() * figureConfigs().size();
+    const std::size_t i = static_cast<std::size_t>(opts.onlyPoint);
+    if (i >= count) {
+        std::cerr << "--only-point " << opts.onlyPoint
+                  << " out of range [0, " << count << ")\n";
+        return 2;
+    }
+    std::vector<harness::ExperimentResult> results(count);
+    matrixPointTask(sys, apps, opts, prog, &results, capture).run(i);
+    std::cout << harness::serializeResult(results[i]) << '\n';
+    if (capture->statsEnabled())
+        std::cout << capture->predictionSummaryJson();
+    capture->writeFiles();
+    return 0;
+}
+
+/**
+ * Run the figure campaigns' (app x configuration) matrix through
+ * superviseCampaign. @p groups comes back grouped per app in figure
+ * order, whatever --jobs is; consult the returned report before
+ * rendering — failed points leave default-constructed entries.
+ * @p capture records each finished point's trace and stats (--trace /
+ * --stats-json) when those are on.
  */
 inline harness::SupervisorReport
 runAppConfigMatrixSupervised(
@@ -90,26 +113,18 @@ runAppConfigMatrixSupervised(
     const std::vector<workloads::AppProfile>& apps,
     const harness::CampaignOptions& opts, const char* prog,
     std::vector<std::vector<harness::ExperimentResult>>* groups,
-    harness::ObsCapture* capture = nullptr)
+    harness::ObsCapture* capture)
 {
-    const std::vector<harness::ConfigKind> kinds = figureConfigs();
-    const std::size_t count = apps.size() * kinds.size();
-    const harness::PointTask task =
-        matrixPointTask(sys, apps, opts, prog, capture);
+    const std::size_t configs = figureConfigs().size();
+    const std::size_t count = apps.size() * configs;
+    std::vector<harness::ExperimentResult> results(count);
+    const harness::SupervisorReport report = harness::superviseCampaign(
+        opts.jobs, count,
+        matrixPointTask(sys, apps, opts, prog, &results, capture));
 
-    harness::CampaignSupervisor supervisor(opts.policy);
-    harness::SupervisorReport report = supervisor.run(count, task);
-
-    groups->assign(apps.size(),
-                   std::vector<harness::ExperimentResult>(
-                       kinds.size()));
-    for (std::size_t i = 0; i < count; ++i) {
-        const std::string& result = supervisor.results()[i];
-        if (result.empty())
-            continue;
-        (*groups)[i / kinds.size()][i % kinds.size()] =
-            harness::deserializeResult(result);
-    }
+    groups->assign(apps.size(), {});
+    for (std::size_t i = 0; i < count; ++i)
+        (*groups)[i / configs].push_back(std::move(results[i]));
     return report;
 }
 
@@ -191,30 +206,14 @@ printMicroJson(std::ostream& os, const MicroMetric& m)
 }
 
 /**
- * Extract an unsigned integer field (`"key": N`) from one of our own
- * campaign-JSON lines; 0 when absent. Campaign summaries aggregate
- * counters from the supervisor's result lines this way, so they count
- * exactly the points that finished.
- */
-inline std::uint64_t
-extractJsonU64(const std::string& line, const std::string& key)
-{
-    const std::string pat = "\"" + key + "\": ";
-    const std::size_t at = line.find(pat);
-    if (at == std::string::npos)
-        return 0;
-    return std::strtoull(line.c_str() + at + pat.size(), nullptr, 10);
-}
-
-/**
  * Emit a supervised campaign's epilogue: the failure manifest (repro
  * command per failed point) to stderr plus optional atomic artifact
  * files, and map the report to the process exit code. @p artifact is
  * the campaign's canonical deterministic output — already printed to
  * stdout by the caller — which `--out` persists via atomic rename, so
  * no partial artifact ever appears. The supervisor counter line (kind
- * "supervisor") goes to stdout only: it describes the run (failures,
- * timeouts), not the paper artifact.
+ * "supervisor") goes to stdout only: it describes the run (point
+ * failures), not the paper artifact.
  */
 inline int
 finishSupervisedCampaign(const harness::CampaignOptions& opts,

@@ -6,15 +6,14 @@
  * Compute / Spin / Transition / Sleep, plus the Section 5.1 headline
  * averages over the five target applications.
  *
- *   figure5_energy [--jobs N] [--deadline-ms N]
- *                  [--out FILE] [--manifest FILE] [--only-point I]
+ *   figure5_energy [--jobs N] [--out FILE] [--manifest FILE]
+ *                  [--only-point I]
  *                  [--trace FILE[:categories]] [--stats-json FILE]
  *
  * The 50 (app x configuration) simulations run under the campaign
- * supervisor: sharded over --jobs threads and optionally
- * deadline-bounded per point (see docs/ROBUSTNESS.md, "Supervised
- * campaigns"). --only-point I prints point I's serialized result
- * under the same plan the campaign would use.
+ * supervisor, sharded over --jobs threads (see docs/ROBUSTNESS.md,
+ * "Supervised campaigns"). --only-point I prints point I's serialized
+ * result under the same plan the campaign would use.
  */
 
 #include <iostream>
@@ -35,20 +34,8 @@ main(int argc, char** argv)
     harness::ObsCapture capture(opts, "figure5_energy");
 
     if (opts.onlyPoint >= 0) {
-        const std::size_t count =
-            apps.size() * bench::figureConfigs().size();
-        if (static_cast<std::size_t>(opts.onlyPoint) >= count) {
-            std::cerr << "--only-point " << opts.onlyPoint
-                      << " out of range [0, " << count << ")\n";
-            return 2;
-        }
-        const harness::PointTask task = bench::matrixPointTask(
-            sys, apps, opts, "figure5_energy", &capture);
-        std::cout << task.run(opts.onlyPoint) << '\n';
-        if (capture.statsEnabled())
-            std::cout << capture.predictionSummaryJson();
-        capture.writeFiles();
-        return 0;
+        return bench::runOnlyMatrixPoint(sys, apps, opts, "figure5_energy",
+                                         &capture);
     }
 
     bench::banner("Figure 5 — normalized energy consumption", sys);

@@ -4,8 +4,8 @@
  * applications under the five configurations, broken into
  * Compute / Spin / Transition / Sleep per-CPU time.
  *
- *   figure6_time [--jobs N] [--deadline-ms N]
- *                [--out FILE] [--manifest FILE] [--only-point I]
+ *   figure6_time [--jobs N] [--out FILE] [--manifest FILE]
+ *                [--only-point I]
  *                [--trace FILE[:categories]] [--stats-json FILE]
  *
  * The 50 (app x configuration) simulations run under the campaign
@@ -31,20 +31,8 @@ main(int argc, char** argv)
     harness::ObsCapture capture(opts, "figure6_time");
 
     if (opts.onlyPoint >= 0) {
-        const std::size_t count =
-            apps.size() * bench::figureConfigs().size();
-        if (static_cast<std::size_t>(opts.onlyPoint) >= count) {
-            std::cerr << "--only-point " << opts.onlyPoint
-                      << " out of range [0, " << count << ")\n";
-            return 2;
-        }
-        const harness::PointTask task = bench::matrixPointTask(
-            sys, apps, opts, "figure6_time", &capture);
-        std::cout << task.run(opts.onlyPoint) << '\n';
-        if (capture.statsEnabled())
-            std::cout << capture.predictionSummaryJson();
-        capture.writeFiles();
-        return 0;
+        return bench::runOnlyMatrixPoint(sys, apps, opts, "figure6_time",
+                                         &capture);
     }
 
     bench::banner("Figure 6 — normalized execution time", sys);

@@ -10,17 +10,20 @@
  * with the protocol checker and its liveness watchdogs armed. A run
  * passes when every barrier releases, every sleeper wakes and no
  * invariant trips; failed points are classified (exception /
- * checker-violation / timeout) in the failure manifest with a
- * one-line repro command each. One point is replayed to prove
- * bit-identical determinism from (spec, seed).
+ * checker-violation) in the failure manifest with a one-line repro
+ * command each. One point is replayed to prove bit-identical
+ * determinism from (spec, seed).
  *
- *   robustness_faults [--quick] [--jobs N] [--deadline-ms N]
- *                     [--out FILE] [--manifest FILE] [--only-point I]
+ *   robustness_faults [--quick] [--jobs N] [--out FILE]
+ *                     [--manifest FILE] [--only-point I]
+ *                     [--trace FILE[:categories]] [--stats-json FILE]
  *
  * Points are independent simulations supervised by
- * harness::CampaignSupervisor: sharded over --jobs threads and
- * bounded by per-point deadlines, so a livelocked point is classified
- * as a timeout instead of hanging the campaign.
+ * harness::superviseCampaign and sharded over --jobs threads. The
+ * armed checker's liveness watchdogs turn a barrier that never
+ * releases in simulated time into a checker violation; a point that
+ * livelocks the host hangs the campaign, and the caller's timeout
+ * (the CI step's) bounds it.
  *
  * Emits one JSON line per run in the shared campaign shape (see
  * bench_util.hh), comparable with robustness_seeds output, plus one
@@ -79,10 +82,10 @@ struct Point
 
 std::string pointLabel(const Point& p);
 
-/** Run one point and return its campaign JSON line (throws on any
- *  simulation/checker failure; the supervisor classifies it). A
- *  non-null @p capture records the point's trace/stats artifacts. */
-std::string
+/** Run one point (throws on any simulation/checker failure; the
+ *  supervisor classifies it). A non-null @p capture records the
+ *  point's trace/stats artifacts. */
+harness::ExperimentResult
 runPoint(const Point& p, const workloads::AppProfile& app,
          std::size_t index, harness::ObsCapture* capture)
 {
@@ -109,20 +112,24 @@ runPoint(const Point& p, const workloads::AppProfile& app,
     if (capture)
         capture->arm(index, &opt, &scope);
 
+    auto r = harness::runExperiment(sys, app, ConfigKind::Thrifty, opt);
+    if (capture)
+        capture->deposit(index, r, &scope, pointLabel(p));
+    return r;
+}
+
+/** Point @p p's run as one campaign JSON line. */
+void
+printPointJson(std::ostream& os, const Point& p,
+               const harness::ExperimentResult& r)
+{
     tb::bench::CampaignPoint pt;
     pt.campaign = "faults";
     pt.dim = p.dim;
     pt.seed = p.seed;
     pt.protocol = p.threeHop ? "three-hop" : "hub";
     pt.wakeup = wakeupName(p.wakeup);
-
-    const auto r =
-        harness::runExperiment(sys, app, ConfigKind::Thrifty, opt);
-    if (capture)
-        capture->deposit(index, r, &scope, pointLabel(p));
-    std::ostringstream os;
     tb::bench::printCampaignJson(os, pt, r);
-    return os.str();
 }
 
 /** Human-readable identity of a point (manifest context). */
@@ -185,25 +192,34 @@ main(int argc, char** argv)
         }
     }
 
+    harness::ObsCapture capture(opts, "faults");
+    std::vector<harness::ExperimentResult> results(points.size());
+    harness::PointTask task;
+    task.run = [&](std::size_t i) {
+        results[i] = runPoint(points[i], app, i,
+                              capture.active() ? &capture : nullptr);
+    };
+    task.repro = [&](std::size_t i) {
+        return "robustness_faults --only-point " + std::to_string(i) +
+               opts.reproFlags() + "   # " + pointLabel(points[i]);
+    };
+
     // Repro mode: run exactly one point inline, no supervision.
     if (opts.onlyPoint >= 0) {
-        if (static_cast<std::size_t>(opts.onlyPoint) >=
-            points.size()) {
+        const std::size_t i = static_cast<std::size_t>(opts.onlyPoint);
+        if (i >= points.size()) {
             std::fprintf(stderr,
                          "--only-point %ld out of range [0, %zu)%s\n",
                          opts.onlyPoint, points.size(),
                          quick ? " (with --quick)" : "");
             return 2;
         }
-        const Point& p = points[opts.onlyPoint];
         std::fprintf(stderr, "point %ld: %s\n", opts.onlyPoint,
-                     pointLabel(p).c_str());
-        harness::ObsCapture capture(opts, "faults");
-        std::fputs(runPoint(p, app,
-                            static_cast<std::size_t>(opts.onlyPoint),
-                            capture.active() ? &capture : nullptr)
-                       .c_str(),
-                   stdout);
+                     pointLabel(points[i]).c_str());
+        task.run(i);
+        std::ostringstream line;
+        printPointJson(line, points[i], results[i]);
+        std::fputs(line.str().c_str(), stdout);
         if (capture.statsEnabled())
             std::fputs(capture.predictionSummaryJson().c_str(),
                        stdout);
@@ -211,35 +227,24 @@ main(int argc, char** argv)
         return 0;
     }
 
-    harness::ObsCapture capture(opts, "faults");
-    harness::PointTask task;
-    task.run = [&](std::size_t i) {
-        return runPoint(points[i], app, i,
-                        capture.active() ? &capture : nullptr);
-    };
-    task.repro = [&](std::size_t i) {
-        return "robustness_faults --only-point " + std::to_string(i) +
-               opts.reproFlags() + "   # " + pointLabel(points[i]);
-    };
-
     tb::bench::banner("Robustness — fault-injection campaign",
                       harness::SystemConfig::small(dims.back()));
 
-    harness::CampaignSupervisor supervisor(opts.policy);
     const harness::SupervisorReport report =
-        supervisor.run(points.size(), task);
+        harness::superviseCampaign(opts.jobs, points.size(), task);
 
     // Canonical campaign output: deterministic whatever --jobs is
     // (--out persists it atomically).
     std::ostringstream artifact;
     std::uint64_t injected = 0, watchdogs = 0, quarantines = 0;
-    for (const std::string& line : supervisor.results()) {
-        if (line.empty())
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        if (report.points[i].outcome != harness::PointOutcome::Ok)
             continue;
-        artifact << line;
-        injected += tb::bench::extractJsonU64(line, "faults_injected");
-        watchdogs += tb::bench::extractJsonU64(line, "watchdog_fires");
-        quarantines += tb::bench::extractJsonU64(line, "quarantines");
+        const harness::ExperimentResult& r = results[i];
+        printPointJson(artifact, points[i], r);
+        injected += r.faultsInjected();
+        watchdogs += r.sync.watchdogFires;
+        quarantines += r.sync.quarantines;
     }
 
     unsigned failures =

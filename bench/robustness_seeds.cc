@@ -5,12 +5,13 @@
  * five different synthetic-workload seeds. The paper's claim should
  * not hinge on one draw of the random streams.
  *
- *   robustness_seeds [--jobs N] [--deadline-ms N]
- *                    [--out FILE] [--manifest FILE] [--only-point I]
+ *   robustness_seeds [--jobs N] [--out FILE] [--manifest FILE]
+ *                    [--only-point I]
+ *                    [--trace FILE[:categories]] [--stats-json FILE]
  *
  * Each (seed, application) pair is one supervised campaign point
  * running the Baseline / Thrifty-Halt / Thrifty triple; points are
- * independent, so the campaign shards and bounds them exactly like
+ * independent, so the campaign shards them exactly like
  * robustness_faults (docs/ROBUSTNESS.md, "Supervised campaigns").
  *
  * Each run emits one JSON line in the shared campaign shape
@@ -50,77 +51,65 @@ pointSpace()
     return points;
 }
 
+/** One point's Baseline / Thrifty-Halt / Thrifty results. */
+struct Triple
+{
+    harness::ExperimentResult base, halt, thrifty;
+};
+
 /**
- * Run one point's Baseline/Halt/Thrifty triple. The artifact is the
- * three campaign JSON lines followed by one `#metrics` trailer
- * carrying the savings/slowdown at full double precision, so the
- * cross-seed aggregation reproduces exactly from the point's string
- * artifact alone.
+ * Run one point's Baseline/Halt/Thrifty triple. A non-null @p capture
+ * records the three runs once all of them have finished, so a failed
+ * point deposits nothing.
  */
-std::string
+Triple
 runPoint(const Point& p, std::size_t index,
          harness::ObsCapture* capture)
 {
     using harness::ConfigKind;
     harness::SystemConfig sys = harness::SystemConfig::paperDefault();
     sys.seed = p.seed;
+    const auto app = workloads::appByName(p.app);
 
+    // Three runs per point: each gets its own capture slot so trace
+    // pids stay unique (point index * 3 + config).
+    harness::ObsCapture::PointScope scopes[3];
+    const auto run_one = [&](ConfigKind k, std::size_t sub) {
+        harness::RunOptions ro;
+        if (capture)
+            capture->arm(index * 3 + sub, &ro, &scopes[sub]);
+        return runExperiment(sys, app, k, ro);
+    };
+    Triple t{run_one(ConfigKind::Baseline, 0),
+             run_one(ConfigKind::ThriftyHalt, 1),
+             run_one(ConfigKind::Thrifty, 2)};
+    if (capture) {
+        const harness::ExperimentResult* runs[3] = {&t.base, &t.halt,
+                                                    &t.thrifty};
+        for (std::size_t sub = 0; sub < 3; ++sub) {
+            capture->deposit(index * 3 + sub, *runs[sub], &scopes[sub],
+                             "seed=" + std::to_string(p.seed) + "/" +
+                                 p.app + "/" + runs[sub]->config);
+        }
+    }
+    return t;
+}
+
+/** A point's three runs as campaign JSON lines. */
+void
+printPointJson(std::ostream& os, const Point& p, const Triple& t)
+{
+    const harness::SystemConfig sys =
+        harness::SystemConfig::paperDefault();
     tb::bench::CampaignPoint pt;
     pt.campaign = "seeds";
     pt.dim = sys.noc.dimension;
     pt.seed = p.seed;
     pt.protocol =
         sys.memory.threeHopForwarding ? "three-hop" : "hub";
-
-    const auto app = workloads::appByName(p.app);
-    // Three runs per point: each gets its own capture slot so trace
-    // pids stay unique (point index * 3 + config).
-    const auto run_one = [&](ConfigKind k, std::size_t sub) {
-        harness::RunOptions ro;
-        harness::ObsCapture::PointScope scope;
-        if (capture)
-            capture->arm(index * 3 + sub, &ro, &scope);
-        const auto r = runExperiment(sys, app, k, ro);
-        if (capture) {
-            capture->deposit(index * 3 + sub, r, &scope,
-                             "seed=" + std::to_string(p.seed) + "/" +
-                                 p.app + "/" + r.config);
-        }
-        return r;
-    };
-    const auto base = run_one(ConfigKind::Baseline, 0);
-    const auto h = run_one(ConfigKind::ThriftyHalt, 1);
-    const auto t = run_one(ConfigKind::Thrifty, 2);
-
-    std::ostringstream os;
-    tb::bench::printCampaignJson(os, pt, base);
-    tb::bench::printCampaignJson(os, pt, h);
-    tb::bench::printCampaignJson(os, pt, t);
-
-    const double h_sav = 1.0 - h.totalEnergy() / base.totalEnergy();
-    const double t_sav = 1.0 - t.totalEnergy() / base.totalEnergy();
-    const double slow = static_cast<double>(t.execTime) /
-                            static_cast<double>(base.execTime) -
-                        1.0;
-    char buf[128];
-    std::snprintf(buf, sizeof(buf),
-                  "#metrics %.17g %.17g %.17g\n", h_sav, t_sav,
-                  slow);
-    os << buf;
-    return os.str();
-}
-
-/** Split an artifact into (JSON lines, metrics triple). */
-bool
-parseArtifact(const std::string& artifact, std::string* json,
-              double* h, double* t, double* slow)
-{
-    const std::size_t at = artifact.rfind("#metrics ");
-    if (at == std::string::npos)
-        return false;
-    *json = artifact.substr(0, at);
-    return std::sscanf(artifact.c_str() + at,
-                       "#metrics %lg %lg %lg", h, t, slow) == 3;
+    tb::bench::printCampaignJson(os, pt, t.base);
+    tb::bench::printCampaignJson(os, pt, t.halt);
+    tb::bench::printCampaignJson(os, pt, t.thrifty);
 }
 
 } // namespace
@@ -133,37 +122,12 @@ main(int argc, char** argv)
                                         /*allowQuick=*/false);
     const std::vector<Point> points = pointSpace();
 
-    if (opts.onlyPoint >= 0) {
-        if (static_cast<std::size_t>(opts.onlyPoint) >=
-            points.size()) {
-            std::fprintf(stderr,
-                         "--only-point %ld out of range [0, %zu)\n",
-                         opts.onlyPoint, points.size());
-            return 2;
-        }
-        const Point& p = points[opts.onlyPoint];
-        std::fprintf(stderr, "point %ld: seed=%llu app=%s\n",
-                     opts.onlyPoint,
-                     static_cast<unsigned long long>(p.seed),
-                     p.app.c_str());
-        harness::ObsCapture capture(opts, "seeds");
-        std::fputs(runPoint(p,
-                            static_cast<std::size_t>(opts.onlyPoint),
-                            capture.active() ? &capture : nullptr)
-                       .c_str(),
-                   stdout);
-        if (capture.statsEnabled())
-            std::fputs(capture.predictionSummaryJson().c_str(),
-                       stdout);
-        capture.writeFiles();
-        return 0;
-    }
-
     harness::ObsCapture capture(opts, "seeds");
+    std::vector<Triple> results(points.size());
     harness::PointTask task;
     task.run = [&](std::size_t i) {
-        return runPoint(points[i], i,
-                        capture.active() ? &capture : nullptr);
+        results[i] =
+            runPoint(points[i], i, capture.active() ? &capture : nullptr);
     };
     task.repro = [&](std::size_t i) {
         return "robustness_seeds --only-point " + std::to_string(i) +
@@ -172,12 +136,34 @@ main(int argc, char** argv)
                points[i].app;
     };
 
+    if (opts.onlyPoint >= 0) {
+        const std::size_t i = static_cast<std::size_t>(opts.onlyPoint);
+        if (i >= points.size()) {
+            std::fprintf(stderr,
+                         "--only-point %ld out of range [0, %zu)\n",
+                         opts.onlyPoint, points.size());
+            return 2;
+        }
+        std::fprintf(stderr, "point %ld: seed=%llu app=%s\n",
+                     opts.onlyPoint,
+                     static_cast<unsigned long long>(points[i].seed),
+                     points[i].app.c_str());
+        task.run(i);
+        std::ostringstream lines;
+        printPointJson(lines, points[i], results[i]);
+        std::fputs(lines.str().c_str(), stdout);
+        if (capture.statsEnabled())
+            std::fputs(capture.predictionSummaryJson().c_str(),
+                       stdout);
+        capture.writeFiles();
+        return 0;
+    }
+
     tb::bench::banner("Robustness — headline averages across seeds",
                       harness::SystemConfig::paperDefault());
 
-    harness::CampaignSupervisor supervisor(opts.policy);
     const harness::SupervisorReport report =
-        supervisor.run(points.size(), task);
+        harness::superviseCampaign(opts.jobs, points.size(), task);
 
     std::ostringstream artifact;
     const std::size_t apps_per_seed =
@@ -193,19 +179,15 @@ main(int argc, char** argv)
         for (std::size_t s = 0; s < kSeeds.size(); ++s) {
             double h_sum = 0.0, t_sum = 0.0, slow_sum = 0.0;
             for (std::size_t a = 0; a < apps_per_seed; ++a) {
-                const std::string& art =
-                    supervisor.results()[s * apps_per_seed + a];
-                std::string json;
-                double h = 0.0, t = 0.0, slow = 0.0;
-                if (!parseArtifact(art, &json, &h, &t, &slow)) {
-                    std::fprintf(stderr,
-                                 "FAIL: malformed point artifact\n");
-                    return 1;
-                }
-                artifact << json;
-                h_sum += h;
-                t_sum += t;
-                slow_sum += slow;
+                const std::size_t i = s * apps_per_seed + a;
+                const Triple& r = results[i];
+                printPointJson(artifact, points[i], r);
+                const double base_e = r.base.totalEnergy();
+                h_sum += 1.0 - r.halt.totalEnergy() / base_e;
+                t_sum += 1.0 - r.thrifty.totalEnergy() / base_e;
+                slow_sum += static_cast<double>(r.thrifty.execTime) /
+                                static_cast<double>(r.base.execTime) -
+                            1.0;
             }
             const double n = static_cast<double>(apps_per_seed);
             halt_savings.push_back(100.0 * h_sum / n);

@@ -25,7 +25,7 @@ Policy:
   failure, not a perf regression, and always fails regardless of
   threshold.
 * Supervised campaigns emit one counter line per run
-  (``"kind": "supervisor"``: timeouts, exceptions, checker violations —
+  (``"kind": "supervisor"``: exceptions, checker violations —
   see docs/ROBUSTNESS.md). Counters found in the current file are
   printed next to the metrics; a supervisor line reporting failed
   points fails the comparison, since metrics from a partially-failed
@@ -119,13 +119,13 @@ def report_supervisor(lines):
         campaign = obj.get("campaign", "?")
         counters = ", ".join(
             f"{key}={obj[key]}"
-            for key in ("points", "ok", "timeouts", "exceptions",
+            for key in ("points", "ok", "exceptions",
                         "checker_violations")
             if key in obj)
         print(f"  {campaign}: {counters}")
         failed = sum(
             obj.get(key, 0)
-            for key in ("timeouts", "exceptions", "checker_violations"))
+            for key in ("exceptions", "checker_violations"))
         if failed:
             failures.append(
                 f"supervisor[{campaign}]: {failed} failed point(s)")

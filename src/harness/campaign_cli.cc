@@ -1,6 +1,7 @@
 #include "harness/campaign_cli.hh"
 
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -17,7 +18,7 @@ usage(const char* prog, const char* complaint, bool allowQuick)
     std::fprintf(
         stderr,
         "%s: %s\n"
-        "usage: %s %s[--jobs N] [--deadline-ms N]\n"
+        "usage: %s %s[--jobs N]\n"
         "       [--out FILE] [--manifest FILE] [--only-point I]\n"
         "       [--trace FILE[:categories]] [--stats-json FILE]\n",
         prog, complaint, prog, allowQuick ? "[--quick] " : "");
@@ -31,8 +32,7 @@ usage(const char* prog, const char* complaint, bool allowQuick)
  */
 std::uint64_t
 parseU64(const char* prog, const char* opt, const char* text,
-         bool allowQuick,
-         std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
+         bool allowQuick, std::uint64_t max)
 {
     errno = 0;
     char* end = nullptr;
@@ -98,14 +98,10 @@ CampaignOptions::parse(int argc, char** argv, bool allowQuick)
         };
 
         if (opt == "--jobs") {
-            o.policy.jobs =
+            o.jobs =
                 parseUnsigned(prog, "--jobs", value(i), allowQuick);
-            if (o.policy.jobs == 0)
+            if (o.jobs == 0)
                 usage(prog, "option --jobs: must be >= 1", allowQuick);
-        } else if (opt == "--deadline-ms") {
-            o.policy.deadlineMs = parseU64(prog, "--deadline-ms",
-                                           value(i), allowQuick,
-                                           kMaxDeadlineMs);
         } else if (opt == "--out") {
             o.outPath = value(i);
         } else if (opt == "--manifest") {
@@ -152,6 +148,15 @@ CampaignOptions::parse(int argc, char** argv, bool allowQuick)
                           arg);
             usage(prog, buf, allowQuick);
         }
+    }
+    // A repro prints its point to stdout; it has no campaign artifact
+    // or manifest to write, so these flags would be silently dropped.
+    if (o.onlyPoint >= 0 &&
+        (!o.outPath.empty() || !o.manifestPath.empty())) {
+        usage(prog,
+              "option --only-point cannot be combined with --out or "
+              "--manifest",
+              allowQuick);
     }
     return o;
 }

@@ -9,11 +9,10 @@
  * fallback:
  *
  *   --jobs N          shard points over N worker threads
- *   --deadline-ms N   per-point wall-clock deadline (0 = none,
- *                     at most 2^31 - 1)
  *   --out FILE        atomically write the final artifact to FILE
  *   --manifest FILE   atomically write the failure manifest to FILE
- *   --only-point I    run just point I inline (repro mode)
+ *   --only-point I    run just point I inline (repro mode; takes
+ *                     neither --out nor --manifest)
  *   --quick           CI-sized subset (benches that support it)
  *
  * plus the observability surface (docs/OBSERVABILITY.md):
@@ -30,7 +29,6 @@
 
 #include <string>
 
-#include "harness/campaign_supervisor.hh"
 #include "obs/trace.hh"
 
 namespace tb {
@@ -39,7 +37,8 @@ namespace harness {
 /** Parsed campaign command line. */
 struct CampaignOptions
 {
-    SupervisorPolicy policy;
+    /** Worker threads (at least 1). */
+    unsigned jobs = 1;
     std::string outPath;      ///< "" = stdout only
     std::string manifestPath; ///< "" = stderr only
     long onlyPoint = -1;      ///< >= 0: run one point and exit
@@ -51,9 +50,9 @@ struct CampaignOptions
 
     /**
      * Parse @p argv strictly. Unknown options, malformed numbers,
-     * numbers too large for their field, `--quick=VALUE` and
-     * `--quick` when @p allowQuick is false all print a usage error
-     * and exit 2.
+     * numbers too large for their field, `--quick=VALUE`, `--quick`
+     * when @p allowQuick is false and `--only-point` together with
+     * `--out` or `--manifest` all print a usage error and exit 2.
      */
     static CampaignOptions parse(int argc, char** argv,
                                  bool allowQuick);

@@ -21,10 +21,8 @@
  * counters, the full per-component machine statistics (through the
  * StatVisitor seam) and the per-episode prediction ledger.
  *
- * Coverage caveat: only points that finish are captured; a point that
- * throws deposits nothing. A timed-out point's abandoned attempt can
- * still deposit if it finishes before writeFiles(), so with timeouts
- * the artifacts are not deterministic.
+ * Coverage: the campaign benches deposit once a point has finished
+ * without throwing, so the artifacts hold exactly the ok points.
  */
 
 #ifndef TB_HARNESS_OBS_CAPTURE_HH_

@@ -51,9 +51,9 @@ class ParallelCampaignRunner
      * aggregating *every* failed index plus the first diagnostic —
      * the campaign never hides how much of it failed.
      *
-     * (CampaignSupervisor runs its points through this runner and
-     * adds deadlines and a failure manifest — prefer it for
-     * campaigns.)
+     * (superviseCampaign runs its points through this runner and
+     * adds per-point classification and a failure manifest — prefer
+     * it for campaigns.)
      */
     void run(std::size_t count,
              const std::function<void(std::size_t)>& point) const;

@@ -2,15 +2,12 @@
  * @file
  * Lossless one-line serialization of ExperimentResult.
  *
- * A campaign point hands its result to the supervisor as a string
- * (`PointTask::run`): a timed-out attempt is abandoned, so it may
- * write only its own result box, never a caller-owned
- * ExperimentResult. That requires the full result — every field the
- * report renderers consume — to round-trip exactly, so doubles are
- * emitted with max_digits10 precision and ticks verbatim:
- * deserialize(serialize(r)) reproduces bit-identical report output.
- * `--only-point` prints the same line, and the benchmark harness
- * checksums it.
+ * The line is a point's digest: the figure campaigns' `--only-point`
+ * prints it, and the benchmark harness checksums it. It carries the
+ * full result — every field the report renderers consume — so doubles
+ * are emitted with max_digits10 precision and ticks verbatim:
+ * deserialize(serialize(r)) reproduces bit-identical report output,
+ * which the round-trip tests check.
  *
  * The format is a single `TBRESULT1 key=value ...` line with quoted,
  * backslash-escaped strings — cheap enough to parse without a JSON

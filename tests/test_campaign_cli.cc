@@ -30,21 +30,21 @@ parseArgs(std::initializer_list<const char*> args)
 TEST(CampaignCli, SupervisorFlagsParse)
 {
     const CampaignOptions o = parseArgs(
-        {"--out", "A", "--manifest=M", "--deadline-ms", "5", "--quick"});
+        {"--out", "A", "--manifest=M", "--jobs", "5", "--quick"});
     EXPECT_EQ(o.outPath, "A");
     EXPECT_EQ(o.manifestPath, "M");
-    EXPECT_EQ(o.policy.deadlineMs, 5u);
-    EXPECT_EQ(o.policy.jobs, 1u);
+    EXPECT_EQ(o.jobs, 5u);
+    EXPECT_EQ(o.onlyPoint, -1);
     EXPECT_TRUE(o.quick);
     EXPECT_EQ(o.reproFlags(), " --quick");
 }
 
 TEST(CampaignCli, LargestUnsignedValueIsAccepted)
 {
-    const CampaignOptions o =
-        parseArgs({"--jobs", "4294967295", "--deadline-ms=2147483647"});
-    EXPECT_EQ(o.policy.jobs, 4294967295u);
-    EXPECT_EQ(o.policy.deadlineMs, 2147483647u);
+    const CampaignOptions o = parseArgs(
+        {"--jobs", "4294967295", "--only-point=9223372036854775807"});
+    EXPECT_EQ(o.jobs, 4294967295u);
+    EXPECT_EQ(o.onlyPoint, 9223372036854775807L);
 }
 
 TEST(CampaignCliDeathTest, UnsignedValuesDoNotWrap)
@@ -54,14 +54,11 @@ TEST(CampaignCliDeathTest, UnsignedValuesDoNotWrap)
                 testing::ExitedWithCode(2), "--jobs.*out of range");
     EXPECT_EXIT(parseArgs({"--jobs=4294967296"}),
                 testing::ExitedWithCode(2), "--jobs.*out of range");
-    // A deadline past 2^31 - 1 ms used to overflow the watchdog's
-    // clock arithmetic and time out every point at once.
-    EXPECT_EXIT(parseArgs({"--deadline-ms", "18446744073709551615"}),
+    // A point index past LONG_MAX would wrap negative and turn repro
+    // mode off.
+    EXPECT_EXIT(parseArgs({"--only-point", "18446744073709551615"}),
                 testing::ExitedWithCode(2),
-                "--deadline-ms.*out of range");
-    EXPECT_EXIT(parseArgs({"--deadline-ms", "9223372036854"}),
-                testing::ExitedWithCode(2),
-                "--deadline-ms.*out of range");
+                "--only-point.*out of range");
     EXPECT_EXIT(parseArgs({"--only-point", "9223372036854775808"}),
                 testing::ExitedWithCode(2),
                 "--only-point.*out of range");
@@ -73,11 +70,25 @@ TEST(CampaignCliDeathTest, RemovedFlagsAreUnknown)
          {"--serve", "--worker", "--cache", "--lease-ms",
           "--heartbeat-ms", "--worker-name", "--net-faults",
           "--reconnect-ms", "--retries", "--backoff-ms",
-          "--sim-threads", "--sim-partitions", "--isolate"}) {
+          "--sim-threads", "--sim-partitions", "--isolate",
+          "--deadline-ms"}) {
         EXPECT_EXIT(parseArgs({flag, "1"}), testing::ExitedWithCode(2),
                     std::string("unknown option '") + flag + "'")
             << flag;
     }
+}
+
+TEST(CampaignCliDeathTest, OnlyPointRejectsArtifactFlags)
+{
+    // A repro prints one point to stdout; it used to exit 0 without
+    // writing the --out or --manifest file it was given.
+    EXPECT_EXIT(parseArgs({"--only-point", "0", "--out", "F"}),
+                testing::ExitedWithCode(2),
+                "--only-point cannot be combined with --out");
+    EXPECT_EXIT(parseArgs({"--manifest=M", "--only-point", "3"}),
+                testing::ExitedWithCode(2),
+                "--only-point cannot be combined with --out or "
+                "--manifest");
 }
 
 TEST(CampaignCliDeathTest, SwitchRejectsInlineValue)

@@ -1,21 +1,20 @@
 /**
  * @file
- * CampaignSupervisor tests: one run per point, continue-on-error
- * outcome classification, timeout classification of a deliberately
- * hung point, and the failure manifest / counter surfaces.
+ * superviseCampaign tests: one run per point, continue-on-error
+ * outcome classification, no return before every point has finished,
+ * and the failure manifest / counter surfaces.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
 #include <atomic>
-#include <condition_variable>
+#include <chrono>
 #include <cstddef>
-#include <memory>
-#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "harness/campaign_supervisor.hh"
 #include "sim/logging.hh"
@@ -23,34 +22,30 @@
 namespace tb {
 namespace {
 
-using harness::CampaignSupervisor;
 using harness::PointOutcome;
 using harness::PointTask;
-using harness::SupervisorPolicy;
 using harness::SupervisorReport;
+using harness::superviseCampaign;
 
 TEST(Supervisor, FailedPointRunsOnceAndOthersComplete)
 {
     // Simulations are deterministic, so the supervisor never reruns a
     // failed point: it is classified after one run and the campaign
     // carries on with the rest.
-    SupervisorPolicy p;
-    p.jobs = 2;
-    CampaignSupervisor sup(p);
-
     std::array<std::atomic<int>, 8> calls{};
+    std::array<std::string, 8> results;
     PointTask task;
     task.run = [&](std::size_t i) {
         ++calls[i];
         if (i == 5)
             throw std::runtime_error("always broken");
-        return "ok:" + std::to_string(i);
+        results[i] = "ok:" + std::to_string(i);
     };
     task.repro = [](std::size_t i) {
         return "bench --only-point " + std::to_string(i);
     };
 
-    const SupervisorReport r = sup.run(8, task);
+    const SupervisorReport r = superviseCampaign(2, 8, task);
     for (std::size_t i = 0; i < 8; ++i)
         EXPECT_EQ(calls[i].load(), 1) << "point " << i;
     EXPECT_EQ(r.points[5].outcome, PointOutcome::Exception);
@@ -61,23 +56,21 @@ TEST(Supervisor, FailedPointRunsOnceAndOthersComplete)
     for (std::size_t i = 0; i < 8; ++i) {
         if (i != 5) {
             EXPECT_EQ(r.points[i].outcome, PointOutcome::Ok);
-            EXPECT_EQ(sup.results()[i], "ok:" + std::to_string(i));
+            EXPECT_EQ(results[i], "ok:" + std::to_string(i));
         }
     }
 }
 
 TEST(Supervisor, ClassifiesPanicAsCheckerViolation)
 {
-    CampaignSupervisor sup(SupervisorPolicy{});
     PointTask task;
-    task.run = [](std::size_t i) -> std::string {
+    task.run = [](std::size_t i) {
         if (i == 1)
             panic("SWMR violated on line 0x40");
         if (i == 2)
             fatal("bad configuration");
-        return "fine";
     };
-    const SupervisorReport r = sup.run(3, task);
+    const SupervisorReport r = superviseCampaign(1, 3, task);
     EXPECT_EQ(r.points[0].outcome, PointOutcome::Ok);
     EXPECT_EQ(r.points[1].outcome, PointOutcome::CheckerViolation);
     EXPECT_NE(r.points[1].message.find("SWMR"), std::string::npos);
@@ -86,61 +79,36 @@ TEST(Supervisor, ClassifiesPanicAsCheckerViolation)
     EXPECT_EQ(r.count(PointOutcome::Exception), 1u);
 }
 
-TEST(Supervisor, TimeoutClassifiesHungPoint)
+TEST(Supervisor, ReturnsOnlyAfterEveryPointFinished)
 {
-    SupervisorPolicy p;
-    p.jobs = 2;
-    p.deadlineMs = 50;
-    CampaignSupervisor sup(p);
-
-    // The hung point blocks on a latch the test releases *after* the
-    // supervisor has given up on it, proving the campaign finished
-    // around a point that was still running.
-    struct Latch
-    {
-        std::mutex mu;
-        std::condition_variable cv;
-        bool release = false;
-    };
-    auto latch = std::make_shared<Latch>();
-
+    // A slow point is waited for, never abandoned: once the campaign
+    // returns, no point is still running, so every point may write
+    // state its caller owns.
+    std::array<std::atomic<bool>, 4> done{};
     PointTask task;
-    task.run = [latch](std::size_t i) -> std::string {
-        if (i == 1) {
-            std::unique_lock<std::mutex> lock(latch->mu);
-            latch->cv.wait(lock, [&]() { return latch->release; });
-        }
-        return "done:" + std::to_string(i);
+    task.run = [&](std::size_t i) {
+        if (i == 1)
+            std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        done[i] = true;
     };
-    const SupervisorReport r = sup.run(4, task);
-    EXPECT_EQ(r.points[1].outcome, PointOutcome::Timeout);
-    EXPECT_EQ(r.points[1].message,
-              "deadline of 50 ms exceeded (attempt thread abandoned)");
-    EXPECT_EQ(r.count(PointOutcome::Ok), 3u);
-    EXPECT_EQ(r.failures(), 1u);
-
-    {
-        std::lock_guard<std::mutex> lock(latch->mu);
-        latch->release = true;
-    }
-    latch->cv.notify_all();
-    sup.joinAbandonedForTest();
+    const SupervisorReport r = superviseCampaign(2, 4, task);
+    EXPECT_TRUE(r.ok());
+    for (std::size_t i = 0; i < 4; ++i)
+        EXPECT_TRUE(done[i].load()) << "point " << i;
 }
 
 TEST(Supervisor, ManifestListsEveryFailureWithRepro)
 {
-    CampaignSupervisor sup(SupervisorPolicy{});
     PointTask task;
-    task.run = [](std::size_t i) -> std::string {
+    task.run = [](std::size_t i) {
         if (i % 2 == 1)
             throw std::runtime_error("odd point " +
                                      std::to_string(i));
-        return "even";
     };
     task.repro = [](std::size_t i) {
         return "bench --only-point " + std::to_string(i);
     };
-    const SupervisorReport r = sup.run(6, task);
+    const SupervisorReport r = superviseCampaign(1, 6, task);
 
     std::ostringstream manifest;
     r.writeManifest(manifest, "test");
@@ -163,14 +131,14 @@ TEST(Supervisor, ManifestListsEveryFailureWithRepro)
     EXPECT_NE(summary.find("\"exceptions\": 3"), std::string::npos);
     EXPECT_NE(summary.find("\"ok\": 3"), std::string::npos);
     EXPECT_EQ(summary.find("crashes"), std::string::npos) << summary;
+    EXPECT_EQ(summary.find("timeouts"), std::string::npos) << summary;
 }
 
 TEST(Supervisor, ZeroPointsIsANoop)
 {
-    CampaignSupervisor sup(SupervisorPolicy{});
     PointTask task;
-    task.run = [](std::size_t) { return "never"; };
-    const SupervisorReport r = sup.run(0, task);
+    task.run = [](std::size_t) { FAIL() << "no point to run"; };
+    const SupervisorReport r = superviseCampaign(1, 0, task);
     EXPECT_TRUE(r.ok());
     EXPECT_EQ(r.points.size(), 0u);
 }

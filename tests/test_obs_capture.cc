@@ -15,7 +15,6 @@
 #include "harness/campaign_supervisor.hh"
 #include "harness/experiment.hh"
 #include "harness/obs_capture.hh"
-#include "harness/result_serde.hh"
 #include "workloads/app_profile.hh"
 
 namespace tb {
@@ -112,9 +111,6 @@ runCapturedCampaign(unsigned jobs)
         harness::ConfigKind::Thrifty,
     };
 
-    harness::SupervisorPolicy policy;
-    policy.jobs = jobs;
-    harness::CampaignSupervisor sup{policy};
     harness::PointTask task;
     task.run = [&](std::size_t i) {
         harness::RunOptions ro;
@@ -123,9 +119,8 @@ runCapturedCampaign(unsigned jobs)
         const auto r = harness::runExperiment(smallSys(7), smallApp(),
                                               kinds[i], ro);
         capture.deposit(i, r, &scope, harness::configName(kinds[i]));
-        return harness::serializeResult(r);
     };
-    const auto report = sup.run(3, task);
+    const auto report = harness::superviseCampaign(jobs, 3, task);
     EXPECT_EQ(report.count(harness::PointOutcome::Ok), 3u);
     return {capture.renderTraceFile(), capture.renderStatsFile()};
 }

@@ -263,7 +263,7 @@ ruleWallClock(const FileCtx& ctx, std::vector<Finding>* out)
                      "behaviour must depend only on (config, seed)",
                  "derive times from Tick and randomness from "
                  "tb::Random(seed); for true wall-clock sites "
-                 "(deadlines, bench timing) add "
+                 "(bench timing) add "
                  "tblint-allow(TBL002) with the reason");
             continue;
         }
