@@ -6,18 +6,18 @@
 #ifndef TB_BENCH_BENCH_UTIL_HH_
 #define TB_BENCH_BENCH_UTIL_HH_
 
-#include <cstdio>
+#include <exception>
+#include <functional>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "harness/campaign_cli.hh"
 #include "harness/campaign_journal.hh"
-#include "harness/campaign_supervisor.hh"
 #include "harness/experiment.hh"
 #include "harness/obs_capture.hh"
+#include "harness/parallel_runner.hh"
 #include "harness/result_serde.hh"
 #include "harness/report.hh"
 #include "obs/json_writer.hh"
@@ -37,51 +37,100 @@ figureConfigs()
 }
 
 /**
- * The (app x configuration) matrix as a supervised PointTask: point i
- * writes its result to (*results)[i]. The closures reference @p sys,
- * @p apps, @p opts, @p results and @p capture — all must outlive the
- * returned task. `--only-point` runs `task.run(i)` too, so a repro
- * command simulates exactly the plan that failed.
+ * Run @p count campaign points through ParallelCampaignRunner on
+ * `--jobs` threads; returns once every point has returned. When
+ * points failed, prints the runner's diagnostic (every failed index,
+ * one `point I: <what>` line each when several failed) and one rerun
+ * command per failed point to stderr, and returns false: the caller
+ * then exits 1 and writes no artifact.
  */
-inline harness::PointTask
-matrixPointTask(const harness::SystemConfig& sys,
-                const std::vector<workloads::AppProfile>& apps,
-                const harness::CampaignOptions& opts,
-                const char* prog,
-                std::vector<harness::ExperimentResult>* results,
-                harness::ObsCapture* capture)
+inline bool
+runCampaignPoints(const harness::CampaignOptions& opts, const char* prog,
+                  std::size_t count,
+                  const std::function<void(std::size_t)>& point)
 {
-    const std::vector<harness::ConfigKind> kinds = figureConfigs();
-    harness::PointTask task;
-    task.run = [&sys, &apps, results, capture, kinds](std::size_t i) {
-        const std::size_t a = i / kinds.size();
-        const std::size_t k = i % kinds.size();
-        harness::RunOptions ro;
-        harness::ObsCapture::PointScope scope;
-        capture->arm(i, &ro, &scope);
-        (*results)[i] =
-            harness::runExperiment(sys, apps[a], kinds[k], ro);
-        capture->deposit(i, (*results)[i], &scope,
-                         apps[a].name + "/" +
-                             harness::configName(kinds[k]));
-    };
-    task.repro = [&opts, prog](std::size_t i) {
-        return std::string(prog) + " --only-point " +
-               std::to_string(i) + opts.reproFlags();
-    };
-    return task;
+    // The runner rethrows a single failure unchanged, without its
+    // index, so the rerun commands need their own record of which
+    // points failed. Index-disjoint like the runner's error slots:
+    // point i's worker alone writes failed[i], and the join publishes
+    // it.
+    std::vector<char> failed(count, 0);
+    try {
+        harness::ParallelCampaignRunner(opts.jobs).run(
+            count, [&](std::size_t i) {
+                try {
+                    point(i);
+                } catch (...) {
+                    failed[i] = 1;
+                    throw;
+                }
+            });
+        return true;
+    } catch (const std::exception& e) {
+        std::cerr << e.what() << '\n';
+    }
+    for (std::size_t i = 0; i < count; ++i) {
+        if (failed[i]) {
+            std::cerr << "rerun a point with: " << prog
+                      << " --only-point " << i << opts.reproFlags()
+                      << '\n';
+        }
+    }
+    return false;
 }
 
 /**
- * `--only-point` of the figure campaigns: run that point through the
- * campaign's own task and print its serialized result
- * (harness/result_serde.hh). Returns the exit code.
+ * A successful campaign's epilogue: the prediction line (stdout,
+ * with --stats-json) and the artifact files, each written atomically
+ * — `--trace`, `--stats-json` and `--out`. @p artifact is the
+ * campaign's canonical deterministic output, already printed to
+ * stdout by the caller.
+ */
+inline void
+writeCampaignArtifacts(const harness::CampaignOptions& opts,
+                       const std::string& artifact,
+                       const harness::ObsCapture& capture)
+{
+    if (capture.statsEnabled())
+        std::cout << capture.predictionSummaryJson() << std::flush;
+    capture.writeFiles();
+    if (!opts.outPath.empty())
+        harness::writeFileAtomic(opts.outPath, artifact);
+}
+
+/**
+ * Run point @p i of the figure campaigns' (app x configuration)
+ * matrix. The campaign and `--only-point` both run it, so a rerun
+ * simulates exactly the plan that failed.
+ */
+inline harness::ExperimentResult
+runMatrixPoint(const harness::SystemConfig& sys,
+               const std::vector<workloads::AppProfile>& apps,
+               std::size_t i, harness::ObsCapture* capture)
+{
+    const std::vector<harness::ConfigKind> kinds = figureConfigs();
+    const std::size_t a = i / kinds.size();
+    const std::size_t k = i % kinds.size();
+    harness::RunOptions ro;
+    harness::ObsCapture::PointScope scope;
+    capture->arm(i, &ro, &scope);
+    harness::ExperimentResult r =
+        harness::runExperiment(sys, apps[a], kinds[k], ro);
+    capture->deposit(i, r, &scope,
+                     apps[a].name + "/" + harness::configName(kinds[k]));
+    return r;
+}
+
+/**
+ * `--only-point` of the figure campaigns: run that point and print
+ * its serialized result (harness/result_serde.hh). Returns the exit
+ * code.
  */
 inline int
 runOnlyMatrixPoint(const harness::SystemConfig& sys,
                    const std::vector<workloads::AppProfile>& apps,
                    const harness::CampaignOptions& opts,
-                   const char* prog, harness::ObsCapture* capture)
+                   harness::ObsCapture* capture)
 {
     const std::size_t count = apps.size() * figureConfigs().size();
     const std::size_t i = static_cast<std::size_t>(opts.onlyPoint);
@@ -90,25 +139,22 @@ runOnlyMatrixPoint(const harness::SystemConfig& sys,
                   << " out of range [0, " << count << ")\n";
         return 2;
     }
-    std::vector<harness::ExperimentResult> results(count);
-    matrixPointTask(sys, apps, opts, prog, &results, capture).run(i);
-    std::cout << harness::serializeResult(results[i]) << '\n';
-    if (capture->statsEnabled())
-        std::cout << capture->predictionSummaryJson();
-    capture->writeFiles();
+    std::cout << harness::serializeResult(
+                     runMatrixPoint(sys, apps, i, capture))
+              << '\n';
+    writeCampaignArtifacts(opts, "", *capture);
     return 0;
 }
 
 /**
- * Run the figure campaigns' (app x configuration) matrix through
- * superviseCampaign. @p groups comes back grouped per app in figure
- * order, whatever --jobs is; consult the returned report before
- * rendering — failed points leave default-constructed entries.
- * @p capture records each finished point's trace and stats (--trace /
+ * Run the figure campaigns' (app x configuration) matrix. On success
+ * @p groups comes back grouped per app in figure order, whatever
+ * --jobs is; false means points failed (runCampaignPoints). @p capture
+ * records each finished point's trace and stats (--trace /
  * --stats-json) when those are on.
  */
-inline harness::SupervisorReport
-runAppConfigMatrixSupervised(
+inline bool
+runAppConfigMatrix(
     const harness::SystemConfig& sys,
     const std::vector<workloads::AppProfile>& apps,
     const harness::CampaignOptions& opts, const char* prog,
@@ -116,16 +162,15 @@ runAppConfigMatrixSupervised(
     harness::ObsCapture* capture)
 {
     const std::size_t configs = figureConfigs().size();
-    const std::size_t count = apps.size() * configs;
-    std::vector<harness::ExperimentResult> results(count);
-    const harness::SupervisorReport report = harness::superviseCampaign(
-        opts.jobs, count,
-        matrixPointTask(sys, apps, opts, prog, &results, capture));
-
+    std::vector<harness::ExperimentResult> results(apps.size() * configs);
+    if (!runCampaignPoints(opts, prog, results.size(), [&](std::size_t i) {
+            results[i] = runMatrixPoint(sys, apps, i, capture);
+        }))
+        return false;
     groups->assign(apps.size(), {});
-    for (std::size_t i = 0; i < count; ++i)
+    for (std::size_t i = 0; i < results.size(); ++i)
         (*groups)[i / configs].push_back(std::move(results[i]));
-    return report;
+    return true;
 }
 
 /** One point of a robustness campaign (seeds or faults sweep). */
@@ -203,45 +248,6 @@ printMicroJson(std::ostream& os, const MicroMetric& m)
         .field("wall_s", m.wallSeconds);
     w.endObject();
     os << '\n';
-}
-
-/**
- * Emit a supervised campaign's epilogue: the failure manifest (repro
- * command per failed point) to stderr plus optional atomic artifact
- * files, and map the report to the process exit code. @p artifact is
- * the campaign's canonical deterministic output — already printed to
- * stdout by the caller — which `--out` persists via atomic rename, so
- * no partial artifact ever appears. The supervisor counter line (kind
- * "supervisor") goes to stdout only: it describes the run (point
- * failures), not the paper artifact.
- */
-inline int
-finishSupervisedCampaign(const harness::CampaignOptions& opts,
-                         const harness::SupervisorReport& report,
-                         const std::string& campaign,
-                         const std::string& artifact,
-                         const harness::ObsCapture* capture = nullptr)
-{
-    std::cout << report.summaryJson(campaign) << std::flush;
-    if (capture && capture->statsEnabled())
-        std::cout << capture->predictionSummaryJson() << std::flush;
-    if (capture)
-        capture->writeFiles();
-
-    std::ostringstream manifest;
-    report.writeManifest(manifest, campaign);
-    if (!manifest.str().empty())
-        std::cerr << manifest.str() << std::flush;
-    if (!opts.manifestPath.empty()) {
-        if (!report.ok())
-            harness::writeFileAtomic(opts.manifestPath,
-                                     manifest.str());
-        else
-            std::remove(opts.manifestPath.c_str());
-    }
-    if (!opts.outPath.empty())
-        harness::writeFileAtomic(opts.outPath, artifact);
-    return report.ok() ? 0 : 1;
 }
 
 /** Standard banner for every bench binary. */

@@ -6,13 +6,13 @@
  * Compute / Spin / Transition / Sleep, plus the Section 5.1 headline
  * averages over the five target applications.
  *
- *   figure5_energy [--jobs N] [--out FILE] [--manifest FILE]
- *                  [--only-point I]
+ *   figure5_energy [--jobs N] [--out FILE] [--only-point I]
  *                  [--trace FILE[:categories]] [--stats-json FILE]
  *
- * The 50 (app x configuration) simulations run under the campaign
- * supervisor, sharded over --jobs threads (see docs/ROBUSTNESS.md,
- * "Supervised campaigns"). --only-point I prints point I's serialized
+ * The 50 (app x configuration) simulations are campaign points,
+ * sharded over --jobs threads (see docs/ROBUSTNESS.md, "Campaigns").
+ * A failed point exits 1 with its diagnostic and rerun command on
+ * stderr, and no artifact. --only-point I prints point I's serialized
  * result under the same plan the campaign would use.
  */
 
@@ -31,46 +31,38 @@ main(int argc, char** argv)
     const harness::SystemConfig sys =
         harness::SystemConfig::paperDefault();
     const auto apps = workloads::paperApps();
-    harness::ObsCapture capture(opts, "figure5_energy");
+    harness::ObsCapture capture(
+        opts, "figure5_energy", apps.size() * bench::figureConfigs().size());
 
-    if (opts.onlyPoint >= 0) {
-        return bench::runOnlyMatrixPoint(sys, apps, opts, "figure5_energy",
-                                         &capture);
-    }
+    if (opts.onlyPoint >= 0)
+        return bench::runOnlyMatrixPoint(sys, apps, opts, &capture);
 
     bench::banner("Figure 5 — normalized energy consumption", sys);
 
     std::vector<std::vector<harness::ExperimentResult>> groups;
-    const harness::SupervisorReport report =
-        bench::runAppConfigMatrixSupervised(sys, apps, opts,
-                                            "figure5_energy", &groups,
-                                            &capture);
+    if (!bench::runAppConfigMatrix(sys, apps, opts, "figure5_energy",
+                                   &groups, &capture))
+        return 1;
 
     std::ostringstream artifact;
-    if (report.ok()) {
-        for (const auto& group : groups) {
-            harness::report::printBreakdownGroup(artifact, group,
-                                                 /*use_energy=*/true);
-            harness::report::printStackedBars(artifact, group,
-                                              /*use_energy=*/true);
-            artifact << '\n';
-        }
-        harness::report::printSummary(artifact, groups,
-                                      workloads::targetAppNames());
-        artifact
-            << "\nPaper reference (Section 5.1): Thrifty saves "
-               "~17% energy on the five target\napplications at "
-               "~2% slowdown; Thrifty-Halt saves ~11%. Shapes to "
-               "check: energy\nordering I <= T <= H <= B on "
-               "imbalanced apps, FFT/Cholesky == Baseline, Ocean\n"
-               "slightly above Baseline.\n";
-        std::cout << artifact.str() << std::flush;
-    } else {
-        std::cout << "figure withheld: " << report.failures()
-                  << " point failure(s) — see the failure manifest\n";
+    for (const auto& group : groups) {
+        harness::report::printBreakdownGroup(artifact, group,
+                                             /*use_energy=*/true);
+        harness::report::printStackedBars(artifact, group,
+                                          /*use_energy=*/true);
+        artifact << '\n';
     }
+    harness::report::printSummary(artifact, groups,
+                                  workloads::targetAppNames());
+    artifact
+        << "\nPaper reference (Section 5.1): Thrifty saves "
+           "~17% energy on the five target\napplications at "
+           "~2% slowdown; Thrifty-Halt saves ~11%. Shapes to "
+           "check: energy\nordering I <= T <= H <= B on "
+           "imbalanced apps, FFT/Cholesky == Baseline, Ocean\n"
+           "slightly above Baseline.\n";
+    std::cout << artifact.str() << std::flush;
 
-    return bench::finishSupervisedCampaign(opts, report,
-                                           "figure5_energy",
-                                           artifact.str(), &capture);
+    bench::writeCampaignArtifacts(opts, artifact.str(), capture);
+    return 0;
 }

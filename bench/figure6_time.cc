@@ -4,13 +4,11 @@
  * applications under the five configurations, broken into
  * Compute / Spin / Transition / Sleep per-CPU time.
  *
- *   figure6_time [--jobs N] [--out FILE] [--manifest FILE]
- *                [--only-point I]
+ *   figure6_time [--jobs N] [--out FILE] [--only-point I]
  *                [--trace FILE[:categories]] [--stats-json FILE]
  *
- * The 50 (app x configuration) simulations run under the campaign
- * supervisor — same surface as figure5_energy (docs/ROBUSTNESS.md,
- * "Supervised campaigns").
+ * The 50 (app x configuration) simulations are campaign points —
+ * same surface as figure5_energy (docs/ROBUSTNESS.md, "Campaigns").
  */
 
 #include <iostream>
@@ -28,45 +26,37 @@ main(int argc, char** argv)
     const harness::SystemConfig sys =
         harness::SystemConfig::paperDefault();
     const auto apps = workloads::paperApps();
-    harness::ObsCapture capture(opts, "figure6_time");
+    harness::ObsCapture capture(
+        opts, "figure6_time", apps.size() * bench::figureConfigs().size());
 
-    if (opts.onlyPoint >= 0) {
-        return bench::runOnlyMatrixPoint(sys, apps, opts, "figure6_time",
-                                         &capture);
-    }
+    if (opts.onlyPoint >= 0)
+        return bench::runOnlyMatrixPoint(sys, apps, opts, &capture);
 
     bench::banner("Figure 6 — normalized execution time", sys);
 
     std::vector<std::vector<harness::ExperimentResult>> groups;
-    const harness::SupervisorReport report =
-        bench::runAppConfigMatrixSupervised(sys, apps, opts,
-                                            "figure6_time", &groups,
-                                            &capture);
+    if (!bench::runAppConfigMatrix(sys, apps, opts, "figure6_time",
+                                   &groups, &capture))
+        return 1;
 
     std::ostringstream artifact;
-    if (report.ok()) {
-        for (const auto& group : groups) {
-            harness::report::printBreakdownGroup(artifact, group,
-                                                 /*use_energy=*/false);
-            harness::report::printStackedBars(artifact, group,
-                                              /*use_energy=*/false);
-            artifact << '\n';
-        }
-        harness::report::printSummary(artifact, groups,
-                                      workloads::targetAppNames());
-        artifact
-            << "\nPaper reference (Section 5.1): performance "
-               "degradation well bounded — about 2%\non average for "
-               "the target applications, virtually zero elsewhere "
-               "except Ocean\n(contained within 3.5% by the "
-               "overprediction cutoff).\n";
-        std::cout << artifact.str() << std::flush;
-    } else {
-        std::cout << "figure withheld: " << report.failures()
-                  << " point failure(s) — see the failure manifest\n";
+    for (const auto& group : groups) {
+        harness::report::printBreakdownGroup(artifact, group,
+                                             /*use_energy=*/false);
+        harness::report::printStackedBars(artifact, group,
+                                          /*use_energy=*/false);
+        artifact << '\n';
     }
+    harness::report::printSummary(artifact, groups,
+                                  workloads::targetAppNames());
+    artifact
+        << "\nPaper reference (Section 5.1): performance "
+           "degradation well bounded — about 2%\non average for "
+           "the target applications, virtually zero elsewhere "
+           "except Ocean\n(contained within 3.5% by the "
+           "overprediction cutoff).\n";
+    std::cout << artifact.str() << std::flush;
 
-    return bench::finishSupervisedCampaign(opts, report,
-                                           "figure6_time",
-                                           artifact.str(), &capture);
+    bench::writeCampaignArtifacts(opts, artifact.str(), capture);
+    return 0;
 }

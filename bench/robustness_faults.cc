@@ -9,25 +9,24 @@
  * three-hop), all three wake-up policies and eight injection seeds,
  * with the protocol checker and its liveness watchdogs armed. A run
  * passes when every barrier releases, every sleeper wakes and no
- * invariant trips; failed points are classified (exception /
- * checker-violation) in the failure manifest with a one-line repro
- * command each. One point is replayed to prove bit-identical
- * determinism from (spec, seed).
+ * invariant trips; a failed point (`panic:` for a checker violation,
+ * `fatal:` for a bad configuration) fails the campaign with its
+ * diagnostic and a rerun command on stderr. One point is replayed to
+ * prove bit-identical determinism from (spec, seed).
  *
  *   robustness_faults [--quick] [--jobs N] [--out FILE]
- *                     [--manifest FILE] [--only-point I]
+ *                     [--only-point I]
  *                     [--trace FILE[:categories]] [--stats-json FILE]
  *
- * Points are independent simulations supervised by
- * harness::superviseCampaign and sharded over --jobs threads. The
+ * Points are independent simulations run by
+ * harness::ParallelCampaignRunner, sharded over --jobs threads. The
  * armed checker's liveness watchdogs turn a barrier that never
  * releases in simulated time into a checker violation; a point that
  * livelocks the host hangs the campaign, and the caller's timeout
  * (the CI step's) bounds it.
  *
  * Emits one JSON line per run in the shared campaign shape (see
- * bench_util.hh), comparable with robustness_seeds output, plus one
- * supervisor-counter line (kind "supervisor").
+ * bench_util.hh), comparable with robustness_seeds output.
  */
 
 #include <cstdio>
@@ -82,9 +81,8 @@ struct Point
 
 std::string pointLabel(const Point& p);
 
-/** Run one point (throws on any simulation/checker failure; the
- *  supervisor classifies it). A non-null @p capture records the
- *  point's trace/stats artifacts. */
+/** Run one point (throws on any simulation/checker failure). A
+ *  non-null @p capture records the point's trace/stats artifacts. */
 harness::ExperimentResult
 runPoint(const Point& p, const workloads::AppProfile& app,
          std::size_t index, harness::ObsCapture* capture)
@@ -132,7 +130,7 @@ printPointJson(std::ostream& os, const Point& p,
     tb::bench::printCampaignJson(os, pt, r);
 }
 
-/** Human-readable identity of a point (manifest context). */
+/** Human-readable identity of a point (trace label, rerun context). */
 std::string
 pointLabel(const Point& p)
 {
@@ -192,19 +190,14 @@ main(int argc, char** argv)
         }
     }
 
-    harness::ObsCapture capture(opts, "faults");
+    harness::ObsCapture capture(opts, "faults", points.size());
     std::vector<harness::ExperimentResult> results(points.size());
-    harness::PointTask task;
-    task.run = [&](std::size_t i) {
+    const auto run_point = [&](std::size_t i) {
         results[i] = runPoint(points[i], app, i,
                               capture.active() ? &capture : nullptr);
     };
-    task.repro = [&](std::size_t i) {
-        return "robustness_faults --only-point " + std::to_string(i) +
-               opts.reproFlags() + "   # " + pointLabel(points[i]);
-    };
 
-    // Repro mode: run exactly one point inline, no supervision.
+    // Rerun mode: run exactly one point inline.
     if (opts.onlyPoint >= 0) {
         const std::size_t i = static_cast<std::size_t>(opts.onlyPoint);
         if (i >= points.size()) {
@@ -216,30 +209,26 @@ main(int argc, char** argv)
         }
         std::fprintf(stderr, "point %ld: %s\n", opts.onlyPoint,
                      pointLabel(points[i]).c_str());
-        task.run(i);
+        run_point(i);
         std::ostringstream line;
         printPointJson(line, points[i], results[i]);
         std::fputs(line.str().c_str(), stdout);
-        if (capture.statsEnabled())
-            std::fputs(capture.predictionSummaryJson().c_str(),
-                       stdout);
-        capture.writeFiles();
+        tb::bench::writeCampaignArtifacts(opts, "", capture);
         return 0;
     }
 
     tb::bench::banner("Robustness — fault-injection campaign",
                       harness::SystemConfig::small(dims.back()));
 
-    const harness::SupervisorReport report =
-        harness::superviseCampaign(opts.jobs, points.size(), task);
+    if (!tb::bench::runCampaignPoints(opts, "robustness_faults",
+                                      points.size(), run_point))
+        return 1;
 
     // Canonical campaign output: deterministic whatever --jobs is
     // (--out persists it atomically).
     std::ostringstream artifact;
     std::uint64_t injected = 0, watchdogs = 0, quarantines = 0;
     for (std::size_t i = 0; i < points.size(); ++i) {
-        if (report.points[i].outcome != harness::PointOutcome::Ok)
-            continue;
         const harness::ExperimentResult& r = results[i];
         printPointJson(artifact, points[i], r);
         injected += r.faultsInjected();
@@ -247,8 +236,7 @@ main(int argc, char** argv)
         quarantines += r.sync.quarantines;
     }
 
-    unsigned failures =
-        static_cast<unsigned>(report.failures());
+    unsigned failures = 0;
 
     // Determinism: an identical (spec, seed) pair must replay to
     // bit-identical stats and timing.
@@ -306,13 +294,8 @@ main(int argc, char** argv)
     std::fputs(artifact.str().c_str(), stdout);
     std::fflush(stdout);
 
-    if (failures > static_cast<unsigned>(report.failures())) {
-        // The determinism check failed: surface it through the exit
-        // code even though it is not a supervised point.
-        const int rc = tb::bench::finishSupervisedCampaign(
-            opts, report, "faults", artifact.str(), &capture);
-        return rc == 0 ? 1 : rc;
-    }
-    return tb::bench::finishSupervisedCampaign(
-        opts, report, "faults", artifact.str(), &capture);
+    // A failed determinism replay is not a campaign point: the
+    // artifact records it as FAIL and the exit code surfaces it.
+    tb::bench::writeCampaignArtifacts(opts, artifact.str(), capture);
+    return failures == 0 ? 0 : 1;
 }

@@ -5,14 +5,13 @@
  * five different synthetic-workload seeds. The paper's claim should
  * not hinge on one draw of the random streams.
  *
- *   robustness_seeds [--jobs N] [--out FILE] [--manifest FILE]
- *                    [--only-point I]
+ *   robustness_seeds [--jobs N] [--out FILE] [--only-point I]
  *                    [--trace FILE[:categories]] [--stats-json FILE]
  *
- * Each (seed, application) pair is one supervised campaign point
- * running the Baseline / Thrifty-Halt / Thrifty triple; points are
- * independent, so the campaign shards them exactly like
- * robustness_faults (docs/ROBUSTNESS.md, "Supervised campaigns").
+ * Each (seed, application) pair is one campaign point running the
+ * Baseline / Thrifty-Halt / Thrifty triple; points are independent,
+ * so the campaign shards them exactly like robustness_faults
+ * (docs/ROBUSTNESS.md, "Campaigns").
  *
  * Each run emits one JSON line in the shared campaign shape
  * (bench_util.hh), directly comparable with the fault-injection
@@ -122,18 +121,12 @@ main(int argc, char** argv)
                                         /*allowQuick=*/false);
     const std::vector<Point> points = pointSpace();
 
-    harness::ObsCapture capture(opts, "seeds");
+    // Three capture slots per point (runPoint).
+    harness::ObsCapture capture(opts, "seeds", points.size() * 3);
     std::vector<Triple> results(points.size());
-    harness::PointTask task;
-    task.run = [&](std::size_t i) {
+    const auto run_point = [&](std::size_t i) {
         results[i] =
             runPoint(points[i], i, capture.active() ? &capture : nullptr);
-    };
-    task.repro = [&](std::size_t i) {
-        return "robustness_seeds --only-point " + std::to_string(i) +
-               opts.reproFlags() + "   # seed=" +
-               std::to_string(points[i].seed) + " app=" +
-               points[i].app;
     };
 
     if (opts.onlyPoint >= 0) {
@@ -148,22 +141,20 @@ main(int argc, char** argv)
                      opts.onlyPoint,
                      static_cast<unsigned long long>(points[i].seed),
                      points[i].app.c_str());
-        task.run(i);
+        run_point(i);
         std::ostringstream lines;
         printPointJson(lines, points[i], results[i]);
         std::fputs(lines.str().c_str(), stdout);
-        if (capture.statsEnabled())
-            std::fputs(capture.predictionSummaryJson().c_str(),
-                       stdout);
-        capture.writeFiles();
+        tb::bench::writeCampaignArtifacts(opts, "", capture);
         return 0;
     }
 
     tb::bench::banner("Robustness — headline averages across seeds",
                       harness::SystemConfig::paperDefault());
 
-    const harness::SupervisorReport report =
-        harness::superviseCampaign(opts.jobs, points.size(), task);
+    if (!tb::bench::runCampaignPoints(opts, "robustness_seeds",
+                                      points.size(), run_point))
+        return 1;
 
     std::ostringstream artifact;
     const std::size_t apps_per_seed =
@@ -171,72 +162,65 @@ main(int argc, char** argv)
     std::vector<double> halt_savings, thrifty_savings,
         thrifty_slowdowns;
 
-    if (report.ok()) {
-        char row[128];
-        std::snprintf(row, sizeof(row), "%6s %16s %16s %14s\n",
-                      "seed", "H saving", "T saving", "T slowdown");
-        std::string table = row;
-        for (std::size_t s = 0; s < kSeeds.size(); ++s) {
-            double h_sum = 0.0, t_sum = 0.0, slow_sum = 0.0;
-            for (std::size_t a = 0; a < apps_per_seed; ++a) {
-                const std::size_t i = s * apps_per_seed + a;
-                const Triple& r = results[i];
-                printPointJson(artifact, points[i], r);
-                const double base_e = r.base.totalEnergy();
-                h_sum += 1.0 - r.halt.totalEnergy() / base_e;
-                t_sum += 1.0 - r.thrifty.totalEnergy() / base_e;
-                slow_sum += static_cast<double>(r.thrifty.execTime) /
-                                static_cast<double>(r.base.execTime) -
-                            1.0;
-            }
-            const double n = static_cast<double>(apps_per_seed);
-            halt_savings.push_back(100.0 * h_sum / n);
-            thrifty_savings.push_back(100.0 * t_sum / n);
-            thrifty_slowdowns.push_back(100.0 * slow_sum / n);
-            std::snprintf(row, sizeof(row),
-                          "%6llu %15.1f%% %15.1f%% %13.2f%%\n",
-                          static_cast<unsigned long long>(kSeeds[s]),
-                          halt_savings.back(),
-                          thrifty_savings.back(),
-                          thrifty_slowdowns.back());
-            table += row;
+    char row[128];
+    std::snprintf(row, sizeof(row), "%6s %16s %16s %14s\n",
+                  "seed", "H saving", "T saving", "T slowdown");
+    std::string table = row;
+    for (std::size_t s = 0; s < kSeeds.size(); ++s) {
+        double h_sum = 0.0, t_sum = 0.0, slow_sum = 0.0;
+        for (std::size_t a = 0; a < apps_per_seed; ++a) {
+            const std::size_t i = s * apps_per_seed + a;
+            const Triple& r = results[i];
+            printPointJson(artifact, points[i], r);
+            const double base_e = r.base.totalEnergy();
+            h_sum += 1.0 - r.halt.totalEnergy() / base_e;
+            t_sum += 1.0 - r.thrifty.totalEnergy() / base_e;
+            slow_sum += static_cast<double>(r.thrifty.execTime) /
+                            static_cast<double>(r.base.execTime) -
+                        1.0;
         }
-        artifact << table;
-
-        const auto mean_sd = [](const std::vector<double>& v) {
-            double m = 0.0;
-            for (double x : v)
-                m += x;
-            m /= static_cast<double>(v.size());
-            double s2 = 0.0;
-            for (double x : v)
-                s2 += (x - m) * (x - m);
-            return std::pair<double, double>(
-                m, std::sqrt(s2 / static_cast<double>(v.size())));
-        };
-        const auto [hm, hs] = mean_sd(halt_savings);
-        const auto [tm, ts] = mean_sd(thrifty_savings);
-        const auto [sm, ss] = mean_sd(thrifty_slowdowns);
-
-        char buf[256];
-        std::snprintf(buf, sizeof(buf),
-                      "\nacross seeds (mean +/- sd):\n"
-                      "  Thrifty-Halt saving : %5.1f%% +/- %.1f\n"
-                      "  Thrifty saving      : %5.1f%% +/- %.1f  "
-                      "(paper ~17%%)\n"
-                      "  Thrifty slowdown    : %5.2f%% +/- %.2f  "
-                      "(paper ~2%%)\n",
-                      hm, hs, tm, ts, sm, ss);
-        artifact << buf;
-        std::fputs(artifact.str().c_str(), stdout);
-        std::fflush(stdout);
-    } else {
-        std::printf("summary withheld: %zu point failure(s) — see the "
-                    "failure manifest\n",
-                    report.failures());
+        const double n = static_cast<double>(apps_per_seed);
+        halt_savings.push_back(100.0 * h_sum / n);
+        thrifty_savings.push_back(100.0 * t_sum / n);
+        thrifty_slowdowns.push_back(100.0 * slow_sum / n);
+        std::snprintf(row, sizeof(row),
+                      "%6llu %15.1f%% %15.1f%% %13.2f%%\n",
+                      static_cast<unsigned long long>(kSeeds[s]),
+                      halt_savings.back(),
+                      thrifty_savings.back(),
+                      thrifty_slowdowns.back());
+        table += row;
     }
+    artifact << table;
 
-    return tb::bench::finishSupervisedCampaign(opts, report, "seeds",
-                                               artifact.str(),
-                                               &capture);
+    const auto mean_sd = [](const std::vector<double>& v) {
+        double m = 0.0;
+        for (double x : v)
+            m += x;
+        m /= static_cast<double>(v.size());
+        double s2 = 0.0;
+        for (double x : v)
+            s2 += (x - m) * (x - m);
+        return std::pair<double, double>(
+            m, std::sqrt(s2 / static_cast<double>(v.size())));
+    };
+    const auto [hm, hs] = mean_sd(halt_savings);
+    const auto [tm, ts] = mean_sd(thrifty_savings);
+    const auto [sm, ss] = mean_sd(thrifty_slowdowns);
+
+    char buf[256];
+    std::snprintf(buf, sizeof(buf),
+                  "\nacross seeds (mean +/- sd):\n"
+                  "  Thrifty-Halt saving : %5.1f%% +/- %.1f\n"
+                  "  Thrifty saving      : %5.1f%% +/- %.1f  "
+                  "(paper ~17%%)\n"
+                  "  Thrifty slowdown    : %5.2f%% +/- %.2f  "
+                  "(paper ~2%%)\n",
+                  hm, hs, tm, ts, sm, ss);
+    artifact << buf;
+    std::fputs(artifact.str().c_str(), stdout);
+    std::fflush(stdout);
+
+    tb::bench::writeCampaignArtifacts(opts, artifact.str(), capture);
+    return 0;
 }

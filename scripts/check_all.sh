@@ -17,7 +17,7 @@ if [ "${1:-}" = "--help" ] || [ "${1:-}" = "-h" ]; then
 usage: scripts/check_all.sh [preset ...]
 
 Presets (default: all of them, in this order):
-  lint         tblint static analysis + clang -Wthread-safety build
+  lint         tblint static analysis
   check        Debug + TB_CHECK=ON test suite (docs/CHECKING.md)
   faults       multi-seed fault campaign (docs/ROBUSTNESS.md)
   address      AddressSanitizer test suite
@@ -61,19 +61,10 @@ run_preset() {
     echo "==== preset $preset ===="
     if [ "$preset" = lint ]; then
         # Static analysis (docs/CHECKING.md): build tblint and sweep
-        # the whole tree; any finding fails the preset. With clang
-        # available, also prove the TB_GUARDED_BY annotations under
-        # -Wthread-safety (compile-only).
+        # the whole tree; any finding fails the preset.
         cmake -B "$dir" -G Ninja "${flags[@]}"
         cmake --build "$dir" -j --target tblint
         "$dir/tools/tblint/tblint" src tools bench
-        if command -v clang++ >/dev/null 2>&1; then
-            cmake -B "$dir-tsa" -G Ninja "${flags[@]}" \
-                -DCMAKE_CXX_COMPILER=clang++ -DTB_THREAD_SAFETY=ON
-            cmake --build "$dir-tsa" -j
-        else
-            echo "clang++ not found: skipping TB_THREAD_SAFETY build"
-        fi
         return 0
     fi
     cmake -B "$dir" -G Ninja "${flags[@]}"

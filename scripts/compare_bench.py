@@ -24,12 +24,6 @@ Policy:
   must be bit-identical per seed: any difference is a determinism
   failure, not a perf regression, and always fails regardless of
   threshold.
-* Supervised campaigns emit one counter line per run
-  (``"kind": "supervisor"``: exceptions, checker violations —
-  see docs/ROBUSTNESS.md). Counters found in the current file are
-  printed next to the metrics; a supervisor line reporting failed
-  points fails the comparison, since metrics from a partially-failed
-  campaign are not trustworthy.
 * Campaigns run with ``--stats-json`` also print one
   ``"kind": "prediction"`` line summarizing barrier-prediction
   accuracy (episodes, early/late wake split, mean absolute BIT error —
@@ -109,30 +103,6 @@ def report_prediction(lines):
     print()
 
 
-def report_supervisor(lines):
-    """Print campaign supervisor counters; return failure strings."""
-    failures = []
-    if not lines:
-        return failures
-    print("campaign supervisor counters:")
-    for obj in lines:
-        campaign = obj.get("campaign", "?")
-        counters = ", ".join(
-            f"{key}={obj[key]}"
-            for key in ("points", "ok", "exceptions",
-                        "checker_violations")
-            if key in obj)
-        print(f"  {campaign}: {counters}")
-        failed = sum(
-            obj.get(key, 0)
-            for key in ("exceptions", "checker_violations"))
-        if failed:
-            failures.append(
-                f"supervisor[{campaign}]: {failed} failed point(s)")
-    print()
-    return failures
-
-
 def main():
     ap = argparse.ArgumentParser(
         description="Gate micro_simcore results against a baseline.")
@@ -145,8 +115,6 @@ def main():
 
     base = load_metrics(args.baseline)
     cur = load_metrics(args.current)
-    supervisor_failures = report_supervisor(
-        load_kind_lines(args.current, "supervisor"))
     report_prediction(load_kind_lines(args.current, "prediction"))
 
     if "calibration" not in base or "calibration" not in cur:
@@ -160,7 +128,7 @@ def main():
     print(header)
     print("-" * len(header))
 
-    failures = list(supervisor_failures)
+    failures = []
     for name, (unit, base_val) in sorted(base.items()):
         if name == "calibration":
             continue

@@ -7,10 +7,9 @@
 # --jobs N shards the campaign-style benches (figure5_energy,
 # figure6_time, robustness_faults, robustness_seeds) across N host
 # threads. Their output is byte-identical to a serial run, so N only
-# affects wall time. A failed campaign point does not zero out the
-# sweep: each campaign writes a failure manifest
-# (results/<bench>.manifest.json) with one repro command per failed
-# point.
+# affects wall time. A campaign with a failed point exits 1 and prints
+# the diagnostic and a rerun command (`--only-point I`) per failed
+# point to stderr.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -31,14 +30,11 @@ ctest --test-dir build --output-on-failure
 
 mkdir -p results
 
-# Supervised campaign benches: final artifact emitted by atomic
-# rename, failure manifest on any failed point.
+# Campaign benches: final artifact emitted by atomic rename, only
+# when every point succeeded.
 campaign_args() {
     local name="$1"
-    local args="--jobs $JOBS"
-    args="$args --out results/$name.json"
-    args="$args --manifest results/$name.manifest.json"
-    echo "$args"
+    echo "--jobs $JOBS --out results/$name.json"
 }
 
 for b in build/bench/*; do

@@ -19,7 +19,7 @@ usage(const char* prog, const char* complaint, bool allowQuick)
         stderr,
         "%s: %s\n"
         "usage: %s %s[--jobs N]\n"
-        "       [--out FILE] [--manifest FILE] [--only-point I]\n"
+        "       [--out FILE] [--only-point I]\n"
         "       [--trace FILE[:categories]] [--stats-json FILE]\n",
         prog, complaint, prog, allowQuick ? "[--quick] " : "");
     std::exit(2);
@@ -104,8 +104,6 @@ CampaignOptions::parse(int argc, char** argv, bool allowQuick)
                 usage(prog, "option --jobs: must be >= 1", allowQuick);
         } else if (opt == "--out") {
             o.outPath = value(i);
-        } else if (opt == "--manifest") {
-            o.manifestPath = value(i);
         } else if (opt == "--only-point") {
             o.onlyPoint = static_cast<long>(
                 parseU64(prog, "--only-point", value(i), allowQuick,
@@ -149,13 +147,10 @@ CampaignOptions::parse(int argc, char** argv, bool allowQuick)
             usage(prog, buf, allowQuick);
         }
     }
-    // A repro prints its point to stdout; it has no campaign artifact
-    // or manifest to write, so these flags would be silently dropped.
-    if (o.onlyPoint >= 0 &&
-        (!o.outPath.empty() || !o.manifestPath.empty())) {
-        usage(prog,
-              "option --only-point cannot be combined with --out or "
-              "--manifest",
+    // A rerun prints its point to stdout; it has no campaign artifact
+    // to write, so --out would be silently dropped.
+    if (o.onlyPoint >= 0 && !o.outPath.empty()) {
+        usage(prog, "option --only-point cannot be combined with --out",
               allowQuick);
     }
     return o;

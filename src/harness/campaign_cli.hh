@@ -1,18 +1,17 @@
 /**
  * @file
- * Shared command line of the supervised campaign benches.
+ * Shared command line of the campaign benches.
  *
  * Every campaign binary (figure5_energy, figure6_time,
- * robustness_faults, robustness_seeds) accepts the same supervisor
+ * robustness_faults, robustness_seeds) accepts the same campaign
  * surface, parsed strictly — a malformed or out-of-range value and
  * an unknown option print a usage error and exit 2, never a silent
  * fallback:
  *
  *   --jobs N          shard points over N worker threads
  *   --out FILE        atomically write the final artifact to FILE
- *   --manifest FILE   atomically write the failure manifest to FILE
- *   --only-point I    run just point I inline (repro mode; takes
- *                     neither --out nor --manifest)
+ *   --only-point I    run just point I inline (the rerun command of
+ *                     a failed point; takes no --out)
  *   --quick           CI-sized subset (benches that support it)
  *
  * plus the observability surface (docs/OBSERVABILITY.md):
@@ -40,7 +39,6 @@ struct CampaignOptions
     /** Worker threads (at least 1). */
     unsigned jobs = 1;
     std::string outPath;      ///< "" = stdout only
-    std::string manifestPath; ///< "" = stderr only
     long onlyPoint = -1;      ///< >= 0: run one point and exit
     bool quick = false;
     std::string tracePath;    ///< "" = no trace capture
@@ -52,13 +50,13 @@ struct CampaignOptions
      * Parse @p argv strictly. Unknown options, malformed numbers,
      * numbers too large for their field, `--quick=VALUE`, `--quick`
      * when @p allowQuick is false and `--only-point` together with
-     * `--out` or `--manifest` all print a usage error and exit 2.
+     * `--out` all print a usage error and exit 2.
      */
     static CampaignOptions parse(int argc, char** argv,
                                  bool allowQuick);
 
     /**
-     * The flags a repro command needs to rerun one of this
+     * The flags a rerun command needs to rerun one of this
      * invocation's points as it ran: ` --quick` (point space) when
      * set, else "".
      */

@@ -10,9 +10,11 @@
 namespace tb {
 namespace harness {
 
-ObsCapture::ObsCapture(const CampaignOptions& opts, std::string campaign)
+ObsCapture::ObsCapture(const CampaignOptions& opts, std::string campaign,
+                       std::size_t runs)
     : campaign_(std::move(campaign)), tracePath_(opts.tracePath),
-      traceMask_(opts.traceMask), statsPath_(opts.statsJsonPath)
+      traceMask_(opts.traceMask), statsPath_(opts.statsJsonPath),
+      entries_(runs)
 {}
 
 void
@@ -79,8 +81,7 @@ ObsCapture::deposit(std::size_t index, const ExperimentResult& r,
         e.statsLine = line.str() + "\n";
     }
 
-    LockGuard lock(mu_);
-    entries_[index] = std::move(e);
+    entries_.at(index) = std::move(e);
 }
 
 std::string
@@ -89,16 +90,15 @@ ObsCapture::renderTraceFile() const
     if (!traceEnabled())
         return "";
     std::vector<obs::TraceChunk> chunks;
-    {
-        LockGuard lock(mu_);
-        for (const auto& [index, e] : entries_) {
-            obs::TraceChunk c;
-            c.pid = static_cast<std::uint32_t>(index);
-            c.label = e.label;
-            c.events = e.traceEvents;
-            c.dropped = e.dropped;
-            chunks.push_back(std::move(c));
-        }
+    for (std::size_t index = 0; index < entries_.size(); ++index) {
+        if (!entries_[index])
+            continue;
+        obs::TraceChunk c;
+        c.pid = static_cast<std::uint32_t>(index);
+        c.label = entries_[index]->label;
+        c.events = entries_[index]->traceEvents;
+        c.dropped = entries_[index]->dropped;
+        chunks.push_back(std::move(c));
     }
     std::ostringstream os;
     obs::writeChromeTrace(os, chunks);
@@ -111,9 +111,10 @@ ObsCapture::renderStatsFile() const
     if (!statsEnabled())
         return "";
     std::string out;
-    LockGuard lock(mu_);
-    for (const auto& [index, e] : entries_)
-        out += e.statsLine;
+    for (const auto& e : entries_) {
+        if (e)
+            out += e->statsLine;
+    }
     return out;
 }
 
@@ -124,14 +125,13 @@ ObsCapture::predictionSummaryJson() const
         return "";
     std::uint64_t episodes = 0, early = 0, late = 0;
     double abs_err = 0.0;
-    {
-        LockGuard lock(mu_);
-        for (const auto& [index, e] : entries_) {
-            episodes += e.episodes;
-            early += e.earlyWakes;
-            late += e.lateWakes;
-            abs_err += e.absErrTicks;
-        }
+    for (const auto& e : entries_) {
+        if (!e)
+            continue;
+        episodes += e->episodes;
+        early += e->earlyWakes;
+        late += e->lateWakes;
+        abs_err += e->absErrTicks;
     }
     std::ostringstream line;
     obs::JsonWriter w(line);

@@ -9,11 +9,16 @@
  *    a JsonStatWriter into the point's RunOptions, and switches the
  *    per-sleep-episode ledger on;
  *  - deposit() collects the point's rendered events, machine stats
- *    and barrier-episode ledger under the point index (thread-safe:
- *    workers deposit concurrently);
+ *    and barrier-episode ledger into the point's own slot;
  *  - render/writeFiles() assemble the artifacts *in point order*, so
  *    the files are byte-identical no matter how `--jobs N` interleaved
  *    the points.
+ *
+ * Concurrency: the slots are sized once in the constructor and
+ * deposit(i, ...) writes only slot i, the same index-disjoint
+ * discipline as ParallelCampaignRunner's error slots, so workers
+ * deposit concurrently without a lock. The runner's join is the
+ * happens-before edge between the deposits and the renderers.
  *
  * The trace file is one Chrome trace_event JSON document (one
  * "process" per point, docs/OBSERVABILITY.md); the stats file is
@@ -22,19 +27,18 @@
  * StatVisitor seam) and the per-episode prediction ledger.
  *
  * Coverage: the campaign benches deposit once a point has finished
- * without throwing, so the artifacts hold exactly the ok points.
+ * without throwing, and write the files only when every point did.
  */
 
 #ifndef TB_HARNESS_OBS_CAPTURE_HH_
 #define TB_HARNESS_OBS_CAPTURE_HH_
 
 #include <cstdint>
-#include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
-
-#include "sim/thread_safety.hh"
+#include <vector>
 
 #include "harness/campaign_cli.hh"
 #include "harness/experiment.hh"
@@ -58,7 +62,9 @@ class ObsCapture
         std::unique_ptr<obs::JsonStatWriter> visitor;
     };
 
-    ObsCapture(const CampaignOptions& opts, std::string campaign);
+    /** @param runs Capture slots: one per run the campaign arms. */
+    ObsCapture(const CampaignOptions& opts, std::string campaign,
+               std::size_t runs);
 
     bool traceEnabled() const { return !tracePath_.empty(); }
     bool statsEnabled() const { return !statsPath_.empty(); }
@@ -71,8 +77,9 @@ class ObsCapture
     void arm(std::size_t index, RunOptions* ro, PointScope* scope);
 
     /**
-     * Record point @p index's artifacts from @p scope and @p r.
-     * @p label names the point in the trace ("Ocean/Thrifty").
+     * Record point @p index's artifacts from @p scope and @p r into
+     * slot @p index (< runs). @p label names the point in the trace
+     * ("Ocean/Thrifty").
      */
     void deposit(std::size_t index, const ExperimentResult& r,
                  PointScope* scope, const std::string& label);
@@ -86,9 +93,8 @@ class ObsCapture
     /**
      * Aggregate prediction-accuracy line (`"kind": "prediction"`)
      * over every deposited episode; "" when --stats-json is off.
-     * Stdout-only, like the supervisor counter line: it covers
-     * whatever the points deposited, so it describes the run and is
-     * not part of the deterministic artifact.
+     * Stdout-only: it summarizes the run and is not part of the
+     * deterministic artifact.
      */
     std::string predictionSummaryJson() const;
 
@@ -108,18 +114,14 @@ class ObsCapture
         double absErrTicks = 0.0;
     };
 
-    // Set once in the constructor, read-only afterwards — safe to
-    // read without the lock.
     std::string campaign_;
     std::string tracePath_;
     unsigned traceMask_ = obs::kAllTraceCategories;
     std::string statsPath_;
 
-    mutable Mutex mu_;
-    /// Deposited per-point artifacts; workers insert concurrently,
-    /// renderers walk in point order (std::map keeps artifacts
-    /// byte-identical regardless of --jobs interleaving).
-    std::map<std::size_t, Entry> entries_ TB_GUARDED_BY(mu_);
+    /// One slot per run, filled by deposit(); renderers walk the
+    /// filled slots in index order.
+    std::vector<std::optional<Entry>> entries_;
 };
 
 } // namespace harness

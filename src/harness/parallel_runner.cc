@@ -11,6 +11,23 @@
 namespace tb {
 namespace harness {
 
+namespace {
+
+/** The diagnostic of a captured exception. */
+std::string
+what(const std::exception_ptr& error)
+{
+    try {
+        std::rethrow_exception(error);
+    } catch (const std::exception& e) {
+        return e.what();
+    } catch (...) {
+        return "unknown exception";
+    }
+}
+
+} // namespace
+
 void
 ParallelCampaignRunner::run(
     std::size_t count,
@@ -36,8 +53,7 @@ ParallelCampaignRunner::run(
         return;
     }
 
-    // Concurrency discipline (not expressible to -Wthread-safety, see
-    // sim/thread_safety.hh): there is no mutex here by design. `next`
+    // Concurrency discipline: there is no mutex here by design. `next`
     // is a lock-free claim counter, each claimed index is owned by
     // exactly one worker, and `errors[i]` is only ever written by the
     // worker that claimed i — writes are index-disjoint. The join
@@ -74,20 +90,9 @@ ParallelCampaignRunner::rethrowAggregated(
     const std::vector<std::exception_ptr>& errors)
 {
     std::vector<std::size_t> failed;
-    std::string first_what;
     for (std::size_t i = 0; i < errors.size(); ++i) {
-        if (!errors[i])
-            continue;
-        if (failed.empty()) {
-            try {
-                std::rethrow_exception(errors[i]);
-            } catch (const std::exception& e) {
-                first_what = e.what();
-            } catch (...) {
-                first_what = "unknown exception";
-            }
-        }
-        failed.push_back(i);
+        if (errors[i])
+            failed.push_back(i);
     }
     if (failed.empty())
         return;
@@ -96,12 +101,15 @@ ParallelCampaignRunner::rethrowAggregated(
         // catch the concrete type.
         std::rethrow_exception(errors[failed.front()]);
     }
-    std::string msg = std::to_string(failed.size()) +
-                      " campaign points failed (indices";
-    for (std::size_t i : failed)
-        msg += ' ' + std::to_string(i);
-    msg += "); first: " + first_what;
-    throw std::runtime_error(msg);
+    std::string indices, lines;
+    for (std::size_t i : failed) {
+        indices += ' ' + std::to_string(i);
+        lines += "\npoint " + std::to_string(i) + ": " + what(errors[i]);
+    }
+    throw std::runtime_error(std::to_string(failed.size()) +
+                             " campaign points failed (indices" +
+                             indices + "); first: " +
+                             what(errors[failed.front()]) + lines);
 }
 
 } // namespace harness

@@ -45,15 +45,14 @@ class ParallelCampaignRunner
      * the parallel path as long as each point only touches its own
      * state.
      *
-     * A point that throws does not stop the others; after all points
-     * finish, a single failure rethrows that point's exception
-     * unchanged, while multiple failures throw one std::runtime_error
-     * aggregating *every* failed index plus the first diagnostic —
-     * the campaign never hides how much of it failed.
-     *
-     * (superviseCampaign runs its points through this runner and
-     * adds per-point classification and a failure manifest — prefer
-     * it for campaigns.)
+     * A point that throws does not stop the others, and run()
+     * returns only after every point has returned. Then a single
+     * failure rethrows that point's exception unchanged, while
+     * multiple failures throw one std::runtime_error listing *every*
+     * failed index, the first diagnostic, and one `point I: <what>`
+     * line per failure — the campaign never hides how much of it
+     * failed, nor why. The campaign benches print that diagnostic
+     * with a rerun command and exit 1.
      */
     void run(std::size_t count,
              const std::function<void(std::size_t)>& point) const;

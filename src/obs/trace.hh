@@ -19,10 +19,8 @@
  * so the file bytes never depend on thread interleaving.
  *
  * Instrumentation seams hold a `TraceSink*` that is null when tracing
- * is off; the hot-path cost is one predicted-not-taken branch. When
- * the build disables tracing (`-DTB_TRACING=OFF`), `TB_TRACED()`
- * folds to `false` and the compiler drops the instrumentation blocks
- * entirely.
+ * is off; `TB_TRACED()` guards every seam, so an untraced run pays one
+ * predicted-not-taken branch per seam and builds no event arguments.
  *
  * Event volume is bounded per sink *per category* (sim events alone
  * can reach tens of millions in a figure-scale run): once a category
@@ -45,20 +43,11 @@
 #include "sim/event_queue.hh"
 #include "sim/types.hh"
 
-#ifndef TB_TRACING
-#define TB_TRACING 1
-#endif
-
 /**
- * True when @p sink (a TraceSink*) is attached and has @p cat enabled.
- * Compiles to `false` when tracing is compiled out, letting the
- * optimizer delete the guarded block.
+ * True when @p sink (a TraceSink*) is attached and has @p cat enabled:
+ * the runtime guard of every trace seam.
  */
-#if TB_TRACING
 #define TB_TRACED(sink, cat) ((sink) != nullptr && (sink)->enabled(cat))
-#else
-#define TB_TRACED(sink, cat) false
-#endif
 
 namespace tb {
 namespace obs {
@@ -114,10 +103,9 @@ struct TraceArg
  * Buffers rendered trace events for one simulation run.
  *
  * Not thread-safe *by confinement*: like the EventQueue, one sink
- * belongs to one single-threaded simulation, so it carries no lock and
- * no TB_GUARDED_BY annotations (sim/thread_safety.hh) — parallel
- * campaigns give every point its own sink and merge under
- * ObsCapture's lock at deposit time. Ticks are picoseconds; Chrome
+ * belongs to one single-threaded simulation, so it carries no lock —
+ * parallel campaigns give every point its own sink, and ObsCapture
+ * copies its events into that point's own slot at deposit time. Ticks are picoseconds; Chrome
  * timestamps are microseconds, so events render `ts`/`dur` as
  * tick/1e6 with six decimals (exact at tick resolution).
  */

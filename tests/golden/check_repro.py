@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Check that a failure manifest's repro command reruns the same point.
+"""Check that a failed point's rerun command reruns the same point.
 
     check_repro.py BENCH_DIR
 
-A failed point's repro command is `BENCH --only-point I`. For each
+A failed point's rerun command is `BENCH --only-point I`. For each
 check below, runs the whole campaign with --jobs 4, then
 `BENCH --only-point I` for a few points, and exits 1 unless every
 repro reproduces the campaign's own record of point I:

@@ -30,9 +30,8 @@ parseArgs(std::initializer_list<const char*> args)
 TEST(CampaignCli, SupervisorFlagsParse)
 {
     const CampaignOptions o = parseArgs(
-        {"--out", "A", "--manifest=M", "--jobs", "5", "--quick"});
+        {"--out", "A", "--jobs", "5", "--quick"});
     EXPECT_EQ(o.outPath, "A");
-    EXPECT_EQ(o.manifestPath, "M");
     EXPECT_EQ(o.jobs, 5u);
     EXPECT_EQ(o.onlyPoint, -1);
     EXPECT_TRUE(o.quick);
@@ -71,7 +70,7 @@ TEST(CampaignCliDeathTest, RemovedFlagsAreUnknown)
           "--heartbeat-ms", "--worker-name", "--net-faults",
           "--reconnect-ms", "--retries", "--backoff-ms",
           "--sim-threads", "--sim-partitions", "--isolate",
-          "--deadline-ms"}) {
+          "--deadline-ms", "--manifest"}) {
         EXPECT_EXIT(parseArgs({flag, "1"}), testing::ExitedWithCode(2),
                     std::string("unknown option '") + flag + "'")
             << flag;
@@ -80,15 +79,14 @@ TEST(CampaignCliDeathTest, RemovedFlagsAreUnknown)
 
 TEST(CampaignCliDeathTest, OnlyPointRejectsArtifactFlags)
 {
-    // A repro prints one point to stdout; it used to exit 0 without
-    // writing the --out or --manifest file it was given.
+    // A rerun prints one point to stdout; it used to exit 0 without
+    // writing the --out file it was given.
     EXPECT_EXIT(parseArgs({"--only-point", "0", "--out", "F"}),
                 testing::ExitedWithCode(2),
                 "--only-point cannot be combined with --out");
-    EXPECT_EXIT(parseArgs({"--manifest=M", "--only-point", "3"}),
+    EXPECT_EXIT(parseArgs({"--out=F", "--only-point", "3"}),
                 testing::ExitedWithCode(2),
-                "--only-point cannot be combined with --out or "
-                "--manifest");
+                "--only-point cannot be combined with --out");
 }
 
 TEST(CampaignCliDeathTest, SwitchRejectsInlineValue)

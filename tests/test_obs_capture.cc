@@ -2,7 +2,8 @@
  * @file
  * Integration tests for campaign-level observability capture: the
  * per-episode prediction ledger and the determinism of `--trace` /
- * `--stats-json` artifacts under parallel supervised execution.
+ * `--stats-json` artifacts when ParallelCampaignRunner shards the
+ * points.
  */
 
 #include <gtest/gtest.h>
@@ -12,9 +13,9 @@
 #include <utility>
 
 #include "harness/campaign_cli.hh"
-#include "harness/campaign_supervisor.hh"
 #include "harness/experiment.hh"
 #include "harness/obs_capture.hh"
+#include "harness/parallel_runner.hh"
 #include "workloads/app_profile.hh"
 
 namespace tb {
@@ -87,15 +88,14 @@ TEST(TraceDeterminism, SameSeedSameConfigSameBytes)
     };
     const std::string a = run();
     const std::string b = run();
-#if TB_TRACING
     EXPECT_FALSE(a.empty());
-#endif
     EXPECT_EQ(a, b);
 }
 
 /**
- * Run a three-point campaign under the supervisor with @p jobs worker
- * threads, capturing trace + stats, and return the rendered artifacts.
+ * Run a three-point campaign through ParallelCampaignRunner with
+ * @p jobs worker threads, capturing trace + stats, and return the
+ * rendered artifacts.
  */
 std::pair<std::string, std::string>
 runCapturedCampaign(unsigned jobs)
@@ -103,7 +103,7 @@ runCapturedCampaign(unsigned jobs)
     harness::CampaignOptions opts;
     opts.tracePath = "unused-trace.json";
     opts.statsJsonPath = "unused-stats.json";
-    harness::ObsCapture capture(opts, "test");
+    harness::ObsCapture capture(opts, "test", 3);
 
     static const harness::ConfigKind kinds[3] = {
         harness::ConfigKind::Baseline,
@@ -111,17 +111,14 @@ runCapturedCampaign(unsigned jobs)
         harness::ConfigKind::Thrifty,
     };
 
-    harness::PointTask task;
-    task.run = [&](std::size_t i) {
+    harness::ParallelCampaignRunner(jobs).run(3, [&](std::size_t i) {
         harness::RunOptions ro;
         harness::ObsCapture::PointScope scope;
         capture.arm(i, &ro, &scope);
         const auto r = harness::runExperiment(smallSys(7), smallApp(),
                                               kinds[i], ro);
         capture.deposit(i, r, &scope, harness::configName(kinds[i]));
-    };
-    const auto report = harness::superviseCampaign(jobs, 3, task);
-    EXPECT_EQ(report.count(harness::PointOutcome::Ok), 3u);
+    });
     return {capture.renderTraceFile(), capture.renderStatsFile()};
 }
 
@@ -147,9 +144,7 @@ TEST(ObsCapture, StatsLinesCarryLedgerAndMachineStats)
     // The trace document names every point's process.
     EXPECT_NE(trace.find("Baseline"), std::string::npos);
     EXPECT_NE(trace.find("Thrifty"), std::string::npos);
-#if TB_TRACING
     EXPECT_NE(trace.find("\"arrive\""), std::string::npos);
-#endif
 }
 
 } // namespace

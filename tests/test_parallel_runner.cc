@@ -9,11 +9,14 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "harness/experiment.hh"
@@ -71,23 +74,46 @@ TEST(ParallelRunner, SingleFailureRethrowsOriginalException)
 TEST(ParallelRunner, MultipleFailuresAggregateEveryIndex)
 {
     ParallelCampaignRunner runner(4);
+    std::vector<std::atomic<int>> hits(100);
     try {
-        runner.run(100, [](std::size_t i) {
+        runner.run(100, [&](std::size_t i) {
+            hits[i].fetch_add(1, std::memory_order_relaxed);
             if (i == 17 || i == 63 || i == 99)
-                throw std::runtime_error("point " + std::to_string(i));
+                throw std::runtime_error("broken " + std::to_string(i));
         });
         FAIL() << "expected an exception";
     } catch (const std::runtime_error& e) {
         const std::string what = e.what();
-        EXPECT_NE(what.find("3 campaign points failed"),
+        EXPECT_NE(what.find("3 campaign points failed (indices 17 63 "
+                            "99); first: broken 17"),
                   std::string::npos)
             << what;
-        EXPECT_NE(what.find(" 17"), std::string::npos) << what;
-        EXPECT_NE(what.find(" 63"), std::string::npos) << what;
-        EXPECT_NE(what.find(" 99"), std::string::npos) << what;
-        EXPECT_NE(what.find("first: point 17"), std::string::npos)
+        // Every failure keeps its own diagnostic, one line each.
+        EXPECT_NE(what.find("\npoint 17: broken 17"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("\npoint 63: broken 63"), std::string::npos)
+            << what;
+        EXPECT_NE(what.find("\npoint 99: broken 99"), std::string::npos)
             << what;
     }
+    // Failed points run once, and they starve none of the others.
+    for (std::size_t i = 0; i < hits.size(); ++i)
+        EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+}
+
+TEST(ParallelRunner, ReturnsOnlyAfterEveryPointFinished)
+{
+    // A slow point is waited for, never abandoned: once run()
+    // returns, no point is still running, so every point may write
+    // state its caller owns.
+    std::array<std::atomic<bool>, 4> done{};
+    ParallelCampaignRunner(2).run(4, [&](std::size_t i) {
+        if (i == 1)
+            std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        done[i] = true;
+    });
+    for (std::size_t i = 0; i < done.size(); ++i)
+        EXPECT_TRUE(done[i].load()) << "point " << i;
 }
 
 TEST(ParallelRunner, SerialPathRunsAllPointsBeforeThrowing)

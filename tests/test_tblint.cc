@@ -513,7 +513,7 @@ TEST(TblintUnguardedTrace, AllowSilences)
 {
     const auto fs = lintContent("src/mem/bus.cc", R"tb(
         void Bus::note(obs::TraceSink* sink) {
-            // tblint-allow(TBL021): sink is null unless tracing built
+            // tblint-allow(TBL021): sink is null unless tracing is on
             sink->instant(obs::kSim, now_, "grant");
         }
     )tb");

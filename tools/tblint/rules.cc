@@ -577,11 +577,12 @@ ruleUnguardedTrace(const FileCtx& ctx, std::vector<Finding>* out)
             if (guardDepths.empty() && !armed) {
                 emit(out, ctx, "TBL021", t[i].line,
                      "trace emission '" + t[i].text +
-                         "()' outside a TB_TRACED(...) guard — the "
-                         "seam will not compile out under "
-                         "-DTB_TRACING=OFF",
+                         "()' outside a TB_TRACED(...) guard — an "
+                         "untraced run would still build its event "
+                         "arguments",
                      "wrap the emission in `if (TB_TRACED(sink, "
-                     "category)) { ... }`");
+                     "category)) { ... }` so an untraced run pays "
+                     "one branch per seam");
             }
         }
     }
@@ -796,7 +797,7 @@ ruleCatalog()
          "src/sim must not include src/harness or src/obs headers"},
         {"TBL021", "unguarded-trace",
          "TraceSink emission outside src/obs must sit under "
-         "TB_TRACED() so -DTB_TRACING=OFF compiles it out"},
+         "TB_TRACED(), one branch per seam on an untraced run"},
         {"TBL023", "raw-posix-io",
          "no raw ::read/::write/::poll/::accept anywhere in src/ — "
          "I/O goes through iostreams and writeFileAtomic"},

@@ -31,8 +31,8 @@
  *   TBL020  layering: src/sim must not include src/harness or src/obs
  *           headers (the kernel stays below the tooling layers).
  *   TBL021  layering: TraceSink::instant/complete calls outside
- *           src/obs must sit under a TB_TRACED(...) guard, so
- *           -DTB_TRACING=OFF compiles every seam out.
+ *           src/obs must sit under a TB_TRACED(...) guard, so an
+ *           untraced run pays one branch per seam.
  *   TBL023  robustness: raw ::read/::write/::poll/::accept anywhere
  *           in src/ — I/O goes through iostreams and writeFileAtomic;
  *           no code here owns an EINTR/short-transfer retry.
