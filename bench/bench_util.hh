@@ -80,6 +80,23 @@ runCampaignPoints(const harness::CampaignOptions& opts, const char* prog,
 }
 
 /**
+ * `--only-point I`: run point @p index under the same catch as
+ * runCampaignPoints. A failure prints `point I: <what>` to stderr and
+ * returns false: the caller then exits 1 and writes no artifact.
+ */
+inline bool
+runOnlyPoint(long index, const std::function<void()>& point)
+{
+    try {
+        point();
+        return true;
+    } catch (const std::exception& e) {
+        std::cerr << "point " << index << ": " << e.what() << '\n';
+        return false;
+    }
+}
+
+/**
  * A successful campaign's epilogue: the prediction line (stdout,
  * with --stats-json) and the artifact files, each written atomically
  * — `--trace`, `--stats-json` and `--out`. @p artifact is the
@@ -124,7 +141,7 @@ runMatrixPoint(const harness::SystemConfig& sys,
 /**
  * `--only-point` of the figure campaigns: run that point and print
  * its serialized result (harness/result_serde.hh). Returns the exit
- * code.
+ * code: 1 when the point failed (runOnlyPoint).
  */
 inline int
 runOnlyMatrixPoint(const harness::SystemConfig& sys,
@@ -139,9 +156,12 @@ runOnlyMatrixPoint(const harness::SystemConfig& sys,
                   << " out of range [0, " << count << ")\n";
         return 2;
     }
-    std::cout << harness::serializeResult(
-                     runMatrixPoint(sys, apps, i, capture))
-              << '\n';
+    harness::ExperimentResult r;
+    if (!runOnlyPoint(opts.onlyPoint, [&] {
+            r = runMatrixPoint(sys, apps, i, capture);
+        }))
+        return 1;
+    std::cout << harness::serializeResult(r) << '\n';
     writeCampaignArtifacts(opts, "", *capture);
     return 0;
 }

@@ -14,9 +14,8 @@
  *   - barriers          end-to-end thrifty-barrier instances per second
  * plus the *simulated* latency of one coherence transaction and the
  * simulated execution time of one full 64-node thrifty experiment
- * split into 8 cluster partitions (machine_pdes_exec_ticks), both in
- * ticks, which are seed-deterministic and must never drift. The
- * latter is the determinism check of the cluster-queue drain.
+ * on its default 8 event-queue streams (machine_pdes_exec_ticks),
+ * both in ticks, which are seed-deterministic and must never drift.
  *
  * Every metric is one JSON line in the shared campaign shape
  * (bench_util.hh), so the output greps and diffs like the robustness
@@ -237,9 +236,9 @@ barriersPerSecond(bool quick)
 }
 
 /**
- * One complete thrifty experiment on the paper's 64-node machine,
- * split into its default 8 cluster partitions. Its simulated execution time
- * checks the whole partitioned plan end to end: coherence traffic,
+ * One complete thrifty experiment on the paper's 64-node machine, on
+ * its default 8 event-queue streams. Its simulated execution time
+ * checks the whole default plan end to end: coherence traffic,
  * barrier episodes, per-hop NoC events and all.
  * The serialized result is cross-checked between repetitions first —
  * a drift is a determinism bug and fails the benchmark.

@@ -209,7 +209,9 @@ main(int argc, char** argv)
         }
         std::fprintf(stderr, "point %ld: %s\n", opts.onlyPoint,
                      pointLabel(points[i]).c_str());
-        run_point(i);
+        if (!tb::bench::runOnlyPoint(opts.onlyPoint,
+                                     [&] { run_point(i); }))
+            return 1;
         std::ostringstream line;
         printPointJson(line, points[i], results[i]);
         std::fputs(line.str().c_str(), stdout);

@@ -141,7 +141,9 @@ main(int argc, char** argv)
                      opts.onlyPoint,
                      static_cast<unsigned long long>(points[i].seed),
                      points[i].app.c_str());
-        run_point(i);
+        if (!tb::bench::runOnlyPoint(opts.onlyPoint,
+                                     [&] { run_point(i); }))
+            return 1;
         std::ostringstream lines;
         printPointJson(lines, points[i], results[i]);
         std::fputs(lines.str().c_str(), stdout);

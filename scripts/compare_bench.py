@@ -24,12 +24,6 @@ Policy:
   must be bit-identical per seed: any difference is a determinism
   failure, not a perf regression, and always fails regardless of
   threshold.
-* Campaigns run with ``--stats-json`` also print one
-  ``"kind": "prediction"`` line summarizing barrier-prediction
-  accuracy (episodes, early/late wake split, mean absolute BIT error —
-  see docs/OBSERVABILITY.md). These are surfaced for the reviewer but
-  never gate: prediction accuracy is a property of the modeled
-  predictor, not of the host.
 
 Exit status: 0 on pass, 1 on regression/mismatch, 2 on usage errors.
 """
@@ -62,47 +56,6 @@ def load_metrics(path):
     return metrics
 
 
-def load_kind_lines(path, kind):
-    """Return the JSONL objects in *path* whose ``kind`` is *kind*."""
-    lines = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line.startswith("{"):
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if obj.get("kind") == kind:
-                    lines.append(obj)
-    except OSError:
-        pass
-    return lines
-
-
-def report_prediction(lines):
-    """Print ``--stats-json`` prediction-accuracy summaries.
-
-    Informational only: prediction accuracy is a property of the
-    modeled predictor, not of the host, so it never gates.
-    """
-    if not lines:
-        return
-    print("barrier prediction accuracy (from --stats-json runs):")
-    for obj in lines:
-        episodes = obj.get("episodes", 0)
-        early = obj.get("early_wakes", 0)
-        late = obj.get("late_wakes", 0)
-        err = obj.get("mean_abs_err_ticks", 0.0)
-        frac = (f" ({early / episodes:.1%} early, "
-                f"{late / episodes:.1%} late)" if episodes else "")
-        print(f"  {obj.get('campaign', '?')}: {episodes} episodes"
-              f"{frac}, mean |BIT error| {err:.3g} ticks")
-    print()
-
-
 def main():
     ap = argparse.ArgumentParser(
         description="Gate micro_simcore results against a baseline.")
@@ -115,7 +68,6 @@ def main():
 
     base = load_metrics(args.baseline)
     cur = load_metrics(args.current)
-    report_prediction(load_kind_lines(args.current, "prediction"))
 
     if "calibration" not in base or "calibration" not in cur:
         sys.exit("compare_bench: both files need a 'calibration' metric")

@@ -20,10 +20,11 @@
  *    protocol's serialization points (local write hit, directory
  *    grant, 3-hop owner serve, at-home fetch-op); every completed load
  *    and every fetch-op's read value must match it.
- *  - Event-queue discipline: nothing is scheduled in the past and
- *    events execute in strictly increasing (tick, priority, seq)
- *    order; schedule/execute/cancel accounting balances by the end of
- *    the run.
+ *  - Event-queue discipline: nothing is scheduled in the past and,
+ *    at equal (tick, priority), events execute in strictly increasing
+ *    key order, the (origin stream, per-stream order) key the queue
+ *    ties by; schedule/execute/cancel accounting balances by the end
+ *    of the run.
  *  - Sleep safety: entering a non-snooping state with a dirty
  *    shared-page line still cached is a violation (the pre-sleep
  *    flush must have drained them), and every intervention must be

@@ -270,9 +270,11 @@ Cpu::sleepEntryCounter(const power::SleepState& s)
 }
 
 void
-Cpu::finalize()
+Cpu::finalize(Tick end)
 {
-    switchTo(cur);
+    if (!accountingSuspended)
+        account.accrue(bucketOf(cur), end - lastEdge, powerOf(cur));
+    lastEdge = end;
 }
 
 } // namespace cpu

@@ -112,8 +112,9 @@ class Cpu : public SimObject
     // Accounting.
     // ------------------------------------------------------------------
 
-    /** Close the open accounting interval (call at end of simulation). */
-    void finalize();
+    /** Close the open accounting interval at @p end, the tick of
+     *  this CPU's last event (call at end of simulation). */
+    void finalize(Tick end);
 
     /**
      * Pause the state-machine energy integration (the oracle barrier

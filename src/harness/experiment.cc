@@ -144,17 +144,7 @@ runExperiment(const SystemConfig& sys, const workloads::AppProfile& app,
         custom = &hardened;
     }
 
-    // Pick the simulation plan. Serial-only features — the checker's
-    // totally-ordered event stream, fault hooks, structured tracing,
-    // the hardening ladder's shared quarantine map — force one
-    // partition; everything else runs the default partitioned plan,
-    // whose event order every golden artifact pins.
-    const bool force_serial =
-        checker || injector || options.traceSink ||
-        (custom && custom->hardening.enabled);
-    const unsigned parts = force_serial ? 1 : defaultPartitions(sys);
-
-    Machine machine(sys, parts);
+    Machine machine(sys, defaultPartitions(sys));
     if (checker)
         machine.attachChecker(*checker);
     if (injector)
@@ -181,7 +171,7 @@ runExperiment(const SystemConfig& sys, const workloads::AppProfile& app,
 
     // Every allocation has happened (program regions and, eagerly,
     // all barrier pages): freeze the address map and backend page
-    // table so no partition ever mutates their structure mid-run.
+    // table so no event ever mutates their structure mid-run.
     machine.memory().addressMap().seal();
 
     program.start();

@@ -186,12 +186,12 @@ struct RunOptions
 };
 
 /**
- * Cluster partitions of the simulation plan for @p sys: nodes/8 for
- * machines of 16+ nodes, else 1, one event queue each
- * (harness/machine.hh). The partition count IS part of the plan:
- * serial and partitioned plans order some bookkeeping differently
- * (see docs/PERFORMANCE.md). Runs that need the serial plan (checker,
- * fault injection, structured tracing, hardening) use 1 regardless.
+ * Event-queue streams of the simulation plan for @p sys: nodes/8 for
+ * machines of 16+ nodes, else 1 (harness/machine.hh). The stream
+ * count IS part of the plan: it decides how equal-tick events tie,
+ * and different counts order some barrier bookkeeping differently
+ * (see docs/PERFORMANCE.md). Every run uses it, checked, faulted and
+ * traced runs included.
  */
 unsigned defaultPartitions(const SystemConfig& sys);
 

@@ -24,71 +24,39 @@ SystemConfig::small(unsigned dimension)
     return c;
 }
 
-namespace {
-
-unsigned
-checkedPartitions(unsigned partitions, unsigned nodes)
-{
-    const unsigned parts = partitions == 0 ? 1 : partitions;
-    if ((parts & (parts - 1)) != 0 || parts > nodes)
-        fatal("machine partitions must be a power of two dividing the "
-              "node count; got ", parts, " for ", nodes, " nodes");
-    return parts;
-}
-
-} // namespace
-
-Machine::Machine(const SystemConfig& config, unsigned partitions)
-    : cfg(config),
-      // A hop leaving a cluster lands at least one pin-to-pin latency
-      // ahead (Network::hopEvent), which makes it the lookahead.
-      queues(checkedPartitions(partitions, config.numNodes()),
-             config.noc.pinToPin)
+Machine::Machine(const SystemConfig& config, unsigned streams)
+    : cfg(config), queue(streams)
 {
     const unsigned n = cfg.numNodes();
-    const unsigned nodes_per_cluster = n / queues.size();
-    binding.clusters = queues.size();
-    binding.queues = &queues;
-    binding.nodeQueue.resize(n);
-    binding.nodeCluster.resize(n);
-    for (NodeId i = 0; i < n; ++i) {
-        const unsigned c = i / nodes_per_cluster;
-        binding.nodeCluster[i] = static_cast<std::uint16_t>(c);
-        binding.nodeQueue[i] = &queues.queue(c);
-    }
-
-    net = std::make_unique<noc::Network>(eventQueue(), cfg.noc, "noc",
-                                         &hooks);
-    net->bindPartitions(&binding);
-    auto queue_for = [this](NodeId node) -> EventQueue& {
-        return *binding.nodeQueue[node];
-    };
-    mem_ = std::make_unique<mem::MemorySystem>(eventQueue(), *net,
-                                               cfg.memory, &hooks,
-                                               queue_for);
+    net = std::make_unique<noc::Network>(queue, cfg.noc, "noc", &hooks);
+    mem_ = std::make_unique<mem::MemorySystem>(queue, *net, cfg.memory,
+                                               &hooks);
     cpus.reserve(n);
     threads.reserve(n);
     for (NodeId i = 0; i < n; ++i) {
-        EventQueue& q = queue_for(i);
         const std::string prefix = "node" + std::to_string(i);
         cpus.push_back(std::make_unique<cpu::Cpu>(
-            q, i, mem_->controller(i), cfg.power, prefix + ".cpu"));
+            queue, i, mem_->controller(i), cfg.power, prefix + ".cpu"));
         threads.push_back(std::make_unique<cpu::ThreadContext>(
-            q, i, *cpus.back(), mem_->controller(i),
+            queue, i, *cpus.back(), mem_->controller(i),
             prefix + ".thread"));
     }
+}
+
+EventQueue&
+Machine::clusterQueue(unsigned c)
+{
+    if (c != 0)
+        panic("event queue ", c, " out of range: a machine has one");
+    return queue;
 }
 
 void
 Machine::attachChecker(check::ProtocolChecker& checker)
 {
-    if (queues.size() > 1)
-        panic("the protocol checker requires a serial machine (its "
-              "global bookkeeping assumes one totally-ordered event "
-              "stream); build the Machine with partitions = 1");
-    checker.bindClock(&eventQueue());
+    checker.bindClock(&queue);
     checker.bindAddressMap(&mem_->addressMap());
-    eventQueue().setObserver(&checker);
+    queue.setObserver(&checker);
     hooks.check = &checker;
     hooks.nocAudit = &checker;
 }
@@ -120,16 +88,16 @@ Machine::threadPtrs()
 Tick
 Machine::run()
 {
-    queues.run();
+    queue.run();
     return finalize();
 }
 
 Tick
 Machine::finalize()
 {
-    for (auto& c : cpus)
-        c->finalize();
-    return queues.now();
+    for (NodeId n = 0; n < cfg.numNodes(); ++n)
+        cpus[n]->finalize(queue.streamNow(net->streamOf(n)));
+    return queue.now();
 }
 
 power::EnergyAccount

@@ -1,18 +1,15 @@
 /**
  * @file
  * Whole-machine assembly: Table 1's 64-node CC-NUMA multiprocessor as
- * one object — event queue(s), hypercube network, coherent memory
+ * one object — event queue, hypercube network, coherent memory
  * system, one CPU + thread context per node.
  *
- * A machine can be built *partitioned*: its nodes are split into
- * 2^j contiguous clusters, each with its own event queue
- * (sim/cluster_queues.hh). The only event that crosses clusters is a
- * NoC hop, which lands at least one pin-to-pin latency ahead, so run()
- * drains the cluster queues together on the calling thread with that
- * latency as its lookahead. The cluster count is part of the
- * simulation plan: the serial and partitioned plans order some
- * barrier bookkeeping differently. Serial-only instruments (protocol
- * checker) refuse to attach to a partitioned machine.
+ * The nodes split into 2^j contiguous blocks, one event-queue stream
+ * each (sim/event_queue.hh): ties at equal (tick, priority) break by
+ * (origin stream, per-stream order), and each CPU closes its
+ * accounting at its own stream's last event (finalize()). The stream
+ * count is part of the simulation plan; the paper's artifacts pin
+ * defaultPartitions() (harness/experiment.hh).
  */
 
 #ifndef TB_HARNESS_MACHINE_HH_
@@ -26,7 +23,6 @@
 #include "mem/memory_system.hh"
 #include "noc/network.hh"
 #include "power/energy_model.hh"
-#include "sim/cluster_queues.hh"
 #include "sim/event_queue.hh"
 #include "sim/hooks.hh"
 
@@ -62,20 +58,16 @@ class Machine
 {
   public:
     /**
-     * @param partitions split the nodes into this many contiguous
-     *        clusters, each on its own event queue (power of two
-     *        dividing the node count; 1 = classic serial machine).
+     * @param streams split the nodes into this many contiguous blocks,
+     *        one event-queue stream each (power of two dividing the
+     *        node count).
      */
-    explicit Machine(const SystemConfig& config, unsigned partitions = 1);
+    explicit Machine(const SystemConfig& config, unsigned streams = 1);
 
     const SystemConfig& config() const { return cfg; }
 
-    /**
-     * The machine's root event queue: the single queue of a serial
-     * machine, cluster 0's queue of a partitioned one. Component code
-     * must not use this to schedule onto other clusters' nodes.
-     */
-    EventQueue& eventQueue() { return queues.queue(0); }
+    /** The machine's event queue. */
+    EventQueue& eventQueue() { return queue; }
 
     noc::Network& network() { return *net; }
     mem::MemorySystem& memory() { return *mem_; }
@@ -86,24 +78,23 @@ class Machine
     /** All thread contexts, in thread-id order. */
     std::vector<cpu::ThreadContext*> threadPtrs();
 
-    /** Number of clusters this machine was built with (>= 1). */
-    unsigned partitions() const { return queues.size(); }
+    /** Number of event-queue streams. */
+    unsigned streams() const { return queue.streams(); }
 
-    /** Cluster @p c's event queue (cluster 0 is the serial queue). */
-    EventQueue& clusterQueue(unsigned c) { return queues.queue(c); }
+    /**
+     * Number of event queues: always 1. Kept, with clusterQueue(), only
+     * because benchmark/tb_bench.cc counts events through them.
+     */
+    unsigned partitions() const { return 1; }
 
-    /** Cluster of node @p n (0 on a serial machine). */
-    unsigned cluster(NodeId n) const { return binding.nodeCluster[n]; }
-
-    /** Cross-cluster NoC hops sent so far (0 on a serial machine). */
-    std::uint64_t crossClusterSends() const { return queues.sent(); }
+    /** Event queue @p c (< partitions()): eventQueue(). */
+    EventQueue& clusterQueue(unsigned c);
 
     /**
      * Arm @p checker over the whole machine: event queue, fabric,
      * every controller/directory slice, and the NoC delivery audit.
      * The checker must outlive the machine (destructors cancel pending
-     * events through it). Serial machines only — the checker's global
-     * bookkeeping assumes one totally-ordered event stream.
+     * events through it).
      */
     void attachChecker(check::ProtocolChecker& checker);
 
@@ -124,9 +115,8 @@ class Machine
     void attachTraceSink(obs::TraceSink* sink);
 
     /**
-     * Drain every cluster queue and close every CPU's accounting
-     * interval.
-     * @return the final simulated tick (max over all queues).
+     * Drain the event queue and close every CPU's accounting interval.
+     * @return the final simulated tick.
      */
     Tick run();
 
@@ -141,17 +131,20 @@ class Machine
     void visitStats(stats::StatVisitor& v);
 
   private:
-    /** Close every CPU's accounting interval; returns queues.now(). */
+    /**
+     * Close every CPU's accounting interval at the tick of its own
+     * stream's last event, not at the global end; returns the global
+     * end.
+     */
     Tick finalize();
 
     SystemConfig cfg;
-    ClusterQueues queues;
+    EventQueue queue;
     /**
      * Machine-wide instrumentation seams. Components hold a pointer to
      * this one struct; attach* methods mutate its fields in place.
      */
     Hooks hooks;
-    noc::PartitionBinding binding;
     std::unique_ptr<noc::Network> net;
     std::unique_ptr<mem::MemorySystem> mem_;
     std::vector<std::unique_ptr<cpu::Cpu>> cpus;

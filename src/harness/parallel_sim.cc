@@ -14,13 +14,13 @@ PdesRunReport
 runMachinePdes(Machine& machine, unsigned /*threads*/)
 {
     PdesRunReport report;
-    report.partitions = machine.partitions();
+    report.partitions = machine.streams();
     report.modelLookahead =
-        machine.partitions() > 1
+        machine.streams() > 1
             ? machine.config().noc.pinToPin
             : machine.memory().fabric().minMessageLatency();
     report.finalTick = machine.run();
-    report.engine.sent = machine.crossClusterSends();
+    report.engine.sent = machine.eventQueue().crossStreamEvents();
     return report;
 }
 

@@ -3,10 +3,9 @@
  * The run report of one Machine drain, in the shape the benchmark
  * harness (benchmark/tb_bench.cc) reads as its pdes.* metrics.
  *
- * A Machine drains its cluster queues itself (Machine::run,
- * sim/cluster_queues.hh); runMachinePdes runs it and records the plan
- * it ran: the cluster count, the lookahead and the cross-cluster
- * sends. Nothing here feeds an artifact.
+ * runMachinePdes runs Machine::run() and records the plan it ran: the
+ * stream count (harness/machine.hh), the lookahead and the hops that
+ * crossed streams. Nothing here feeds an artifact.
  */
 
 #ifndef TB_HARNESS_PARALLEL_SIM_HH_
@@ -24,7 +23,7 @@ class Machine;
 /** Drain counters of one run. */
 struct EngineStats
 {
-    /** Cross-cluster NoC hops (0 for the serial plan). */
+    /** NoC hops into another stream's node (0 with one stream). */
     std::uint64_t sent = 0;
     /** Always 0: the drain sends no null messages, needs no GVT
      *  rescue and runs no rounds. Kept only because the benchmark
@@ -41,11 +40,11 @@ struct PdesRunReport
     /** Always 1: the drain runs on the calling thread. Kept only
      *  because the benchmark harness reports it as pdes.threads. */
     unsigned threads = 1;
-    /** Clusters the machine ran as (1 = serial plan). */
+    /** Event-queue streams the machine ran as. */
     unsigned partitions = 1;
-    /** The lookahead of the run: the NoC pin-to-pin hop latency for a
-     *  partitioned machine, the fabric's minimum end-to-end message
-     *  latency for the serial plan. */
+    /** The NoC pin-to-pin hop latency with several streams (no hop
+     *  reaches another stream sooner), the fabric's minimum
+     *  end-to-end message latency with one. */
     Tick modelLookahead = 0;
     EngineStats engine;
 };

@@ -32,8 +32,8 @@ class AddressMap
     /**
      * Bind the value backend: every subsequent allocation pre-faults
      * its pages there, so the backend's page table is fully built
-     * before the simulation starts (a partitioned run must never
-     * rehash it mid-flight).
+     * before the simulation starts (no event may rehash it
+     * mid-run).
      */
     void bindBackend(Backend* b) { backend = b; }
 

@@ -67,10 +67,13 @@ class Fabric
     /** Home node of the line @p a belongs to. */
     NodeId home(Addr a) const { return map.home(a); }
 
+    /** Event-queue stream node @p n's events run as. */
+    unsigned streamOf(NodeId n) const { return net.streamOf(n); }
+
     /**
      * Minimum latency of any coherence message between two distinct
      * nodes. Every fabric hop rides the NoC, so this is exactly the
-     * network's minimum cross-node latency. The serial plan reports
+     * network's minimum cross-node latency. A one-stream run reports
      * it as its lookahead (harness/parallel_sim.hh).
      */
     Tick minMessageLatency() const;

@@ -142,8 +142,8 @@ struct Msg
      * the home's current tick. Returns the pre-op value, which travels
      * back in RmwResult::rmwOld. The tick parameter lets fetch-op
      * users (the barriers) timestamp per-thread bookkeeping with the
-     * serialization time itself — on a partitioned machine the home's
-     * clock is the only one the op may legally read. Modeling note:
+     * serialization time itself: the op runs in the home's event, as
+     * the home's stream. Modeling note:
      * this stands in for a fetch-op executed at the home memory
      * controller (DESIGN.md section 6).
      */

@@ -6,8 +6,7 @@ namespace tb {
 namespace mem {
 
 MemorySystem::MemorySystem(EventQueue& queue, noc::Network& network,
-                           const MemoryConfig& config, const Hooks* hooks,
-                           std::function<EventQueue&(NodeId)> queueFor)
+                           const MemoryConfig& config, const Hooks* hooks)
     : nodes(network.config().nodes()),
       map(nodes),
       fab(network, map, hooks)
@@ -19,15 +18,14 @@ MemorySystem::MemorySystem(EventQueue& queue, noc::Network& network,
     directories.reserve(nodes);
     controllers.reserve(nodes);
     for (NodeId n = 0; n < nodes; ++n) {
-        EventQueue& q = queueFor ? queueFor(n) : queue;
         const std::string prefix = "node" + std::to_string(n);
-        drams.push_back(std::make_unique<Dram>(q, config.dram,
+        drams.push_back(std::make_unique<Dram>(queue, config.dram,
                                                prefix + ".dram", hooks));
         directories.push_back(std::make_unique<Directory>(
-            q, n, nodes, fab, values, *drams.back(),
+            queue, n, nodes, fab, values, *drams.back(),
             prefix + ".dir", config.threeHopForwarding, hooks));
         controllers.push_back(std::make_unique<CacheController>(
-            q, n, fab, values, config.controller,
+            queue, n, fab, values, config.controller,
             prefix + ".ctrl", hooks));
         fab.registerDirectory(n, *directories.back());
         fab.registerController(n, *controllers.back());

@@ -46,16 +46,12 @@ class MemorySystem
      * Build controllers/directories/DRAM for every node of
      * @p network and register them with a new fabric.
      *
-     * @param hooks    Machine-wide instrumentation seams, wired into
-     *                 every component (nullable).
-     * @param queueFor Event queue owning each node's components; when
-     *                 empty every node runs on @p queue. A partitioned
-     *                 machine maps node clusters to different queues.
+     * @param hooks Machine-wide instrumentation seams, wired into
+     *              every component (nullable).
      */
     MemorySystem(EventQueue& queue, noc::Network& network,
                  const MemoryConfig& config,
-                 const Hooks* hooks = nullptr,
-                 std::function<EventQueue&(NodeId)> queueFor = {});
+                 const Hooks* hooks = nullptr);
 
     unsigned numNodes() const { return nodes; }
 

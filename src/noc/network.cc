@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "obs/trace.hh"
-#include "sim/cluster_queues.hh"
 #include "sim/fault_hooks.hh"
 #include "sim/logging.hh"
 
@@ -29,43 +28,14 @@ Network::Network(EventQueue& queue, const NetworkConfig& config,
     expectedSeq.assign(pairs, 0);
     pairLastDelivery.assign(pairs, 0);
     oooStash.resize(pairs);
-    shards.resize(1);
-}
-
-void
-Network::bindPartitions(const PartitionBinding* binding)
-{
-    if (binding) {
-        if (binding->nodeQueue.size() != cfg.nodes() ||
-            binding->nodeCluster.size() != cfg.nodes())
-            fatal("partition binding does not cover the topology");
-        if (binding->clusters == 0)
-            fatal("partition binding needs at least one cluster");
-        for (auto c : binding->nodeCluster)
-            if (c >= binding->clusters)
-                fatal("node mapped to nonexistent cluster ", c);
-    }
-    foldStats(); // keep anything already recorded before resharding
-    parts = binding;
-    shards.assign(parts ? parts->clusters : 1, Shard{});
-}
-
-EventQueue&
-Network::queueOf(NodeId n) const
-{
-    return parts ? *parts->nodeQueue[n] : eq;
-}
-
-unsigned
-Network::clusterOf(NodeId n) const
-{
-    return parts ? parts->nodeCluster[n] : 0;
-}
-
-Network::Shard&
-Network::shardOf(NodeId n) const
-{
-    return shards[clusterOf(n)];
+    const unsigned streams = queue.streams();
+    if ((streams & (streams - 1)) != 0 || streams > cfg.nodes())
+        fatal("a network of ", cfg.nodes(), " nodes cannot split into ",
+              streams, " streams: need a power of two up to the node "
+              "count");
+    streamShift = static_cast<unsigned>(
+        std::countr_zero(cfg.nodes() / streams));
+    shards.resize(streams);
 }
 
 unsigned
@@ -102,8 +72,7 @@ Network::launch(NodeId src, NodeId dst, unsigned bytes, FlightPtr f)
     if (src >= n || dst >= n)
         panic("network send outside topology: src=", src, " dst=", dst);
 
-    EventQueue& q = queueOf(src);
-    const Tick t0 = q.now();
+    const Tick t0 = eq.now();
     f->src = src;
     f->dst = dst;
     f->bytes = bytes;
@@ -114,17 +83,16 @@ Network::launch(NodeId src, NodeId dst, unsigned bytes, FlightPtr f)
     sh.bytes += static_cast<double>(bytes);
 
     // Marshaling happens at the source endpoint; the message reaches
-    // its first router (src's own, hence a local event) afterwards. A
+    // its first router (src's own, hence src's stream) afterwards. A
     // loopback message never enters a router at all.
     const Tick entry = t0 + cfg.marshal;
     if (src == dst) {
-        q.schedule(entry, [this, f = std::move(f)]() mutable {
-            const Tick now = queueOf(f->dst).now();
-            arrivalEvent(std::move(f), now);
+        eq.schedule(entry, [this, f = std::move(f)]() mutable {
+            arrivalEvent(std::move(f), eq.now());
         });
         return;
     }
-    q.schedule(entry, [this, src, f = std::move(f)]() mutable {
+    eq.schedule(entry, [this, src, f = std::move(f)]() mutable {
         hopEvent(src, std::move(f));
     });
 }
@@ -132,7 +100,7 @@ Network::launch(NodeId src, NodeId dst, unsigned bytes, FlightPtr f)
 void
 Network::hopEvent(NodeId at, FlightPtr f)
 {
-    Tick t = queueOf(at).now();
+    Tick t = eq.now();
     // Dimension-order routing: correct the lowest differing address
     // bit; the hop leaves through this router's link along that dim.
     const unsigned dim =
@@ -160,29 +128,20 @@ Network::hopEvent(NodeId at, FlightPtr f)
         }
         free_at = t + ser_time;
     }
+    // The next router's events run as its own node's stream.
     const NodeId next = at ^ (NodeId{1} << dim);
     const Tick when = t + cfg.pinToPin;
     if (next == f->dst) {
-        forward(at, next, when,
-                [this, f = std::move(f), when]() mutable {
-                    arrivalEvent(std::move(f), when);
-                });
+        eq.scheduleOn(streamOf(next), when,
+                      [this, f = std::move(f), when]() mutable {
+                          arrivalEvent(std::move(f), when);
+                      });
     } else {
-        forward(at, next, when,
-                [this, f = std::move(f), next]() mutable {
-                    hopEvent(next, std::move(f));
-                });
+        eq.scheduleOn(streamOf(next), when,
+                      [this, f = std::move(f), next]() mutable {
+                          hopEvent(next, std::move(f));
+                      });
     }
-}
-
-void
-Network::forwardAcross(unsigned cfrom, unsigned cto, Tick when,
-                       detail::EventClosure fn)
-{
-    if (!parts || !parts->queues)
-        panic("cross-cluster hop (cluster ", cfrom, " -> ", cto,
-              ") on a binding without cluster queues");
-    parts->queues->send(cfrom, cto, when, std::move(fn));
 }
 
 void
@@ -257,8 +216,7 @@ Network::deliverInOrder(FlightPtr f, Tick tail)
             f->src, f->dst, f->bytes, f->t0, tail,
             zeroLoadLatency(hops(f->src, f->dst), f->bytes));
     }
-    EventQueue& q = queueOf(f->dst);
-    q.schedule(tail, [f = std::move(f)]() { f->deliver(); });
+    eq.schedule(tail, [f = std::move(f)]() { f->deliver(); });
 }
 
 void
@@ -271,7 +229,7 @@ Network::foldStats() const
         statsGroup.scalar("orderingStallTicks");
     stats::Distribution& latency = statsGroup.distribution("latency");
     stats::Distribution& hop_dist = statsGroup.distribution("hops");
-    // Fixed cluster order: tick values are integers, so the sums are
+    // Fixed stream order: tick values are integers, so the sums are
     // exact either way, but keep the fold deterministic regardless.
     for (Shard& sh : shards) {
         messages += sh.messages;

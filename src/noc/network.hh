@@ -19,27 +19,24 @@
  * queue behind it, like blocked worms holding the channel).
  *
  * Routing is *hop-granular*: injection schedules an event at the
- * message's first router, and every hop is its own event on the queue
- * owning that router — it charges fault/contention stalls against its
- * outgoing link, reserves it, and schedules the next hop (or the
- * destination arrival). The old implementation walked the whole route
- * eagerly at send time, reserving every link of the path in one go;
- * that reads the far end's link state at the *send* tick, which is
- * both physically wrong for wormhole contention (a worm cannot reserve
- * a link it has not reached) and impossible to partition, since the
- * route crosses queue ownership boundaries. With per-hop events, every
- * piece of mutable state has exactly one owning cluster:
+ * message's first router, and every hop is its own event, run as the
+ * event-queue stream of the node owning that router — it charges
+ * fault/contention stalls against its outgoing link, reserves it, and
+ * schedules the next hop (or the destination arrival). A worm cannot
+ * reserve a link it has not reached, so the far end's link state is
+ * read when the header gets there, not at send time. Every piece of
+ * mutable state belongs to one node's stream:
  *
- *   linkFreeAt[link]        — the cluster of the router the link leaves
- *   nextPairSeq[src*n+dst]  — src's cluster (stamped at injection)
+ *   linkFreeAt[link]        — the stream of the router the link leaves
+ *   nextPairSeq[src*n+dst]  — src's stream (stamped at injection)
  *   expectedSeq / pairLast /
- *   out-of-order stash      — dst's cluster (checked at arrival)
- *   stat shards             — one per cluster, folded on demand
+ *   out-of-order stash      — dst's stream (checked at arrival)
+ *   stat shards             — one per stream, folded in stream order
  *
- * so a partitioned machine (harness/machine.hh) can run node clusters
- * on separate event queues and the only cross-cluster traffic is the
- * hop events themselves, which always lie >= pinToPin in the future —
- * the lookahead of the cluster drain (sim/cluster_queues.hh).
+ * A machine splits its nodes into contiguous blocks, one stream each
+ * (harness/machine.hh); a hop into another block's node is scheduled
+ * onto that node's stream (EventQueue::scheduleOn) and always lies
+ * >= pinToPin in the future.
  */
 
 #ifndef TB_NOC_NETWORK_HH_
@@ -61,9 +58,6 @@
 #include "sim/types.hh"
 
 namespace tb {
-
-class ClusterQueues;
-
 namespace noc {
 
 /** Static configuration of the interconnect. */
@@ -95,27 +89,6 @@ struct NetworkConfig
 };
 
 /**
- * How the machine's nodes map onto event queues. The machine always
- * installs one of these (a serial machine maps every node to the one
- * queue of cluster 0); a standalone Network without a binding behaves
- * as a single cluster on its own queue. A hop between clusters is
- * scheduled through queues->send(), never straight into the foreign
- * queue, so it gets its cross-cluster key and bounds the drain.
- */
-struct PartitionBinding
-{
-    /** Queue that owns each node's events. */
-    std::vector<EventQueue*> nodeQueue;
-    /** Cluster of each node. */
-    std::vector<std::uint16_t> nodeCluster;
-    /** Number of clusters; stat shards are folded in this order. */
-    unsigned clusters = 1;
-    /** The cluster queues a cross-cluster hop is sent through (may be
-     *  null when there is only one cluster). */
-    ClusterQueues* queues = nullptr;
-};
-
-/**
  * The interconnection network.
  *
  * Senders hand the network a completion closure that runs, at the
@@ -133,6 +106,9 @@ class Network : public SimObject
     using Deliver = std::function<void()>;
 
     /**
+     * @param queue event queue; its streams() (a power of two up to
+     *        the node count) split the nodes into that many
+     *        contiguous blocks, one stream each (streamOf()).
      * @param hooks machine-wide instrumentation seams (fault
      *        injection, tracing, delivery audit); may be null for
      *        standalone use. Fields are read at use time, so the
@@ -146,9 +122,9 @@ class Network : public SimObject
 
     /**
      * Inject a message of @p bytes from @p src to @p dst; @p fn runs
-     * on @p dst's queue when the last flit arrives. src == dst is
+     * as @p dst's stream when the last flit arrives. src == dst is
      * allowed (local loopback, charged marshal + unmarshal only).
-     * Must be called from an event running on @p src's queue.
+     * Must be called from an event running as @p src's stream.
      */
     template <typename F>
     void
@@ -176,12 +152,8 @@ class Network : public SimObject
         inject(src, dst, bytes, std::forward<F>(on_deliver));
     }
 
-    /**
-     * Map nodes onto event queues (see PartitionBinding). Must be
-     * called before any traffic; pass nullptr to revert to the
-     * standalone single-cluster default.
-     */
-    void bindPartitions(const PartitionBinding* binding);
+    /** Event-queue stream that node @p n's events run as. */
+    unsigned streamOf(NodeId n) const { return n >> streamShift; }
 
     /** Hamming distance — number of hops between two nodes. */
     unsigned hops(NodeId a, NodeId b) const;
@@ -196,8 +168,8 @@ class Network : public SimObject
     Tick zeroLoadLatency(unsigned n_hops, unsigned bytes) const;
 
     /**
-     * Aggregate statistics for this network. Folds the per-cluster
-     * shards first; only call when the queues are quiescent.
+     * Aggregate statistics for this network. Folds the per-stream
+     * shards first; only call when the queue is quiescent.
      */
     const stats::StatGroup& statistics() const;
 
@@ -245,10 +217,10 @@ class Network : public SimObject
     };
 
     /**
-     * Per-cluster statistics shard. Hop events write the shard of the
-     * cluster they run on; foldStats() drains every shard into
-     * statsGroup in cluster order, so the published stats are
-     * identical for any partitioning of the same traffic.
+     * Per-stream statistics shard. Hop events write the shard of the
+     * stream they run as; foldStats() drains every shard into
+     * statsGroup in stream order, so the floating-point sums always
+     * add up in the same order.
      */
     struct Shard
     {
@@ -275,33 +247,10 @@ class Network : public SimObject
      *  record stats and schedule the payload at the tail tick. */
     void deliverInOrder(FlightPtr f, Tick tail);
 
-    /** Schedule @p fn at @p when on @p to's queue (cross-cluster hops
-     *  go through ClusterQueues::send). @p from is the node whose
-     *  queue the caller is running on. */
-    template <typename F>
-    void
-    forward(NodeId from, NodeId to, Tick when, F&& fn)
-    {
-        const unsigned cfrom = clusterOf(from);
-        const unsigned cto = clusterOf(to);
-        if (cfrom == cto) {
-            queueOf(to).schedule(when, std::forward<F>(fn));
-            return;
-        }
-        forwardAcross(cfrom, cto, when,
-                      detail::EventClosure(std::forward<F>(fn)));
-    }
-
-    /** Cross-cluster half of forward(): send @p fn to cluster @p cto. */
-    void forwardAcross(unsigned cfrom, unsigned cto, Tick when,
-                       detail::EventClosure fn);
-
-    /** Drain all per-cluster shards into statsGroup. */
+    /** Drain all per-stream shards into statsGroup. */
     void foldStats() const;
 
-    EventQueue& queueOf(NodeId n) const;
-    unsigned clusterOf(NodeId n) const;
-    Shard& shardOf(NodeId n) const;
+    Shard& shardOf(NodeId n) const { return shards[streamOf(n)]; }
 
     /** Number of router cycles needed to serialize @p bytes. */
     unsigned flits(unsigned bytes) const;
@@ -317,15 +266,16 @@ class Network : public SimObject
 
     NetworkConfig cfg;
     const Hooks* hooks;
-    const PartitionBinding* parts = nullptr;
+    /** log2 of the nodes per stream. */
+    unsigned streamShift = 0;
     /** Earliest tick each directed link is free again. Owned by the
-     *  cluster of the router the link leaves. */
+     *  stream of the router the link leaves. */
     std::vector<Tick> linkFreeAt;
     /** Next send-order stamp per (src, dst) pair. Owned by src's
-     *  cluster: stamped at injection, before the first hop departs. */
+     *  stream: stamped at injection, before the first hop departs. */
     std::vector<std::uint64_t> nextPairSeq;
     /** Next expected arrival stamp per (src, dst) pair. Owned by
-     *  dst's cluster. */
+     *  dst's stream. */
     std::vector<std::uint64_t> expectedSeq;
     /**
      * Last delivery tick per (src, dst) pair. Messages between the
@@ -333,12 +283,12 @@ class Network : public SimObject
      * channel wormhole networks preserve point-to-point ordering; the
      * directory protocol relies on it: a forwarded intervention must
      * not overtake the data grant that precedes it). Owned by dst's
-     * cluster.
+     * stream.
      */
     std::vector<Tick> pairLastDelivery;
     /**
      * Early arrivals waiting for their (src, dst) predecessors, keyed
-     * by seq. Per pair so each entry is owned by dst's cluster. A
+     * by seq. Per pair so each entry is owned by dst's stream. A
      * small message can physically catch up with a large predecessor
      * on the shared tail (its last-hop body drains faster), so the
      * clamp alone is not enough — delivery order must be restored

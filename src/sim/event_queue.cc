@@ -1,8 +1,27 @@
 #include "sim/event_queue.hh"
 
+#include <bit>
 #include <utility>
 
 namespace tb {
+
+EventQueue::EventQueue(unsigned streams)
+{
+    if (streams == 0 || streams > 0x10000u)
+        panic("event stream count ", streams, " out of range [1, 65536]");
+    orderBits = kSeqBits - static_cast<unsigned>(std::bit_width(streams - 1));
+    nextOrder.assign(streams, 0);
+    streamTick.assign(streams, 0);
+}
+
+void
+EventQueue::setStream(unsigned stream)
+{
+    if (stream >= streams())
+        panic("event stream ", stream, " out of range [0, ", streams(),
+              ")");
+    cur = stream;
+}
 
 // ----------------------------------------------------------------------
 // EventHandle backends.
@@ -85,7 +104,8 @@ EventQueue::rejectSchedule(Tick when, int priority) const
     }
     if (static_cast<std::int16_t>(priority) != priority)
         panic("event priority out of range: ", priority);
-    panic("event sequence space exhausted (2^", kSeqBits, " events)");
+    panic("event stream ", cur, " exhausted its order space (2^",
+          orderBits, " events)");
 }
 
 void
@@ -112,6 +132,8 @@ EventQueue::executeHead()
     if (obs)
         obs->onExecute(e.when, s.priority, s.seq);
     curTick = e.when;
+    cur = s.stream;
+    streamTick[cur] = e.when;
     --livePending;
     ++executed;
     // Retire the slot *before* invoking: the bumped generation keeps
@@ -149,7 +171,7 @@ EventQueue::run(Tick until)
 }
 
 // ----------------------------------------------------------------------
-// Binary min-heap over packed (tick, priority:seq) keys. Hole-based
+// Binary min-heap over packed (tick, priority:key) keys. Hole-based
 // sift (move, don't swap) with 24-byte POD entries — no indirection in
 // the comparisons, which is where the old shared_ptr heap burned its
 // time.

@@ -2,12 +2,23 @@
  * @file
  * Deterministic discrete-event queue.
  *
- * Events are totally ordered by (tick, priority, insertion sequence), so
- * a given seed always produces bit-identical simulations. Cancelation is
- * lazy: an EventHandle marks its event dead and the queue drops it when
- * it reaches the head. The thrifty barrier's hybrid wake-up relies on
- * this to let the external and internal wake-up mechanisms cancel each
- * other (Section 3.3.2 of the paper).
+ * Events are totally ordered by (tick, priority, stream, per-stream
+ * order), so a given seed always produces bit-identical simulations.
+ * A queue is built with a number of *streams*; every event runs as
+ * one of them. An event scheduled with schedule() runs as the stream
+ * of the event that schedules it, and scheduleOn() names another
+ * stream (a NoC hop into a node of another stream). Either way its
+ * tie-break key is the *origin* stream (the one running, or the one
+ * set with setStream() during setup) and that stream's next order
+ * number. With one stream this is plain insertion order. A machine
+ * runs each block of nodes as its own stream (harness/machine.hh), so
+ * its event order is the one a queue per block would execute, drained
+ * together: the order the paper's artifacts pin.
+ *
+ * Cancelation is lazy: an EventHandle marks its event dead and the
+ * queue drops it when it reaches the head. The thrifty barrier's
+ * hybrid wake-up relies on this to let the external and internal
+ * wake-up mechanisms cancel each other (Section 3.3.2 of the paper).
  *
  * Storage design (docs/PERFORMANCE.md): events live in slab-allocated
  * pool slots reused through a free list, and callbacks whose captures
@@ -49,14 +60,18 @@ class EventQueueObserver
     virtual ~EventQueueObserver() = default;
 
     /** An event was scheduled for @p when while the queue sat at
-     *  @p now. */
+     *  @p now. @p seq is its tie-break key: origin stream and
+     *  per-stream order, packed so that keys compare as the queue
+     *  orders ties (the insertion sequence on a one-stream queue). */
     virtual void
     onSchedule(Tick when, int priority, std::uint64_t seq, Tick now)
     {
         (void)when; (void)priority; (void)seq; (void)now;
     }
 
-    /** The event (@p when, @p priority, @p seq) is about to execute. */
+    /** The event (@p when, @p priority, @p seq) is about to execute.
+     *  Keys ascend in execution order, except that an event scheduled
+     *  at the current tick below the running event's key runs next. */
     virtual void
     onExecute(Tick when, int priority, std::uint64_t seq)
     {
@@ -322,7 +337,12 @@ class EventQueue
     static constexpr std::size_t kInlineClosureBytes =
         detail::EventClosure::kInlineBytes;
 
-    EventQueue() = default;
+    /**
+     * @param streams number of streams events run as, in [1, 65536]
+     *        (see file comment). Setup code schedules as stream 0
+     *        until setStream() names another.
+     */
+    explicit EventQueue(unsigned streams = 1);
 
     EventQueue(const EventQueue&) = delete;
     EventQueue& operator=(const EventQueue&) = delete;
@@ -331,13 +351,14 @@ class EventQueue
     Tick now() const { return curTick; }
 
     /**
-     * Schedule @p f to run at absolute tick @p when.
+     * Schedule @p f to run at absolute tick @p when, as the running
+     * event's stream.
      *
      * @param when      Absolute tick; must be >= now().
      * @param f         Callable executed when the event fires. Captures
      *                  up to kInlineClosureBytes are stored inline.
      * @param priority  Ties at the same tick run in ascending priority,
-     *                  then insertion order.
+     *                  then ascending (origin stream, order).
      * @return a handle that can cancel the event.
      */
     template <typename F,
@@ -346,27 +367,7 @@ class EventQueue
     EventHandle
     schedule(Tick when, F&& f, int priority = 0)
     {
-        rejectEmpty(f);
-        // prepareSlot validates and fills the key fields; the closure is
-        // then constructed straight into the slot (no relocation), and
-        // only a fully-formed event enters the heap.
-        const std::uint32_t idx = prepareSlot(when, priority);
-        Slot& s = slot(idx);
-        s.callback.emplace(std::forward<F>(f));
-        // In keyed mode every plain schedule() keys by (own stream,
-        // local order) so it ties deterministically against events
-        // merged in from peer partitions (which carry their origin
-        // stream). The local order counter is separate from the slot
-        // sequence: slot sequences are also consumed by merged events,
-        // whose arrival timing is host-dependent, and must never leak
-        // into an ordering key.
-        heapPush(HeapEntry{when,
-                           keyed_ ? packKeyedKey(priority, stream_,
-                                                 takeKeyedOrder())
-                                  : packKey(priority, s.seq),
-                           idx});
-        ++livePending;
-        return EventHandle(this, idx, s.gen);
+        return scheduleAs(cur, when, std::forward<F>(f), priority);
     }
 
     /** Schedule @p f to run @p delta ticks from now. */
@@ -380,52 +381,46 @@ class EventQueue
     }
 
     /**
-     * Schedule @p f with an explicit tie-break key: events at equal
-     * (when, priority) run in ascending (@p stream, @p order) order
-     * instead of insertion order.
-     *
-     * This is how a cross-cluster event enters a cluster queue
-     * (sim/cluster_queues.hh): a cluster's queue receives both its own
-     * events and events sent from other clusters, and when a send
-     * happens depends on how far the drain's bursts run. Keying every
-     * entry by (origin cluster, origin sequence) makes the executed
-     * total order (time, priority, cluster, seq) — a function of the
-     * simulation alone, never of when a send happened to run.
-     *
-     * Unless the queue is in keyed mode (setKeyedStream), drive it
-     * either entirely through schedule() or entirely through
-     * scheduleKeyed(): the two pack their heap keys differently, so
-     * mixing them interleaves ties arbitrarily (each style alone is a
-     * strict total order).
+     * schedule() at priority 0, but the event runs as @p stream
+     * (< streams()). Its key still carries the origin stream, so where
+     * it sorts among ties does not depend on which stream it runs as.
      */
     template <typename F,
               typename = std::enable_if_t<
                   std::is_invocable_v<std::decay_t<F>&>>>
     EventHandle
-    scheduleKeyed(Tick when, int priority, std::uint16_t stream,
-                  std::uint32_t order, F&& f)
+    scheduleOn(unsigned stream, Tick when, F&& f)
     {
-        rejectEmpty(f);
-        const std::uint32_t idx = prepareSlot(when, priority);
-        Slot& s = slot(idx);
-        s.callback.emplace(std::forward<F>(f));
-        heapPush(HeapEntry{when, packKeyedKey(priority, stream, order),
-                           idx});
-        ++livePending;
-        return EventHandle(this, idx, s.gen);
+        if (stream >= streams())
+            panic("event stream ", stream, " out of range [0, ",
+                  streams(), ")");
+        crossed += stream != cur;
+        return scheduleAs(stream, when, std::forward<F>(f), 0);
     }
 
-    /**
-     * Tick of the earliest live pending event, or kTickNever when the
-     * queue is empty. Reaps canceled events sitting at the head (the
-     * same pass runOne()/run() perform), so the answer is exact.
-     */
-    Tick
-    nextTick()
+    /** Number of streams the queue was built with. */
+    unsigned
+    streams() const
     {
-        dropDead();
-        return heap.empty() ? kTickNever : heap.front().when;
+        return static_cast<unsigned>(streamTick.size());
     }
+
+    /** The stream that schedule() runs new events as: the running
+     *  event's, or the one set with setStream(). */
+    unsigned stream() const { return cur; }
+
+    /**
+     * Make @p stream (< streams()) the origin of the events scheduled
+     * from here on. For setup code only: inside an event, the running
+     * event's stream is the origin.
+     */
+    void setStream(unsigned stream);
+
+    /** Tick of the last event that ran as @p stream (0 if none). */
+    Tick streamNow(unsigned stream) const { return streamTick.at(stream); }
+
+    /** Events scheduled onto another stream than the origin's. */
+    std::uint64_t crossStreamEvents() const { return crossed; }
 
     /**
      * Execute the single next pending event.
@@ -448,25 +443,6 @@ class EventQueue
 
     /** Total events executed since construction. */
     std::uint64_t eventsExecuted() const { return executed; }
-
-    /**
-     * Switch this queue into keyed mode: every plain schedule() from
-     * here on ties by (priority, @p stream, local order) instead of
-     * global insertion order, making it mixable with scheduleKeyed()
-     * sends from other clusters (the two then share one strict total
-     * order). ClusterQueues sets @p stream to the queue's own cluster
-     * id, which no send into it carries, so local keys never collide
-     * with sent ones. One-way and sticky: call before any event is
-     * scheduled.
-     */
-    void
-    setKeyedStream(std::uint16_t stream)
-    {
-        if (nextSeq != 0)
-            panic("setKeyedStream after events were scheduled");
-        keyed_ = true;
-        stream_ = stream;
-    }
 
     /** Attach (or with nullptr detach) a scheduling observer. */
     void setObserver(EventQueueObserver* observer) { obs = observer; }
@@ -494,21 +470,24 @@ class EventQueue
         enum class State : std::uint8_t { Free, Pending, Canceled };
 
         Tick when = 0;
+        /** Tie-break key: origin stream over per-stream order. */
         std::uint64_t seq = 0;
         /** Bumped every recycle; stale handles mismatch and no-op. */
         std::uint64_t gen = 0;
         detail::EventClosure callback;
         std::int32_t priority = 0;
         std::uint32_t nextFree = kNoIndex;
+        /** Stream the event runs as. */
+        std::uint16_t stream = 0;
         State state = State::Free;
     };
 
     /**
      * Heap element: full ordering key + slot index, no indirection.
      * Priority (16-bit, bias-mapped so the unsigned compare preserves
-     * signed order) and sequence (48-bit) share one word, so the
-     * strict (tick, priority, seq) order costs two word compares in
-     * the sift loops. prepareSlot() enforces both ranges.
+     * signed order) and the 48-bit tie-break key share one word, so
+     * the strict (tick, priority, key) order costs two word compares
+     * in the sift loops. prepareSlot() enforces both ranges.
      */
     struct HeapEntry
     {
@@ -516,7 +495,7 @@ class EventQueue
         std::uint64_t prioSeq;
         std::uint32_t index;
 
-        /** Strict (tick, priority, seq) order; seq is unique. */
+        /** Strict (tick, priority, key) order; keys are unique. */
         bool
         before(const HeapEntry& o) const
         {
@@ -526,7 +505,7 @@ class EventQueue
         }
     };
 
-    /** Bits of the packed key holding the insertion sequence. */
+    /** Bits of the packed word holding the tie-break key. */
     static constexpr unsigned kSeqBits = 48;
 
     static std::uint64_t
@@ -535,20 +514,6 @@ class EventQueue
         const auto biased = static_cast<std::uint16_t>(
             static_cast<std::uint16_t>(priority) ^ 0x8000u);
         return (std::uint64_t{biased} << kSeqBits) | seq;
-    }
-
-    /**
-     * Key layout for scheduleKeyed(): the 48 sequence bits split into
-     * a 16-bit stream id over a 32-bit per-stream order, so the packed
-     * word still compares as (priority, stream, order) in one compare.
-     */
-    static std::uint64_t
-    packKeyedKey(int priority, std::uint16_t stream, std::uint32_t order)
-    {
-        const auto biased = static_cast<std::uint16_t>(
-            static_cast<std::uint16_t>(priority) ^ 0x8000u);
-        return (std::uint64_t{biased} << kSeqBits) |
-               (std::uint64_t{stream} << 32) | order;
     }
 
     Slot&
@@ -572,27 +537,51 @@ class EventQueue
 
     /**
      * Schedule prologue shared by every instantiation: observer hook,
-     * past-tick / priority-range / sequence-range checks, slot
-     * allocation and key-field fill. Returns the slot index; the
-     * caller emplaces the closure and pushes the heap entry.
+     * past-tick / priority-range / order-range checks, slot allocation
+     * and key-field fill. The key is the origin stream (the running
+     * one) over its next order number, which takes the low orderBits
+     * bits. Returns the slot index; the caller emplaces the closure
+     * and pushes the heap entry.
      */
     std::uint32_t
-    prepareSlot(Tick when, int priority)
+    prepareSlot(Tick when, int priority, unsigned runs_as)
     {
+        std::uint64_t& order = nextOrder[cur];
+        const std::uint64_t seq =
+            (std::uint64_t{cur} << orderBits) | order;
         if (obs)
-            obs->onSchedule(when, priority, nextSeq, curTick);
+            obs->onSchedule(when, priority, seq, curTick);
         if (when < curTick || static_cast<std::int16_t>(priority) !=
                                   priority ||
-            (nextSeq >> kSeqBits) != 0) {
+            (order >> orderBits) != 0) {
             rejectSchedule(when, priority);
         }
+        ++order;
         const std::uint32_t idx = allocSlot();
         Slot& s = slot(idx);
         s.when = when;
         s.priority = priority;
-        s.seq = nextSeq++;
+        s.seq = seq;
+        s.stream = static_cast<std::uint16_t>(runs_as);
         s.state = Slot::State::Pending;
         return idx;
+    }
+
+    /** Schedule @p f at @p when to run as @p runs_as. */
+    template <typename F>
+    EventHandle
+    scheduleAs(unsigned runs_as, Tick when, F&& f, int priority)
+    {
+        rejectEmpty(f);
+        // prepareSlot validates and fills the key fields; the closure is
+        // then constructed straight into the slot (no relocation), and
+        // only a fully-formed event enters the heap.
+        const std::uint32_t idx = prepareSlot(when, priority, runs_as);
+        Slot& s = slot(idx);
+        s.callback.emplace(std::forward<F>(f));
+        heapPush(HeapEntry{when, packKey(priority, s.seq), idx});
+        ++livePending;
+        return EventHandle(this, idx, s.gen);
     }
 
     /**
@@ -614,15 +603,6 @@ class EventQueue
 
     /** Cold path of prepareSlot: diagnose and panic. */
     [[noreturn]] void rejectSchedule(Tick when, int priority) const;
-
-    /** Next keyed-mode local order value (32-bit stream-order space). */
-    std::uint32_t
-    takeKeyedOrder()
-    {
-        if (keyedOrder_ == ~std::uint32_t{0})
-            panic("keyed event queue exhausted its 2^32 order space");
-        return keyedOrder_++;
-    }
 
     /** Pop a free slot, growing the pool by one slab if exhausted. */
     std::uint32_t
@@ -680,14 +660,18 @@ class EventQueue
     std::size_t deadPending = 0;
     std::vector<HeapEntry> heap;
     Tick curTick = 0;
-    std::uint64_t nextSeq = 0;
     std::uint64_t executed = 0;
     std::size_t livePending = 0;
     EventQueueObserver* obs = nullptr;
-    /** Keyed mode (setKeyedStream): plain schedule() packs keyed keys. */
-    bool keyed_ = false;
-    std::uint16_t stream_ = 0;
-    std::uint32_t keyedOrder_ = 0;
+    /** The origin stream of the next schedule (see stream()). */
+    unsigned cur = 0;
+    /** Bits of a key below the stream: 48 minus the stream id width. */
+    unsigned orderBits = kSeqBits;
+    /** Next order number of each stream. */
+    std::vector<std::uint64_t> nextOrder;
+    /** Tick of each stream's last event (streamNow()). */
+    std::vector<Tick> streamTick;
+    std::uint64_t crossed = 0;
 };
 
 inline bool

@@ -94,7 +94,7 @@ class Distribution
      * Fold @p o into this distribution as if every one of its samples
      * had been recorded here. Commutative in exact arithmetic, but
      * floating-point sums are order-sensitive — callers that need
-     * bit-stable artifacts (the network's per-cluster stat shards)
+     * bit-stable artifacts (the network's per-stream stat shards)
      * must merge in a fixed order.
      */
     void

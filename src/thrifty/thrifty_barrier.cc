@@ -76,9 +76,9 @@ ThriftyBarrier::arrive(cpu::ThreadContext& tc, std::function<void()> cont)
 
     obs::TraceSink* trace = runtime.traceSink();
     if (TB_TRACED(trace, obs::TraceCategory::Thrifty)) {
-        // instanceIdx is home-confined state; reading it here is only
-        // safe because structured tracing forces the serial plan
-        // (harness/experiment.cc).
+        // instanceIdx belongs to the count line's home; reading it
+        // from the arriving thread is still deterministic, because
+        // every stream runs in the one event queue's total order.
         trace->instant(obs::TraceCategory::Thrifty, "arrive",
                        now, tid,
                        {{"pc", barrierPc}, {"instance", instanceIdx}});
@@ -234,9 +234,9 @@ ThriftyBarrier::earlyArrival(cpu::ThreadContext& tc, ThreadId tid,
         // Bottom of the degradation ladder: this (thread, barrier)
         // pair burned through its faulty-episode allowance, so it
         // takes the conventional sense-reversal spin until the
-        // exponential backoff re-enables prediction. (Hardening
-        // forces the serial plan, so the shared quarantine map is
-        // safe here.)
+        // exponential backoff re-enables prediction. (Every stream
+        // runs in the one event queue's total order, so reading the
+        // shared quarantine map here is deterministic.)
         ++st.spins;
         spinOnFlag(tc, flagAddr, want,
                    [this, &tc, tid, cont = std::move(cont)]() mutable {

@@ -47,13 +47,13 @@ class ThriftyRuntime
     unsigned numThreads() const { return threads; }
     const ThriftyConfig& config() const { return cfg; }
     /**
-     * The shared BIT predictor. On a partitioned machine the predictor
-     * table is *home-confined*: every read or write of barrier @p pc's
-     * entry must execute on the event queue of pc's count-line home
-     * node (ThriftyBarrier routes all predictor traffic through the
-     * check-in fetch-op and control messages to home). prepare() in
-     * the barrier constructor pre-inserts entries so runtime access
-     * never mutates the table structure.
+     * The shared BIT predictor. The predictor table is
+     * *home-confined*: every read or write of barrier @p pc's entry
+     * executes in an event of pc's count-line home node, as that
+     * node's stream (ThriftyBarrier routes all predictor traffic
+     * through the check-in fetch-op and control messages to home).
+     * prepare() in the barrier constructor pre-inserts entries so
+     * runtime access never mutates the table structure.
      */
     BitPredictor& predictor() { return *pred; }
     const BitPredictor& predictor() const { return *pred; }

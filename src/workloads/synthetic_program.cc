@@ -120,8 +120,12 @@ SyntheticProgram::drawBusy(ThreadId tid, const Step& step) const
 void
 SyntheticProgram::start()
 {
-    for (std::size_t t = 0; t < tcs.size(); ++t)
+    for (std::size_t t = 0; t < tcs.size(); ++t) {
+        // Thread t runs on node t: its first events originate from,
+        // and run as, that node's stream.
+        eq.setStream(memory.fabric().streamOf(static_cast<NodeId>(t)));
         runStep(static_cast<ThreadId>(t), 0);
+    }
 }
 
 void
@@ -201,9 +205,8 @@ SyntheticProgram::issueAccess(ThreadId tid)
 void
 SyntheticProgram::threadFinished(ThreadId tid)
 {
-    // Per-thread bookkeeping only: on a partitioned machine each
-    // thread runs on its own cluster's clock, so the thread's own tick
-    // (not the root queue's) is its finish time.
+    // Per-thread bookkeeping only: the tick of this thread's last
+    // event is its finish time.
     tcs[tid]->markDone();
     finishTick_[tid] = tcs[tid]->curTick();
 }

@@ -99,9 +99,7 @@ TEST(AllocBudget, DefaultPlanRunStaysUnderBudget)
     const std::uint64_t allocs = allocations.load() - before;
     ASSERT_TRUE(program.finished());
 
-    std::uint64_t events = 0;
-    for (unsigned c = 0; c < machine.partitions(); ++c)
-        events += machine.clusterQueue(c).eventsExecuted();
+    const std::uint64_t events = machine.eventQueue().eventsExecuted();
     ASSERT_GT(events, 0u);
     const double per_event =
         static_cast<double>(allocs) / static_cast<double>(events);

@@ -2,7 +2,8 @@
  * @file
  * Tests of the campaign benches' shared command line
  * (harness/campaign_cli.hh): the strict parse that turns every bad
- * option or value into a usage error with exit status 2.
+ * option or value into a usage error with exit status 2, and the
+ * `--only-point` rerun that reports a failed point with exit status 1.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_util.hh"
 #include "harness/campaign_cli.hh"
 
 namespace tb {
@@ -97,6 +99,30 @@ TEST(CampaignCliDeathTest, SwitchRejectsInlineValue)
                 "option --quick takes no value");
     EXPECT_EXIT(parseArgs({"--quick="}), testing::ExitedWithCode(2),
                 "option --quick takes no value");
+}
+
+/**
+ * A failing `--only-point` rerun reports like a failed campaign point
+ * (`point I: <what>` on stderr) and exits 1, instead of letting the
+ * exception end the process. A profile without barriers makes the
+ * point fail with a fatal error.
+ */
+TEST(CampaignCli, OnlyPointFailureExitsOne)
+{
+    CampaignOptions opts;
+    opts.onlyPoint = 1;
+    workloads::AppProfile app = workloads::appByName("Volrend");
+    app.prologue.clear();
+    app.loop.clear();
+    ObsCapture capture(opts, "only_point", bench::figureConfigs().size());
+    testing::internal::CaptureStderr();
+    const int rc = bench::runOnlyMatrixPoint(SystemConfig::small(2), {app},
+                                             opts, &capture);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(rc, 1);
+    EXPECT_EQ(err.rfind("point 1: fatal: ", 0), 0u) << err;
+
+    EXPECT_TRUE(bench::runOnlyPoint(3, [] {}));
 }
 
 } // namespace

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "check/protocol_checker.hh"
 #include "mem/address_map.hh"
@@ -182,6 +183,31 @@ TEST(ProtocolChecker, DetectsExecutionOrderInversion)
     c.onExecute(10, 0, 5);
     const std::string msg =
         panicMessage([&]() { c.onExecute(10, 0, 3); });
+    EXPECT_NE(msg.find("total order"), std::string::npos) << msg;
+}
+
+/**
+ * On a multi-stream queue the checker audits the key the queue orders
+ * by, not the insertion order: stream 1's event, scheduled first, runs
+ * after stream 0's at the same tick and passes the audit. Executing a
+ * key below the last one still panics.
+ */
+TEST(ProtocolChecker, AuditsTheKeyOfAMultiStreamQueue)
+{
+    ProtocolChecker c(smallConfig());
+    EventQueue eq(2);
+    c.bindClock(&eq);
+    eq.setObserver(&c);
+    std::vector<unsigned> ran;
+    eq.setStream(1);
+    eq.schedule(10, [&]() { ran.push_back(eq.stream()); });
+    eq.setStream(0);
+    eq.schedule(10, [&]() { ran.push_back(eq.stream()); });
+    eq.run();
+    EXPECT_EQ(ran, (std::vector<unsigned>{0, 1}));
+    // Key 0 is stream 0's first event, below stream 1's last one.
+    const std::string msg =
+        panicMessage([&]() { c.onExecute(10, 0, 0); });
     EXPECT_NE(msg.find("total order"), std::string::npos) << msg;
 }
 

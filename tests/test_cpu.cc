@@ -60,7 +60,7 @@ TEST(Cpu, StartsActiveAndAccruesCompute)
     Rig r;
     r.eq.schedule(kMillisecond, []() {});
     r.eq.run();
-    r.cpu0.finalize();
+    r.cpu0.finalize(r.eq.now());
     EXPECT_EQ(r.cpu0.state(), CpuState::Active);
     EXPECT_EQ(r.cpu0.energy().time(Bucket::Compute), kMillisecond);
     EXPECT_NEAR(r.cpu0.energy().energy(Bucket::Compute),
@@ -73,7 +73,7 @@ TEST(Cpu, SpinAccruesAtSpinPower)
     r.cpu0.beginSpin();
     r.eq.schedule(kMillisecond, [&]() { r.cpu0.endSpin(); });
     r.eq.run();
-    r.cpu0.finalize();
+    r.cpu0.finalize(r.eq.now());
     EXPECT_EQ(r.cpu0.energy().time(Bucket::Spin), kMillisecond);
     EXPECT_NEAR(r.cpu0.energy().energy(Bucket::Spin),
                 r.pp.spinWatts() * 1e-3, 1e-9);
@@ -100,7 +100,7 @@ TEST(Cpu, HaltSleepTimerWakeRoundTrip)
     });
     EXPECT_EQ(r.cpu0.state(), CpuState::TransitionDown);
     r.eq.run();
-    r.cpu0.finalize();
+    r.cpu0.finalize(r.eq.now());
 
     ASSERT_TRUE(woke.has_value());
     EXPECT_EQ(*woke, mem::WakeReason::Timer);
@@ -135,7 +135,7 @@ TEST(Cpu, DeepSleepFlushesAndGatesSnoop)
     EXPECT_EQ(r.cpu0.state(), CpuState::Flushing);
     r.eq.run();
     EXPECT_TRUE(woke);
-    r.cpu0.finalize();
+    r.cpu0.finalize(r.eq.now());
     // The dirty shared line was flushed.
     EXPECT_EQ(r.mem.controller(0).l2State(r.shared),
               mem::LineState::Invalid);
@@ -161,7 +161,7 @@ TEST(Cpu, WakeDuringFlushAbortsEntry)
     // Trigger a wake while still flushing.
     r.cpu0.wakeRequest(mem::WakeReason::ExternalFlag);
     r.eq.run();
-    r.cpu0.finalize();
+    r.cpu0.finalize(r.eq.now());
     EXPECT_TRUE(woke);
     EXPECT_EQ(r.cpu0.state(), CpuState::Active);
     // Never slept: no Sleep or Transition time.
@@ -186,7 +186,7 @@ TEST(Cpu, WakeDuringDownTransitionTurnsAround)
     r.eq.run();
     EXPECT_TRUE(woke);
     EXPECT_EQ(woke_at, 20 * kMicrosecond);
-    r.cpu0.finalize();
+    r.cpu0.finalize(r.eq.now());
     EXPECT_EQ(r.cpu0.energy().time(Bucket::Transition),
               20 * kMicrosecond);
     EXPECT_EQ(r.cpu0.energy().time(Bucket::Sleep), 0u);
@@ -230,7 +230,7 @@ TEST(Cpu, SuspendResumeAccounting)
                   [&]() { r.cpu0.resumeAccounting(); });
     r.eq.schedule(4 * kMillisecond, []() {});
     r.eq.run();
-    r.cpu0.finalize();
+    r.cpu0.finalize(r.eq.now());
     // 2ms of the 4ms were suspended.
     EXPECT_EQ(r.cpu0.energy().totalTime(), 2 * kMillisecond);
 }
@@ -255,7 +255,7 @@ TEST(Cpu, EnterSleepFromSpinningIsAllowed)
         r.cpu0.enterSleep(r.halt(), [](mem::WakeReason) {});
     });
     r.eq.run();
-    r.cpu0.finalize();
+    r.cpu0.finalize(r.eq.now());
     EXPECT_EQ(r.cpu0.state(), CpuState::Active);
     EXPECT_EQ(r.cpu0.energy().time(Bucket::Spin), 100 * kMicrosecond);
     EXPECT_GT(r.cpu0.energy().time(Bucket::Sleep), 0u);

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -63,7 +65,7 @@ TEST(EventQueue, EmptyClosurePanics)
 {
     EventQueue eq;
     EXPECT_THROW(eq.schedule(1, detail::EventClosure{}), PanicError);
-    EXPECT_THROW(eq.scheduleKeyed(1, 0, 0, 0, detail::EventClosure{}),
+    EXPECT_THROW(eq.scheduleOn(0, 1, detail::EventClosure{}),
                  PanicError);
     // Wrapping an empty std::function yields an empty closure, which
     // is rejected the same way instead of failing when it fires.
@@ -303,6 +305,190 @@ TEST(EventQueueCancelRace, CancelIsIdempotentAcrossReschedule)
     eq.run();
     EXPECT_FALSE(first_ran);
     EXPECT_TRUE(second_ran);
+}
+
+// ----------------------------------------------------------------------
+// Multi-stream ordering. The suite keeps the name of the per-cluster
+// queues that a stream replaces: each test checks, on one queue, an
+// order those queues guaranteed.
+// ----------------------------------------------------------------------
+
+using Log = std::vector<std::pair<char, Tick>>;
+
+TEST(ClusterQueues, SingleQueueRunsLikeSerial)
+{
+    EventQueue q(1);
+    std::vector<Tick> order;
+    q.schedule(30, [&] { order.push_back(30); });
+    q.schedule(10, [&] {
+        order.push_back(10);
+        q.scheduleIn(5, [&] { order.push_back(15); });
+    });
+    q.run();
+    EXPECT_EQ(order, (std::vector<Tick>{10, 15, 30}));
+    EXPECT_EQ(q.eventsExecuted(), 3u);
+    EXPECT_EQ(q.now(), Tick{30});
+    EXPECT_EQ(q.streamNow(0), Tick{30});
+}
+
+TEST(ClusterQueues, CrossClusterSendDelivers)
+{
+    EventQueue q(2);
+    std::vector<std::string> log;
+    const auto note = [&](const char* who) {
+        log.push_back(who + std::to_string(q.stream()));
+    };
+    q.schedule(5, [&] {
+        note("a@5/");
+        q.scheduleOn(1, 20, [&] {
+            note("b@20/");
+            q.scheduleOn(0, 35, [&] { note("a@35/"); });
+        });
+    });
+    q.run();
+    EXPECT_EQ(log, (std::vector<std::string>{"a@5/0", "b@20/1", "a@35/0"}));
+    EXPECT_EQ(q.crossStreamEvents(), 2u);
+    EXPECT_EQ(q.now(), Tick{35});
+}
+
+/** An event scheduled onto another stream before run() is delivered. */
+TEST(ClusterQueues, SetupSendIsDelivered)
+{
+    EventQueue q(2);
+    Tick firedAt = 0;
+    unsigned ranAs = 0;
+    q.scheduleOn(1, 25, [&] {
+        firedAt = q.now();
+        ranAs = q.stream();
+    });
+    q.run();
+    EXPECT_EQ(firedAt, Tick{25});
+    EXPECT_EQ(ranAs, 1u);
+}
+
+TEST(ClusterQueues, ZeroEventsTerminates)
+{
+    EventQueue q(4);
+    q.run();
+    EXPECT_EQ(q.now(), Tick{0});
+    EXPECT_EQ(q.crossStreamEvents(), 0u);
+    for (unsigned s = 0; s < q.streams(); ++s)
+        EXPECT_EQ(q.streamNow(s), Tick{0});
+}
+
+/** Only one far-future event exists anywhere: it fires at once, and
+ *  only its own stream's clock moves. */
+TEST(ClusterQueues, FarFutureEventAtZeroLoad)
+{
+    EventQueue q(4);
+    bool fired = false;
+    q.scheduleOn(2, 1'000'000'000, [&] { fired = true; });
+    q.run();
+    EXPECT_TRUE(fired);
+    EXPECT_EQ(q.now(), Tick{1'000'000'000});
+    EXPECT_EQ(q.eventsExecuted(), 1u);
+    EXPECT_EQ(q.streamNow(2), Tick{1'000'000'000});
+    EXPECT_EQ(q.streamNow(1), Tick{0});
+}
+
+/** A relay A -> B -> C, with C holding a far-future event at 1000: the
+ *  relay reaches C at 47, before C's own event. */
+TEST(ClusterQueues, RelayChainLandsBeforeFarEvent)
+{
+    EventQueue q(3);
+    Log log;
+    const auto note = [&](char who) { log.emplace_back(who, q.now()); };
+    q.scheduleOn(2, 1000, [&] { note('C'); });
+    q.schedule(0, [&] {
+        note('A');
+        q.scheduleOn(1, 40, [&] {
+            note('B');
+            q.scheduleOn(2, 47, [&] { note('C'); });
+        });
+    });
+    q.run();
+    EXPECT_EQ(log, (Log{{'A', 0}, {'B', 40}, {'C', 47}, {'C', 1000}}));
+}
+
+/**
+ * The key order (tick, priority, origin stream, per-stream order). Two
+ * streams reach stream 2 at the same tick: the smaller origin runs
+ * first although it scheduled later in simulated time, and stream 2's
+ * own event at that tick sorts by its own id. A more urgent priority
+ * beats every stream id. Events scheduled onto stream 2 run as it.
+ */
+TEST(ClusterQueues, TieBreakTotalOrder)
+{
+    EventQueue eq(3);
+    std::vector<std::string> order;
+    std::vector<unsigned> ranAs;
+    const auto log = [&](const char* what) {
+        order.push_back(what);
+        ranAs.push_back(eq.stream());
+    };
+    eq.setStream(1);
+    eq.schedule(0, [&] {
+        eq.scheduleOn(2, 100, [&] { log("from-b"); });
+    });
+    eq.setStream(0);
+    eq.schedule(5, [&] {
+        eq.scheduleOn(2, 100, [&] { log("from-a"); });
+    });
+    eq.setStream(2);
+    eq.schedule(100, [&] { log("local-c"); });
+    eq.schedule(100, [&] { log("prio"); }, -1);
+    eq.run();
+    EXPECT_EQ(order, (std::vector<std::string>{"prio", "from-a", "from-b",
+                                               "local-c"}));
+    EXPECT_EQ(ranAs, (std::vector<unsigned>{2, 2, 2, 2}));
+}
+
+/** Only events scheduled onto another stream count as crossing. */
+TEST(ClusterQueues, CountsSends)
+{
+    EventQueue q(2);
+    q.schedule(0, [&] {
+        q.scheduleOn(1, 10, [] {});
+        q.scheduleOn(0, 10, [] {});
+    });
+    q.setStream(1);
+    q.schedule(5, [] {});
+    q.run();
+    EXPECT_EQ(q.crossStreamEvents(), 1u);
+    EXPECT_EQ(q.eventsExecuted(), 4u);
+    EXPECT_EQ(q.streamNow(0), Tick{10});
+    EXPECT_EQ(q.streamNow(1), Tick{10});
+}
+
+/** schedule() inherits the running event's stream; each stream keeps
+ *  the tick of its own last event. */
+TEST(EventQueueStreams, ScheduleRunsAsTheRunningStream)
+{
+    EventQueue eq(2);
+    unsigned followUpStream = 99;
+    eq.schedule(10, [&] {
+        eq.scheduleOn(1, 20, [&] {
+            eq.scheduleIn(5, [&] { followUpStream = eq.stream(); });
+        });
+    });
+    eq.schedule(40, [] {});
+    eq.run();
+    EXPECT_EQ(followUpStream, 1u);
+    EXPECT_EQ(eq.streamNow(0), Tick{40});
+    EXPECT_EQ(eq.streamNow(1), Tick{25});
+    EXPECT_EQ(eq.now(), Tick{40});
+    EXPECT_EQ(eq.crossStreamEvents(), 1u);
+}
+
+TEST(EventQueueStreams, RejectsStreamsOutOfRange)
+{
+    EXPECT_THROW(EventQueue(0), PanicError);
+    EXPECT_THROW(EventQueue(0x10001u), PanicError);
+    EventQueue eq(2);
+    EXPECT_EQ(eq.streams(), 2u);
+    EXPECT_THROW(eq.setStream(2), PanicError);
+    EXPECT_THROW(eq.scheduleOn(2, 1, [] {}), PanicError);
+    EXPECT_TRUE(eq.empty());
 }
 
 } // namespace

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "noc/network.hh"
-#include "sim/cluster_queues.hh"
 #include "sim/event_queue.hh"
 #include "sim/fault_hooks.hh"
 #include "sim/hooks.hh"
@@ -236,10 +235,10 @@ TEST(Network, P2pOrderSurvivesContentionAndFaultStalls)
 }
 
 /**
- * A 16-node network split into 4 clusters of 4 nodes, each cluster on
- * its own keyed queue of a ClusterQueues, drained the way a
- * partitioned machine is (harness/machine.cc). Messages between
- * clusters are sent through ClusterQueues::send hop by hop.
+ * A 16-node network on one 4-stream queue: four blocks of 4 nodes, each
+ * running as its own stream, the way a machine's nodes do
+ * (harness/machine.cc). Hops between blocks are scheduled onto the
+ * next router's stream.
  *
  * Link contention is off and link stalls vary per traversal, so a
  * message can overtake an earlier one on the same path (with
@@ -250,7 +249,7 @@ TEST(Network, P2pOrderSurvivesContentionAndFaultStalls)
 class PartitionedNoc
 {
   public:
-    static constexpr unsigned kClusters = 4;
+    static constexpr unsigned kStreams = 4;
 
     using Pair = std::pair<NodeId, NodeId>;
     /** (send-order stamp, delivery tick) per message of a pair. */
@@ -261,8 +260,7 @@ class PartitionedNoc
     struct VaryingStalls : FaultHooks
     {
         bool (*stalls)(NodeId at, unsigned k) = nullptr;
-        /** Traversals per router; each entry is only touched by the
-         *  router's own cluster. */
+        /** Traversals per router. */
         std::vector<unsigned> calls;
 
         Tick
@@ -275,7 +273,7 @@ class PartitionedNoc
     };
 
     explicit PartitionedNoc(bool (*stalls)(NodeId, unsigned))
-        : queues(kClusters, noc::NetworkConfig{}.pinToPin)
+        : queue(kStreams)
     {
         noc::NetworkConfig cfg;
         cfg.dimension = 4;
@@ -284,66 +282,65 @@ class PartitionedNoc
         faults.stalls = stalls;
         faults.calls.assign(n, 0);
         hooks.faults = &faults;
-        for (NodeId node = 0; node < n; ++node) {
-            binding.nodeQueue.push_back(&queues.queue(clusterOf(node)));
-            binding.nodeCluster.push_back(
-                static_cast<std::uint16_t>(clusterOf(node)));
-        }
-        binding.clusters = kClusters;
-        binding.queues = &queues;
-        net = std::make_unique<noc::Network>(queues.queue(0), cfg, "noc",
-                                             &hooks);
-        net->bindPartitions(&binding);
-        sent.resize(kClusters);
-        delivered.resize(kClusters);
+        net = std::make_unique<noc::Network>(queue, cfg, "noc", &hooks);
     }
-
-    static unsigned clusterOf(NodeId node) { return node / 4; }
 
     /** At tick @p at, send @p bytes from @p src to @p dst. */
     void
     sendAt(Tick at, NodeId src, NodeId dst, unsigned bytes)
     {
-        // The stamp is taken at injection, on src's cluster, and the
-        // record at delivery, on dst's: each cluster keeps its own
-        // books.
-        queues.queue(clusterOf(src)).schedule(at, [this, src, dst,
-                                                   bytes]() {
-            const std::uint64_t seq = sent[clusterOf(src)][{src, dst}]++;
+        // The stamp is taken at injection, as src's stream, and the
+        // record at delivery, as dst's.
+        queue.setStream(net->streamOf(src));
+        queue.schedule(at, [this, src, dst, bytes]() {
+            const std::uint64_t seq = sent[{src, dst}]++;
             net->send(src, dst, bytes, [this, src, dst, seq]() {
-                const unsigned c = clusterOf(dst);
-                delivered[c][{src, dst}].emplace_back(
-                    seq, queues.queue(c).now());
+                EXPECT_EQ(queue.stream(), net->streamOf(dst));
+                delivered[{src, dst}].emplace_back(seq, queue.now());
             });
         });
     }
 
-    /** Drain every cluster; returns all deliveries by pair. */
+    /** Drain the queue; returns all deliveries by pair. */
     Deliveries
     run()
     {
-        queues.run();
-        Deliveries all;
-        for (const Deliveries& d : delivered)
-            for (const auto& [pair, got] : d)
-                all[pair] = got;
-        return all;
+        queue.run();
+        return delivered;
     }
 
     noc::Network& network() { return *net; }
+    std::uint64_t crossStreamHops() const
+    {
+        return queue.crossStreamEvents();
+    }
 
   private:
-    ClusterQueues queues;
+    EventQueue queue;
     VaryingStalls faults;
     Hooks hooks;
-    noc::PartitionBinding binding;
     std::unique_ptr<noc::Network> net;
-    std::vector<std::map<Pair, std::uint64_t>> sent;
-    std::vector<Deliveries> delivered;
+    std::map<Pair, std::uint64_t> sent;
+    Deliveries delivered;
 };
 
+/** Streams are contiguous power-of-two node blocks: any other count
+ *  cannot split the nodes. */
+TEST(Network, RejectsStreamsThatDoNotSplitTheNodes)
+{
+    noc::NetworkConfig cfg;
+    cfg.dimension = 2;
+    EventQueue three(3);
+    EXPECT_THROW(noc::Network(three, cfg), FatalError);
+    EventQueue eight(8);
+    EXPECT_THROW(noc::Network(eight, cfg), FatalError);
+    EventQueue four(4);
+    noc::Network net(four, cfg);
+    EXPECT_EQ(net.streamOf(3), 3u);
+}
+
 /** A message held in the stash is released right behind its
- *  predecessor, after both crossed clusters. */
+ *  predecessor, after both crossed streams. */
 TEST(Network, PartitionedOvertakerWaitsForItsPredecessor)
 {
     // Only the first traversal of router 0 stalls: A (sent first) sits
@@ -351,10 +348,11 @@ TEST(Network, PartitionedOvertakerWaitsForItsPredecessor)
     PartitionedNoc rig([](NodeId at, unsigned k) {
         return at == 0 && k == 0;
     });
-    // 0 -> 15 crosses clusters 0 -> 1 -> 3.
+    // 0 -> 15 crosses streams 0 -> 1 -> 3.
     rig.sendAt(0, 0, 15, 72);
     rig.sendAt(kNanosecond, 0, 15, 72);
     const auto got = rig.run();
+    EXPECT_EQ(rig.crossStreamHops(), 4u);
     const auto& d = got.at({0, 15});
     ASSERT_EQ(d.size(), 2u);
     EXPECT_EQ(d[0].first, 0u);

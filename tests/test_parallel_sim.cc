@@ -1,11 +1,11 @@
 /**
  * @file
  * Tests of the machine drain report (harness/parallel_sim.hh) and of
- * the partitioned plan end to end: the PdesRunReport bookkeeping, the
- * 64-node machine's eight clusters, Machine::run() against the report
- * path, and real experiments whose serialized results the ignored
- * thread count cannot move. The drain itself is covered by
- * test_cluster_queues.cc.
+ * the default plan end to end: the PdesRunReport bookkeeping, the
+ * 64-node machine's eight streams, Machine::run() against the report
+ * path, real experiments whose serialized results the ignored thread
+ * count cannot move, and the checker and tracing running on the
+ * default plan without moving its results.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 #include "harness/parallel_sim.hh"
 #include "harness/result_serde.hh"
 #include "obs/stat_writers.hh"
+#include "obs/trace.hh"
 #include "workloads/app_profile.hh"
 #include "workloads/synthetic_program.hh"
 
@@ -77,10 +78,17 @@ TEST(ParallelSim, ExperimentResultsByteIdenticalAcrossThreadCounts)
 
 TEST(ParallelSim, SixtyFourNodeMachineRunsEightRealPartitions)
 {
-    // The headline acceptance shape: a 64-node machine decomposes into
-    // eight clusters, drained with the real (nonzero) pin-to-pin
-    // lookahead.
+    // The default plan of the paper's machine: one event queue whose
+    // 64 nodes run as eight streams; no hop reaches another stream
+    // sooner than the pin-to-pin latency.
     Machine m(SystemConfig::small(6), 8);
+    EXPECT_EQ(m.streams(), 8u);
+    EXPECT_EQ(m.partitions(), 1u);
+    EXPECT_EQ(&m.clusterQueue(0), &m.eventQueue());
+    EXPECT_THROW(m.clusterQueue(1), PanicError);
+    EXPECT_EQ(m.network().streamOf(7), 0u);
+    EXPECT_EQ(m.network().streamOf(8), 1u);
+    EXPECT_EQ(m.network().streamOf(63), 7u);
     const PdesRunReport r = runMachinePdes(m, 1);
     EXPECT_EQ(r.threads, 1u);
     EXPECT_EQ(r.partitions, 8u);
@@ -89,10 +97,10 @@ TEST(ParallelSim, SixtyFourNodeMachineRunsEightRealPartitions)
 }
 
 /**
- * Machine::run() drains a 64-node, 8-cluster machine by itself, and
- * the whole run — finish tick, energy ledger,
- * every component's stats, cross-cluster sends — matches the same
- * composition drained through runMachinePdes.
+ * Machine::run() drains a 64-node, 8-stream machine by itself, and
+ * the whole run — finish tick, energy ledger, every component's
+ * stats, cross-stream hops — matches the same composition drained
+ * through runMachinePdes.
  */
 TEST(ParallelSim, MachineRunMatchesRunMachinePdesOnEightPartitions)
 {
@@ -114,13 +122,14 @@ TEST(ParallelSim, MachineRunMatchesRunMachinePdesOnEightPartitions)
                                    : machine.run();
         provider.mergeStats();
         EXPECT_TRUE(program.finished());
-        // The run crossed clusters: the drain had real work to order.
-        EXPECT_GT(machine.crossClusterSends(), 0u);
+        // Hops crossed streams: the keys had real ties to order.
+        const std::uint64_t crossed =
+            machine.eventQueue().crossStreamEvents();
+        EXPECT_GT(crossed, 0u);
 
         std::ostringstream out;
-        out << end << ' ' << program.finishTick() << ' '
-            << machine.crossClusterSends() << ' '
-            << sync.instances << '\n';
+        out << end << ' ' << program.finishTick() << ' ' << crossed
+            << ' ' << sync.instances << '\n';
         const power::EnergyAccount energy = machine.totalEnergy();
         for (std::size_t i = 0; i < power::kNumBuckets; ++i) {
             const auto b = static_cast<power::Bucket>(i);
@@ -132,6 +141,34 @@ TEST(ParallelSim, MachineRunMatchesRunMachinePdesOnEightPartitions)
     };
 
     EXPECT_EQ(runOnce(false), runOnce(true));
+}
+
+/**
+ * The checker and structured tracing observe the plan that produces
+ * the paper's numbers: a checked run and a traced run of the 64-node
+ * machine serialize byte-identically to the default run.
+ */
+TEST(ParallelSim, CheckedAndTracedRunsMatchTheDefaultRun)
+{
+    const SystemConfig sys = SystemConfig::paperDefault();
+    workloads::AppProfile app = workloads::appByName("Volrend");
+    app.iterations = 4;
+
+    const auto run = [&](const RunOptions& ro) {
+        return serializeResult(
+            runExperiment(sys, app, ConfigKind::Thrifty, ro));
+    };
+    const std::string plain = run(RunOptions{});
+
+    RunOptions checked;
+    checked.check = true;
+    EXPECT_EQ(run(checked), plain);
+
+    obs::TraceSink sink;
+    RunOptions traced;
+    traced.traceSink = &sink;
+    EXPECT_EQ(run(traced), plain);
+    EXPECT_GT(sink.eventCount(), 0u);
 }
 
 } // namespace

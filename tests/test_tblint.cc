@@ -626,10 +626,10 @@ TEST(TblintRawNocSend, QualifiedSpellingFires)
 
 TEST(TblintRawNocSend, FabricAndPartitionSendsAreClean)
 {
-    // Fabric wrappers and cluster-queue sends share the method name
+    // Fabric wrappers and other types' sends share the method name
     // but not the receiver type.
     const auto fs = lintContent("src/thrifty/notifier.cc", R"tb(
-        void Notifier::ping(mem::Fabric& fab, ClusterQueues& q) {
+        void Notifier::ping(mem::Fabric& fab, Mailbox& q) {
             fab.sendControl(0, 1, 8, [] {});
             q.send(0, 1, when_, [] {});
         }
