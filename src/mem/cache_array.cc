@@ -21,6 +21,7 @@ CacheArray::CacheArray(const CacheGeometry& geometry)
         fatal("cache set count must be a nonzero power of two, got ",
               sets);
     lines.resize(static_cast<std::size_t>(sets) * geom.assoc);
+    modified.assign((lines.size() + 63) / 64, 0);
     while ((1u << lineShift) < geom.lineBytes)
         ++lineShift;
     setMask = sets - 1;
@@ -32,7 +33,7 @@ CacheArray::find(Addr line)
     const std::size_t base = setBase(line);
     for (unsigned w = 0; w < geom.assoc; ++w) {
         Line& l = lines[base + w];
-        if (l.state != LineState::Invalid && l.addr == line)
+        if (l.st != LineState::Invalid && l.addr == line)
             return &l;
     }
     return nullptr;
@@ -56,7 +57,7 @@ CacheArray::insert(Addr line, LineState st)
     Line* target = nullptr;
     for (unsigned w = 0; w < geom.assoc; ++w) {
         Line& l = lines[base + w];
-        if (l.state == LineState::Invalid) {
+        if (l.st == LineState::Invalid) {
             target = &l;
             break;
         }
@@ -72,11 +73,11 @@ CacheArray::insert(Addr line, LineState st)
         }
         victim.valid = true;
         victim.addr = target->addr;
-        victim.state = target->state;
+        victim.state = target->st;
     }
 
     target->addr = line;
-    target->state = st;
+    setState(*target, st);
     touch(*target);
     return victim;
 }
@@ -87,7 +88,7 @@ CacheArray::invalidate(Addr line)
     Line* l = find(line);
     if (!l)
         return false;
-    l->state = LineState::Invalid;
+    setState(*l, LineState::Invalid);
     return true;
 }
 
@@ -96,7 +97,7 @@ CacheArray::validCount() const
 {
     unsigned n = 0;
     for (const auto& l : lines) {
-        if (l.state != LineState::Invalid)
+        if (l.st != LineState::Invalid)
             ++n;
     }
     return n;

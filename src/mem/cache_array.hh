@@ -10,6 +10,8 @@
 #ifndef TB_MEM_CACHE_ARRAY_HH_
 #define TB_MEM_CACHE_ARRAY_HH_
 
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -33,16 +35,29 @@ struct CacheGeometry
     }
 };
 
-/** Tag + MESI state array. */
+/**
+ * Tag + MESI state array, with a one-bit-per-way index of the
+ * Modified lines so the sleep flush visits only the dirty ones.
+ */
 class CacheArray
 {
   public:
-    /** One way of one set. */
-    struct Line
+    /**
+     * One way of one set. The state is written only by CacheArray
+     * (insert / invalidate / setState), which keeps the Modified index
+     * in step with it.
+     */
+    class Line
     {
+      public:
         Addr addr = 0; ///< line-aligned address
-        LineState state = LineState::Invalid;
         std::uint64_t lru = 0; ///< larger == more recently used
+
+        LineState state() const { return st; }
+
+      private:
+        friend class CacheArray;
+        LineState st = LineState::Invalid;
     };
 
     /** Evicted line descriptor returned by insert(). */
@@ -79,14 +94,30 @@ class CacheArray
     /** Drop @p line if present. @return true if it was present. */
     bool invalidate(Addr line);
 
-    /** Visit every valid line (used by the sleep flush). */
+    /** Move the present @p entry to state @p st. */
+    void
+    setState(Line& entry, LineState st)
+    {
+        entry.st = st;
+        markModified(static_cast<std::size_t>(&entry - lines.data()),
+                     st == LineState::Modified);
+    }
+
+    /**
+     * Visit every Modified line in ascending array index (set-major,
+     * then way) — the sleep flush's write-back order. @p fn must not
+     * change the array.
+     */
     template <typename Fn>
     void
-    forEachValid(Fn&& fn)
+    forEachModified(Fn&& fn) const
     {
-        for (auto& l : lines) {
-            if (l.state != LineState::Invalid)
-                fn(l);
+        for (std::size_t w = 0; w < modified.size(); ++w) {
+            for (std::uint64_t bits = modified[w]; bits != 0;
+                 bits &= bits - 1) {
+                fn(lines[w * 64 +
+                         static_cast<std::size_t>(std::countr_zero(bits))]);
+            }
         }
     }
 
@@ -103,10 +134,21 @@ class CacheArray
         return ((line >> lineShift) & setMask) * geom.assoc;
     }
 
+    /** Set or clear way @p i's bit in the Modified index. */
+    void
+    markModified(std::size_t i, bool dirty)
+    {
+        std::uint64_t& word = modified[i / 64];
+        const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+        word = (word & ~bit) | (dirty ? bit : 0);
+    }
+
     CacheGeometry geom;
     unsigned lineShift = 0;      ///< log2(lineBytes)
     std::size_t setMask = 0;     ///< numSets - 1
     std::vector<Line> lines; ///< numSets * assoc, set-major
+    /** Bit i set exactly when lines[i] is Modified. */
+    std::vector<std::uint64_t> modified;
     std::uint64_t lruClock = 0;
 };
 

@@ -117,21 +117,21 @@ CacheController::startAccess(Pending p)
         const Addr line = pending->line;
         CacheArray::Line* e1 = l1.find(line);
         const bool is_store = pending->kind == Pending::Kind::Store;
-        if (e1 && (!is_store || writable(e1->state))) {
+        if (e1 && (!is_store || writable(e1->state()))) {
             hot.l1Hits.inc();
             l1.touch(*e1);
-            if (is_store && e1->state == LineState::Exclusive) {
+            if (is_store && e1->state() == LineState::Exclusive) {
                 // Silent E -> M upgrade, mirrored in L2.
-                e1->state = LineState::Modified;
+                l1.setState(*e1, LineState::Modified);
                 CacheArray::Line* e2 = l2.find(line);
                 if (!e2)
                     panic(name(), ": inclusion violated for line ", line);
-                e2->state = LineState::Modified;
+                l2.setState(*e2, LineState::Modified);
             } else if (is_store) {
                 CacheArray::Line* e2 = l2.find(line);
                 if (!e2)
                     panic(name(), ": inclusion violated for line ", line);
-                e2->state = LineState::Modified;
+                l2.setState(*e2, LineState::Modified);
             }
             if (is_store)
                 noteLine(line, LineState::Modified);
@@ -150,14 +150,14 @@ CacheController::lookupL2(Addr line)
     CacheArray::Line* e2 = l2.find(line);
     const bool is_store = pending->kind == Pending::Kind::Store;
 
-    if (e2 && (!is_store || writable(e2->state))) {
+    if (e2 && (!is_store || writable(e2->state()))) {
         hot.l2Hits.inc();
         l2.touch(*e2);
         if (is_store) {
-            e2->state = LineState::Modified;
+            l2.setState(*e2, LineState::Modified);
             noteLine(line, LineState::Modified);
         }
-        fillL1(line, e2->state);
+        fillL1(line, e2->state());
         completePending();
         return;
     }
@@ -193,7 +193,7 @@ void
 CacheController::fillL1(Addr line, LineState state)
 {
     if (CacheArray::Line* e1 = l1.find(line)) {
-        e1->state = state;
+        l1.setState(*e1, state);
         l1.touch(*e1);
         return;
     }
@@ -225,7 +225,7 @@ CacheController::fillBoth(Addr line, LineState state)
     if (l2.find(line)) {
         // Only reachable for UpgradeAck races; refresh the state.
         CacheArray::Line* e2 = l2.find(line);
-        e2->state = state;
+        l2.setState(*e2, state);
         l2.touch(*e2);
     } else {
         handleL2Victim(l2.insert(line, state));
@@ -377,7 +377,7 @@ CacheController::handleFwd(const Msg& msg)
     // from the (never-gated) controller tags; dirty data requires the
     // cache array, so wake the CPU and serve when it is accessible.
     const CacheArray::Line* e2 = l2.find(msg.line);
-    const bool dirty_in_cache = e2 && e2->state == LineState::Modified;
+    const bool dirty_in_cache = e2 && e2->state() == LineState::Modified;
     if (!dirty_in_cache) {
         serveFwd(msg);
         return;
@@ -401,13 +401,13 @@ CacheController::serveFwd(const Msg& msg)
     const bool is_gets = msg.type == MsgType::FwdGetS;
     CacheArray::Line* e2 = l2.find(line);
 
-    if (e2 && e2->state == LineState::Modified) {
+    if (e2 && e2->state() == LineState::Modified) {
         std::uint64_t kept = 0;
         if (is_gets) {
             // Owner keeps a Shared copy and supplies the data.
-            e2->state = LineState::Shared;
+            l2.setState(*e2, LineState::Shared);
             if (CacheArray::Line* e1 = l1.find(line))
-                e1->state = LineState::Shared;
+                l1.setState(*e1, LineState::Shared);
             noteLine(line, LineState::Shared);
             kept = 1;
         } else {
@@ -426,15 +426,15 @@ CacheController::serveFwd(const Msg& msg)
         return;
     }
 
-    if (e2 && e2->state == LineState::Exclusive) {
+    if (e2 && e2->state() == LineState::Exclusive) {
         // Clean exclusive: memory is current. On FwdGetS downgrade to
         // Shared and keep the copy (kept flag travels in rmwOld); on
         // FwdGetX relinquish it.
         std::uint64_t kept = 0;
         if (is_gets) {
-            e2->state = LineState::Shared;
+            l2.setState(*e2, LineState::Shared);
             if (CacheArray::Line* e1 = l1.find(line))
-                e1->state = LineState::Shared;
+                l1.setState(*e1, LineState::Shared);
             noteLine(line, LineState::Shared);
             kept = 1;
         } else {
@@ -466,13 +466,13 @@ CacheController::serveFwdThreeHop(const Msg& msg)
     }
 
     const bool dirty =
-        in_wb || (e2 && e2->state == LineState::Modified);
+        in_wb || (e2 && e2->state() == LineState::Modified);
     bool kept = false;
     if (e2) {
         if (is_gets) {
-            e2->state = LineState::Shared;
+            l2.setState(*e2, LineState::Shared);
             if (CacheArray::Line* e1 = l1.find(line))
-                e1->state = LineState::Shared;
+                l1.setState(*e1, LineState::Shared);
             noteLine(line, LineState::Shared);
             kept = true;
         } else {
@@ -689,15 +689,14 @@ CacheController::triggerWake(WakeReason reason)
 void
 CacheController::flushDirtyShared(DoneCallback done)
 {
-    std::vector<Addr> to_flush;
-    l2.forEachValid([&](CacheArray::Line& e) {
-        if (e.state == LineState::Modified &&
-            fabric.addressMap().isShared(e.addr)) {
-            to_flush.push_back(e.addr);
-        }
+    // Collect first: dropLine() changes the array under the walk.
+    flushList.clear();
+    l2.forEachModified([&](const CacheArray::Line& e) {
+        if (fabric.addressMap().isShared(e.addr))
+            flushList.push_back(e.addr);
     });
 
-    for (Addr line : to_flush) {
+    for (Addr line : flushList) {
         dropLine(line);
         wbBuffer.insert(line);
         sendToDir(makeMsg(MsgType::PutM, line, nodeId, 0));
@@ -705,9 +704,9 @@ CacheController::flushDirtyShared(DoneCallback done)
     }
 
     Tick duration =
-        static_cast<Tick>(to_flush.size()) * cfg.flushPerLine;
+        static_cast<Tick>(flushList.size()) * cfg.flushPerLine;
     if (auto* faults = faultHooks()) {
-        Tick extra = faults->flushDelay(nodeId, to_flush.size());
+        Tick extra = faults->flushDelay(nodeId, flushList.size());
         if (extra > 0) {
             statsGroup.scalar("faultFlushDelayTicks") +=
                 static_cast<double>(extra);
@@ -717,7 +716,7 @@ CacheController::flushDirtyShared(DoneCallback done)
     if (TB_TRACED(traceSink(), obs::TraceCategory::Mem)) {
         traceSink()->complete(obs::TraceCategory::Mem, "flush", curTick(),
                         duration, nodeId,
-                        {{"lines", to_flush.size()}});
+                        {{"lines", flushList.size()}});
     }
     eq.scheduleIn(duration, std::move(done));
 }
@@ -745,14 +744,14 @@ LineState
 CacheController::l1State(Addr a) const
 {
     const CacheArray::Line* e = l1.find(lineAddr(a));
-    return e ? e->state : LineState::Invalid;
+    return e ? e->state() : LineState::Invalid;
 }
 
 LineState
 CacheController::l2State(Addr a) const
 {
     const CacheArray::Line* e = l2.find(lineAddr(a));
-    return e ? e->state : LineState::Invalid;
+    return e ? e->state() : LineState::Invalid;
 }
 
 } // namespace mem

@@ -351,6 +351,8 @@ class CacheController : public SimObject, public MsgSink
     std::optional<Pending> pending;
     /** Dirty lines evicted/flushed, awaiting WbAck from home. */
     std::unordered_set<Addr> wbBuffer;
+    /** flushDirtyShared()'s write-back list, reused across flushes. */
+    std::vector<Addr> flushList;
     std::unordered_map<Addr, std::vector<std::function<void()>>> watches;
 
     FlagMonitor flagMon;

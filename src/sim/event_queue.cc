@@ -191,13 +191,17 @@ EventQueue::heapPop()
         // The tail is almost always a recent (large-key) event that
         // belongs near the bottom, so the up-phase terminates at once
         // and this does about half the comparisons of a top-down sift.
+        // The smaller child is picked arithmetically (no branch to
+        // mispredict); a lone last child is taken after the loop.
         std::size_t i = 0;
-        for (;;) {
-            std::size_t child = 2 * i + 1;
-            if (child >= n)
-                break;
-            if (child + 1 < n && h[child + 1].before(h[child]))
-                ++child;
+        std::size_t child = 1;
+        while (child + 1 < n) {
+            child += h[child + 1].before(h[child]);
+            h[i] = h[child];
+            i = child;
+            child = 2 * i + 1;
+        }
+        if (child < n) {
             h[i] = h[child];
             i = child;
         }

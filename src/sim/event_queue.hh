@@ -495,13 +495,15 @@ class EventQueue
         std::uint64_t prioSeq;
         std::uint32_t index;
 
-        /** Strict (tick, priority, key) order; keys are unique. */
+        /** Strict (tick, priority, key) order; keys are unique.
+         *  One 128-bit compare (cmp + sbb, no branch): heapPop picks
+         *  the smaller child with it arithmetically, where a branch
+         *  would mispredict about half the time. */
         bool
         before(const HeapEntry& o) const
         {
-            if (when != o.when)
-                return when < o.when;
-            return prioSeq < o.prioSeq;
+            return ((static_cast<__uint128_t>(when) << 64) | prioSeq) <
+                   ((static_cast<__uint128_t>(o.when) << 64) | o.prioSeq);
         }
     };
 

@@ -5,8 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <vector>
+
 #include "mem/cache_array.hh"
 #include "sim/logging.hh"
+#include "sim/random.hh"
 
 namespace tb {
 namespace {
@@ -42,7 +47,7 @@ TEST(CacheArray, InsertThenHit)
     EXPECT_FALSE(victim.valid);
     CacheArray::Line* l = c.find(0x1000);
     ASSERT_NE(l, nullptr);
-    EXPECT_EQ(l->state, LineState::Shared);
+    EXPECT_EQ(l->state(), LineState::Shared);
     EXPECT_EQ(c.validCount(), 1u);
 }
 
@@ -91,20 +96,48 @@ TEST(CacheArray, InvalidWayReusedBeforeEviction)
     EXPECT_NE(c.find(0x0100), nullptr);
 }
 
-TEST(CacheArray, ForEachValidVisitsAllValid)
+TEST(CacheArray, ModifiedIndexMatchesScan)
 {
-    CacheArray c(tiny());
-    c.insert(0x0000, LineState::Modified);
-    c.insert(0x0040, LineState::Shared);
-    c.insert(0x0080, LineState::Modified);
-    unsigned dirty = 0, total = 0;
-    c.forEachValid([&](CacheArray::Line& l) {
-        ++total;
-        if (l.state == LineState::Modified)
-            ++dirty;
-    });
-    EXPECT_EQ(total, 3u);
-    EXPECT_EQ(dirty, 2u);
+    // 32 sets x 3 ways: 96 lines, so the index spans a full and a
+    // partial word. A pool of 4x the capacity forces LRU evictions.
+    CacheArray c(CacheGeometry{32 * 3 * 64, 3, 64});
+    std::vector<Addr> pool;
+    for (Addr a = 0; a < 384 * 64; a += 64)
+        pool.push_back(a);
+    const LineState valid[] = {LineState::Shared, LineState::Exclusive,
+                               LineState::Modified};
+    Random rng(27);
+    unsigned evictions = 0, maxDirty = 0;
+    for (unsigned step = 0; step < 5000; ++step) {
+        const Addr a = pool[rng.uniformInt(pool.size())];
+        const LineState st = valid[rng.uniformInt(3)];
+        if (CacheArray::Line* l = c.find(a)) {
+            if (rng.uniformInt(4) == 0)
+                c.invalidate(a);
+            else
+                c.setState(*l, st);
+        } else if (c.insert(a, st).valid) {
+            ++evictions;
+        }
+
+        // Reference: every Modified line, found by a full scan of the
+        // pool, in array (pointer) order.
+        std::vector<const CacheArray::Line*> expect;
+        for (Addr p : pool) {
+            const CacheArray::Line* l = c.find(p);
+            if (l && l->state() == LineState::Modified)
+                expect.push_back(l);
+        }
+        std::sort(expect.begin(), expect.end(),
+                  std::less<const CacheArray::Line*>());
+        std::vector<const CacheArray::Line*> got;
+        c.forEachModified(
+            [&](const CacheArray::Line& l) { got.push_back(&l); });
+        ASSERT_EQ(got, expect) << "step " << step;
+        maxDirty = std::max<unsigned>(maxDirty, got.size());
+    }
+    EXPECT_GT(evictions, 1000u);
+    EXPECT_GT(maxDirty, 24u);
 }
 
 TEST(CacheArray, DoubleInsertPanics)

@@ -7,12 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <vector>
 
 #include "mem/memory_system.hh"
+#include "mem/protocol_observer.hh"
 #include "noc/network.hh"
 #include "sim/event_queue.hh"
+#include "sim/hooks.hh"
 #include "sim/logging.hh"
 
 namespace tb {
@@ -29,8 +32,8 @@ struct Rig
     mem::MemorySystem mem;
     Addr shared;
 
-    explicit Rig(unsigned dim = 2)
-        : net(eq, makeNet(dim)), mem(eq, net, mem::MemoryConfig{})
+    explicit Rig(unsigned dim = 2, const Hooks* hooks = nullptr)
+        : net(eq, makeNet(dim)), mem(eq, net, mem::MemoryConfig{}, hooks)
     {
         shared = mem.addressMap().allocShared(256 * mem::kPageBytes);
     }
@@ -407,6 +410,54 @@ TEST(Coherence, FlushWritesBackDirtySharedOnly)
     // Values reached home.
     EXPECT_EQ(r.loadSync(1, r.shared), 1u);
     EXPECT_EQ(r.loadSync(1, r.shared + 4096), 2u);
+}
+
+/** Records the lines of every PutM a node sends. */
+struct PutMRecorder : mem::ProtocolObserver
+{
+    std::vector<Addr> lines;
+
+    void
+    onMessageSent(NodeId, NodeId, const mem::Msg& msg, bool) override
+    {
+        if (msg.type == mem::MsgType::PutM)
+            lines.push_back(msg.line);
+    }
+};
+
+TEST(Coherence, FlushWritesBackSharedModifiedInArrayOrder)
+{
+    Hooks hooks;
+    Rig r(2, &hooks);
+    const Addr priv = r.mem.addressMap().allocPrivate(0, 8192);
+    // Dirty shared lines stored out of set order; offsets 7 and 135
+    // share an L2 set (128 sets), so 7 takes the lower way.
+    std::vector<Addr> dirtyShared;
+    for (Addr j : {40u, 7u, 100u, 135u, 3u}) {
+        dirtyShared.push_back(r.shared + j * 64);
+        r.storeSync(0, dirtyShared.back(), j);
+    }
+    r.storeSync(0, priv + 5 * 64, 1);  // dirty private
+    r.storeSync(0, priv + 60 * 64, 2); // dirty private
+    r.loadSync(0, r.shared + 20 * 64); // clean shared
+
+    // Array order: set-major, then way (store order within a set).
+    std::vector<Addr> expect = dirtyShared;
+    std::stable_sort(expect.begin(), expect.end(), [](Addr a, Addr b) {
+        return ((a >> 6) & 127) < ((b >> 6) & 127);
+    });
+    ASSERT_NE(expect, dirtyShared);
+
+    PutMRecorder putms;
+    hooks.check = &putms;
+    r.mem.controller(0).flushDirtyShared([]() {});
+    r.eq.run();
+    EXPECT_EQ(putms.lines, expect);
+    EXPECT_EQ(r.mem.controller(0).l2State(priv + 5 * 64),
+              LineState::Modified);
+    EXPECT_EQ(r.mem.controller(0).l2State(priv + 60 * 64),
+              LineState::Modified);
+    hooks.check = nullptr;
 }
 
 TEST(Coherence, FwdToFlushedLineServedFromWritebackBuffer)

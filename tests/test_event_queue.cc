@@ -5,12 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
+#include "sim/random.hh"
 
 namespace tb {
 namespace {
@@ -198,6 +200,89 @@ TEST(EventQueue, ManyEventsStressOrdering)
     eq.run();
     EXPECT_TRUE(monotone);
     EXPECT_EQ(eq.eventsExecuted(), 1000u);
+}
+
+TEST(EventQueue, RandomTotalOrderMatchesReferenceSort)
+{
+    // A seeded mix of ticks, priorities in [-3, 3], same-tick ties,
+    // cancellations and self-rescheduling callbacks. The execution log
+    // must equal every surviving event stable-sorted by (tick,
+    // priority), i.e. by (tick, priority, schedule order).
+    struct Rec
+    {
+        Tick when;
+        int prio;
+        bool canceled = false;
+    };
+    struct Mix
+    {
+        EventQueue eq;
+        Random rng{2027};
+        std::vector<Rec> recs; ///< index == schedule order
+        std::vector<EventHandle> handles;
+        std::vector<std::size_t> log;
+
+        void
+        cancelOne()
+        {
+            const std::size_t v = rng.uniformInt(handles.size());
+            if (handles[v].scheduled()) {
+                handles[v].cancel();
+                recs[v].canceled = true;
+            }
+        }
+
+        void
+        add(Tick when, int prio)
+        {
+            const std::size_t id = recs.size();
+            recs.push_back({when, prio});
+            handles.push_back(eq.schedule(
+                when, [this, id]() { fire(id); }, prio));
+        }
+
+        void
+        fire(std::size_t id)
+        {
+            log.push_back(id);
+            const Rec r = recs[id];
+            // Reschedule strictly later, or at this tick with a
+            // priority that sorts after the running event, so the
+            // reference order stays a total order over every event.
+            if (rng.uniformInt(3) == 0) {
+                const Tick dt = rng.uniformInt(4);
+                const int lo = dt == 0 ? r.prio : -3;
+                add(r.when + dt,
+                    lo + static_cast<int>(rng.uniformInt(4 - lo)));
+            }
+            if (rng.uniformInt(8) == 0)
+                cancelOne();
+        }
+    } m;
+
+    for (unsigned i = 0; i < 3000; ++i)
+        m.add(m.rng.uniformInt(200),
+              -3 + static_cast<int>(m.rng.uniformInt(7)));
+    for (unsigned i = 0; i < 300; ++i)
+        m.cancelOne();
+    m.eq.run();
+
+    std::vector<std::size_t> expect;
+    for (std::size_t id = 0; id < m.recs.size(); ++id) {
+        if (!m.recs[id].canceled)
+            expect.push_back(id);
+    }
+    std::stable_sort(expect.begin(), expect.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         const Rec& x = m.recs[a];
+                         const Rec& y = m.recs[b];
+                         return x.when != y.when ? x.when < y.when
+                                                 : x.prio < y.prio;
+                     });
+    EXPECT_EQ(m.log, expect);
+    EXPECT_EQ(m.eq.eventsExecuted(), expect.size());
+    EXPECT_GT(m.recs.size(), 4000u);
+    EXPECT_GT(m.recs.size() - expect.size(), 300u);
 }
 
 // ----------------------------------------------------------------------
