@@ -9,6 +9,7 @@
 #include <exception>
 #include <functional>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -25,16 +26,6 @@
 
 namespace tb {
 namespace bench {
-
-/** The five configurations in figure order (B, H, O, T, I). */
-inline std::vector<harness::ConfigKind>
-figureConfigs()
-{
-    return {harness::ConfigKind::Baseline,
-            harness::ConfigKind::ThriftyHalt,
-            harness::ConfigKind::OracleHalt,
-            harness::ConfigKind::Thrifty, harness::ConfigKind::Ideal};
-}
 
 /**
  * Run @p count campaign points through ParallelCampaignRunner on
@@ -115,84 +106,6 @@ writeCampaignArtifacts(const harness::CampaignOptions& opts,
         harness::writeFileAtomic(opts.outPath, artifact);
 }
 
-/**
- * Run point @p i of the figure campaigns' (app x configuration)
- * matrix. The campaign and `--only-point` both run it, so a rerun
- * simulates exactly the plan that failed.
- */
-inline harness::ExperimentResult
-runMatrixPoint(const harness::SystemConfig& sys,
-               const std::vector<workloads::AppProfile>& apps,
-               std::size_t i, harness::ObsCapture* capture)
-{
-    const std::vector<harness::ConfigKind> kinds = figureConfigs();
-    const std::size_t a = i / kinds.size();
-    const std::size_t k = i % kinds.size();
-    harness::RunOptions ro;
-    harness::ObsCapture::PointScope scope;
-    capture->arm(i, &ro, &scope);
-    harness::ExperimentResult r =
-        harness::runExperiment(sys, apps[a], kinds[k], ro);
-    capture->deposit(i, r, &scope,
-                     apps[a].name + "/" + harness::configName(kinds[k]));
-    return r;
-}
-
-/**
- * `--only-point` of the figure campaigns: run that point and print
- * its serialized result (harness/result_serde.hh). Returns the exit
- * code: 1 when the point failed (runOnlyPoint).
- */
-inline int
-runOnlyMatrixPoint(const harness::SystemConfig& sys,
-                   const std::vector<workloads::AppProfile>& apps,
-                   const harness::CampaignOptions& opts,
-                   harness::ObsCapture* capture)
-{
-    const std::size_t count = apps.size() * figureConfigs().size();
-    const std::size_t i = static_cast<std::size_t>(opts.onlyPoint);
-    if (i >= count) {
-        std::cerr << "--only-point " << opts.onlyPoint
-                  << " out of range [0, " << count << ")\n";
-        return 2;
-    }
-    harness::ExperimentResult r;
-    if (!runOnlyPoint(opts.onlyPoint, [&] {
-            r = runMatrixPoint(sys, apps, i, capture);
-        }))
-        return 1;
-    std::cout << harness::serializeResult(r) << '\n';
-    writeCampaignArtifacts(opts, "", *capture);
-    return 0;
-}
-
-/**
- * Run the figure campaigns' (app x configuration) matrix. On success
- * @p groups comes back grouped per app in figure order, whatever
- * --jobs is; false means points failed (runCampaignPoints). @p capture
- * records each finished point's trace and stats (--trace /
- * --stats-json) when those are on.
- */
-inline bool
-runAppConfigMatrix(
-    const harness::SystemConfig& sys,
-    const std::vector<workloads::AppProfile>& apps,
-    const harness::CampaignOptions& opts, const char* prog,
-    std::vector<std::vector<harness::ExperimentResult>>* groups,
-    harness::ObsCapture* capture)
-{
-    const std::size_t configs = figureConfigs().size();
-    std::vector<harness::ExperimentResult> results(apps.size() * configs);
-    if (!runCampaignPoints(opts, prog, results.size(), [&](std::size_t i) {
-            results[i] = runMatrixPoint(sys, apps, i, capture);
-        }))
-        return false;
-    groups->assign(apps.size(), {});
-    for (std::size_t i = 0; i < results.size(); ++i)
-        (*groups)[i / configs].push_back(std::move(results[i]));
-    return true;
-}
-
 /** One point of a robustness campaign (seeds or faults sweep). */
 struct CampaignPoint
 {
@@ -270,18 +183,27 @@ printMicroJson(std::ostream& os, const MicroMetric& m)
     os << '\n';
 }
 
-/** Standard banner for every bench binary. */
+/** Standard banner of every bench binary. */
+inline std::string
+bannerText(const std::string& title, const harness::SystemConfig& sys)
+{
+    std::ostringstream os;
+    os << "==============================================="
+          "=====================\n"
+       << title << "\n"
+       << "The Thrifty Barrier (HPCA 2004) reproduction\n"
+       << "==============================================="
+          "=====================\n";
+    harness::report::printArchitecture(os, sys);
+    os << '\n';
+    return os.str();
+}
+
+/** Print bannerText() to stdout. */
 inline void
 banner(const std::string& title, const harness::SystemConfig& sys)
 {
-    std::cout << "==============================================="
-                 "=====================\n"
-              << title << "\n"
-              << "The Thrifty Barrier (HPCA 2004) reproduction\n"
-              << "==============================================="
-                 "=====================\n";
-    harness::report::printArchitecture(std::cout, sys);
-    std::cout << '\n';
+    std::cout << bannerText(title, sys);
 }
 
 } // namespace bench

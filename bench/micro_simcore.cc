@@ -84,22 +84,39 @@ calibrate(bool quick)
     return m;
 }
 
-/** Schedule/fire throughput: batches of short-lived events with mixed
- *  ticks and priorities, queue drained between batches. */
+/**
+ * Schedule/fire throughput: batches of short-lived events with mixed
+ * ticks and priorities, queue drained between batches. Every round's
+ * delays and priorities are drawn from a seeded stream before the
+ * clock starts, so no two rounds repeat a key pattern (a repeated
+ * batch lets the branch predictor learn the heap's branches) and the
+ * generator is not timed.
+ */
 bench::MicroMetric
 eqScheduleFire(bool quick)
 {
     const unsigned rounds = quick ? 12800 : 64000;
     const unsigned batch = 128;
+    struct Key
+    {
+        std::uint8_t delay;
+        std::int8_t priority;
+    };
+    std::vector<Key> keys(static_cast<std::size_t>(rounds) * batch);
+    Random rng(0x5eed);
+    for (Key& k : keys) {
+        k.delay = static_cast<std::uint8_t>(1 + rng.uniformInt(97));
+        k.priority = static_cast<std::int8_t>(rng.uniformInt(4));
+    }
     EventQueue eq;
     std::uint64_t fired = 0;
+    const Key* key = keys.data();
     const auto t0 = Clock::now();
     for (unsigned r = 0; r < rounds; ++r) {
         const Tick base = eq.now();
-        for (unsigned i = 0; i < batch; ++i) {
-            eq.schedule(base + 1 + (i * 7) % 97,
-                        [&fired]() { ++fired; },
-                        static_cast<int>(i & 3));
+        for (unsigned i = 0; i < batch; ++i, ++key) {
+            eq.schedule(base + key->delay, [&fired]() { ++fired; },
+                        key->priority);
         }
         eq.run();
     }

@@ -4,12 +4,15 @@
 #
 #   scripts/run_all.sh [--jobs N]
 #
-# --jobs N shards the campaign-style benches (figure5_energy,
-# figure6_time, robustness_faults, robustness_seeds) across N host
-# threads. Their output is byte-identical to a serial run, so N only
-# affects wall time. A campaign with a failed point exits 1 and prints
-# the diagnostic and a rerun command (`--only-point I`) per failed
-# point to stderr.
+# --jobs N shards the campaign benches (paper_campaign,
+# robustness_faults) across N host threads. Their output is
+# byte-identical to a serial run, so N only affects wall time.
+# paper_campaign writes Table 2, Figures 5/6, the ablations, the
+# scaling study and the seed sweep as results/<name>.txt, one file per
+# golden.txt pin; every other bench's stdout goes to
+# results/<bench>.txt. A campaign with a failed point exits 1 and
+# prints the diagnostic and a rerun command (`--only-point I`) per
+# failed point to stderr.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -24,18 +27,12 @@ while [ $# -gt 0 ]; do
     esac
 done
 
-cmake -B build -G Ninja
+# The generator is whatever build/ was first configured with.
+cmake -B build -S .
 cmake --build build
 ctest --test-dir build --output-on-failure
 
 mkdir -p results
-
-# Campaign benches: final artifact emitted by atomic rename, only
-# when every point succeeded.
-campaign_args() {
-    local name="$1"
-    echo "--jobs $JOBS --out results/$name.json"
-}
 
 for b in build/bench/*; do
     [ -f "$b" ] && [ -x "$b" ] || continue
@@ -44,9 +41,10 @@ for b in build/bench/*; do
     case "$name" in
         micro_primitives)
             "$b" --benchmark_min_time=0.1 | tee "results/$name.txt" ;;
-        figure5_energy|figure6_time|robustness_faults|robustness_seeds)
-            # shellcheck disable=SC2046
-            "$b" $(campaign_args "$name") | tee "results/$name.txt" ;;
+        paper_campaign)
+            "$b" --jobs "$JOBS" --out results/ ;;
+        robustness_faults)
+            "$b" --jobs "$JOBS" | tee "results/$name.txt" ;;
         *)
             "$b" | tee "results/$name.txt" ;;
     esac

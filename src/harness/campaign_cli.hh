@@ -2,14 +2,15 @@
  * @file
  * Shared command line of the campaign benches.
  *
- * Every campaign binary (figure5_energy, figure6_time,
- * robustness_faults, robustness_seeds) accepts the same campaign
- * surface, parsed strictly — a malformed or out-of-range value and
- * an unknown option print a usage error and exit 2, never a silent
- * fallback:
+ * Both campaign binaries (paper_campaign, robustness_faults) accept
+ * the same campaign surface, parsed strictly — a malformed or
+ * out-of-range value and an unknown option print a usage error and
+ * exit 2, never a silent fallback:
  *
  *   --jobs N          shard points over N worker threads
- *   --out FILE        atomically write the final artifact to FILE
+ *   --out FILE        atomically write the final artifact to FILE;
+ *                     paper_campaign takes a directory and writes
+ *                     each of its artifacts to FILE/<name>.txt
  *   --only-point I    run just point I inline (the rerun command of
  *                     a failed point; takes no --out)
  *   --quick           CI-sized subset (benches that support it)

@@ -40,6 +40,8 @@ struct SleepState
     bool snoopable = true;
     /** Is the supply voltage lowered (reduced leakage)? */
     bool voltageReduced = false;
+
+    bool operator==(const SleepState&) const = default;
 };
 
 /**
@@ -75,6 +77,8 @@ class SleepStateTable
     std::size_t size() const { return table.size(); }
     const SleepState& at(std::size_t i) const { return table.at(i); }
     bool empty() const { return table.empty(); }
+
+    bool operator==(const SleepStateTable&) const = default;
 
   private:
     std::vector<SleepState> table;

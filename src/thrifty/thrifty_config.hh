@@ -76,6 +76,8 @@ struct HardeningConfig
     unsigned quarantineThreshold = 3;
     unsigned quarantineBase = 4;
     unsigned quarantineMaxExponent = 6;
+
+    bool operator==(const HardeningConfig&) const = default;
 };
 
 /** Tunables of the thrifty barrier. */
@@ -117,6 +119,9 @@ struct ThriftyConfig
 
     /** Graceful-degradation guard rails (off on healthy machines). */
     HardeningConfig hardening;
+
+    /** Field-wise equality: two equal configs run identically. */
+    bool operator==(const ThriftyConfig&) const = default;
 
     // ---- presets matching Section 5.1 -------------------------------
 

@@ -23,7 +23,7 @@ import tempfile
 # (bench, extra flags, reference, points)
 CHECKS = [
     ("robustness_faults", ["--quick"], "out", [0, 7, 35]),
-    ("figure6_time", [], "stats", [3]),
+    ("paper_campaign", [], "stats", [3]),
 ]
 
 

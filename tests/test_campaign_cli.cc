@@ -14,6 +14,7 @@
 
 #include "bench_util.hh"
 #include "harness/campaign_cli.hh"
+#include "paper_campaign.hh"
 
 namespace tb {
 namespace harness {
@@ -103,24 +104,27 @@ TEST(CampaignCliDeathTest, SwitchRejectsInlineValue)
 
 /**
  * A failing `--only-point` rerun reports like a failed campaign point
- * (`point I: <what>` on stderr) and exits 1, instead of letting the
- * exception end the process. A profile without barriers makes the
- * point fail with a fatal error.
+ * (`point I: <what>` on stderr, after the point's label) and exits 1,
+ * instead of letting the exception end the process. An unknown
+ * application makes the point fail with a fatal error.
  */
 TEST(CampaignCli, OnlyPointFailureExitsOne)
 {
     CampaignOptions opts;
     opts.onlyPoint = 1;
-    workloads::AppProfile app = workloads::appByName("Volrend");
-    app.prologue.clear();
-    app.loop.clear();
-    ObsCapture capture(opts, "only_point", bench::figureConfigs().size());
+    bench::PointTable table;
+    table.add(bench::paperPoint("Volrend", ConfigKind::Baseline));
+    table.add(bench::paperPoint("NoSuchApp", ConfigKind::ThriftyHalt));
+    ObsCapture capture(opts, "only_point", table.points().size());
     testing::internal::CaptureStderr();
-    const int rc = bench::runOnlyMatrixPoint(SystemConfig::small(2), {app},
-                                             opts, &capture);
+    const int rc = bench::runOnlyPaperPoint(table, opts, &capture);
     const std::string err = testing::internal::GetCapturedStderr();
     EXPECT_EQ(rc, 1);
-    EXPECT_EQ(err.rfind("point 1: fatal: ", 0), 0u) << err;
+    EXPECT_EQ(err.rfind("point 1: NoSuchApp/Thrifty-Halt\n"
+                        "point 1: fatal: ",
+                        0),
+              0u)
+        << err;
 
     EXPECT_TRUE(bench::runOnlyPoint(3, [] {}));
 }
