@@ -11,8 +11,8 @@
  * passes when every barrier releases, every sleeper wakes and no
  * invariant trips; a failed point (`panic:` for a checker violation,
  * `fatal:` for a bad configuration) fails the campaign with its
- * diagnostic and a rerun command on stderr. One point is replayed to
- * prove bit-identical determinism from (spec, seed).
+ * diagnostic and a rerun command on stderr. One sweep point is rerun
+ * to prove bit-identical determinism from (spec, seed).
  *
  *   robustness_faults [--quick] [--jobs N] [--out FILE]
  *                     [--only-point I]
@@ -29,6 +29,7 @@
  * bench_util.hh), comparable with robustness_seeds output.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
@@ -241,28 +242,21 @@ main(int argc, char** argv)
     unsigned failures = 0;
 
     // Determinism: an identical (spec, seed) pair must replay to
-    // bit-identical stats and timing.
+    // bit-identical stats and timing. Rerun the sweep's dim-2 hub
+    // hybrid point at scale 1.0, seed 1, and compare the digests.
     {
-        harness::SystemConfig sys = harness::SystemConfig::small(2);
-        sys.seed = 1;
-        thrifty::ThriftyConfig custom =
-            thrifty::ThriftyConfig::thrifty();
-        custom.hardening.enabled = true;
-        const fault::FaultSpec spec =
-            fault::FaultSpec::parse(specFor(1, 1.0));
-        harness::RunOptions opt;
-        opt.check = true;
-        opt.customConfig = &custom;
-        opt.faults = &spec;
-        opt.livenessBudget = 200 * kMillisecond;
-        const auto a = harness::runExperiment(sys, app,
-                                              ConfigKind::Thrifty, opt);
-        const auto b = harness::runExperiment(sys, app,
-                                              ConfigKind::Thrifty, opt);
-        if (a.execTime != b.execTime ||
-            a.faultCounts != b.faultCounts ||
-            a.totalEnergy() != b.totalEnergy() ||
-            a.sync.watchdogFires != b.sync.watchdogFires) {
+        const auto it = std::find_if(
+            points.begin(), points.end(), [](const Point& p) {
+                return p.dim == 2 && !p.threeHop &&
+                       p.wakeup == thrifty::WakeupPolicy::Hybrid &&
+                       p.scale == 1.0 && p.seed == 1;
+            });
+        const std::size_t k =
+            static_cast<std::size_t>(it - points.begin());
+        const harness::ExperimentResult& a = results.at(k);
+        const harness::ExperimentResult b =
+            runPoint(points[k], app, k, nullptr);
+        if (harness::serializeResult(a) != harness::serializeResult(b)) {
             ++failures;
             std::fprintf(stderr,
                          "FAIL determinism: identical (spec, seed) "

@@ -34,9 +34,22 @@ ctest --test-dir build --output-on-failure
 
 mkdir -p results
 
-for b in build/bench/*; do
-    [ -f "$b" ] && [ -x "$b" ] || continue
-    name=$(basename "$b")
+# An explicit list, not build/bench/*: a build tree keeps the binaries
+# of benches that have since been deleted from bench/.
+BENCHES=(
+    paper_campaign
+    robustness_faults
+    table3_sleep_states
+    figure3_bit_variability
+    extension_tree_barrier
+    extension_locks
+    extension_mp_barrier
+    micro_simcore
+    micro_primitives
+)
+
+for name in "${BENCHES[@]}"; do
+    b="build/bench/$name"
     echo "== $name"
     case "$name" in
         micro_primitives)

@@ -1,5 +1,6 @@
 #include "harness/experiment.hh"
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 
@@ -95,11 +96,12 @@ ConfigBarrierProvider::barrierFor(thrifty::BarrierPc pc)
 void
 ConfigBarrierProvider::mergeStats()
 {
-    // Thrifty barriers share the runtime's ledger, so repeated merges
-    // are harmless (a merged shard is left empty); conventional
-    // barriers each fold their own ledger.
-    for (auto& [pc, b] : barriers)
-        b->mergeStats();
+    const auto byThread = [](const auto& a, const auto& b) {
+        return a.tid < b.tid;
+    };
+    std::stable_sort(stats.trace.begin(), stats.trace.end(), byThread);
+    std::stable_sort(stats.episodes.begin(), stats.episodes.end(),
+                     byThread);
 }
 
 unsigned

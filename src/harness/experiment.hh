@@ -118,9 +118,12 @@ class ConfigBarrierProvider : public workloads::BarrierProvider
     thrifty::Barrier& barrierFor(thrifty::BarrierPc pc) override;
 
     /**
-     * Fold every barrier's per-thread stat shards into the shared
-     * SyncStats. Call after the machine's queues are drained, before
-     * reading the stats.
+     * Put the shared SyncStats' trace and episode records in thread
+     * order, each thread's in departure order, as reports and
+     * --stats-json list them. Barriers charge the counters directly,
+     * so nothing is merged; benchmark/tb_bench.cc calls this by name,
+     * and the rename waits on the change that reopens the benchmark
+     * harness (ROADMAP.md, "Open the benchmark contract once").
      */
     void mergeStats();
 

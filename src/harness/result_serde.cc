@@ -1,15 +1,8 @@
 #include "harness/result_serde.hh"
 
-#include <cerrno>
-#include <cinttypes>
-#include <cstdlib>
-#include <cstring>
-#include <map>
 #include <sstream>
-#include <vector>
 
 #include "obs/json_writer.hh"
-#include "sim/logging.hh"
 
 namespace tb {
 namespace harness {
@@ -18,138 +11,24 @@ namespace {
 
 constexpr const char* kMagic = "TBRESULT1";
 
-/** Strings use the shared JSON escape policy (obs::JsonWriter). */
+/** Strings use the shared JSON escape policy (obs::JsonWriter).
+ *  Appended piecewise: GCC 12's -Wrestrict misfires on
+ *  `"\"" + std::string + "\""` in Release builds. */
 std::string
 quote(const std::string& s)
 {
-    return "\"" + obs::JsonWriter::escape(s) + "\"";
+    std::string out(1, '"');
+    out += obs::JsonWriter::escape(s);
+    out += '"';
+    return out;
 }
 
-/** Doubles use the shared shortest-round-trip policy: strtod parses
- *  the exact bits back without paying 17 digits for simple values. */
+/** Doubles use the shared shortest-round-trip policy: the digits
+ *  name the exact bits without paying 17 of them for simple values. */
 std::string
 num(double v)
 {
     return obs::formatDouble(v);
-}
-
-/** Split one serialized line into key -> raw value (strings
- *  unquoted/unescaped). */
-std::map<std::string, std::string>
-fields(const std::string& line)
-{
-    std::map<std::string, std::string> out;
-    std::size_t i = 0;
-    const std::size_t n = line.size();
-    while (i < n) {
-        while (i < n && line[i] == ' ')
-            ++i;
-        const std::size_t eq = line.find('=', i);
-        if (eq == std::string::npos)
-            break;
-        const std::string key = line.substr(i, eq - i);
-        i = eq + 1;
-        std::string value;
-        if (i < n && line[i] == '"') {
-            ++i;
-            while (i < n && line[i] != '"') {
-                if (line[i] == '\\' && i + 1 < n) {
-                    // Full inverse of the shared escape policy.
-                    ++i;
-                    switch (line[i]) {
-                      case 'n': value += '\n'; ++i; break;
-                      case 'r': value += '\r'; ++i; break;
-                      case 't': value += '\t'; ++i; break;
-                      case 'u': {
-                        if (i + 4 >= n)
-                            fatal("result serde: bad \\u escape for '",
-                                  key, "'");
-                        unsigned v = 0;
-                        for (int k = 0; k < 4; ++k) {
-                            const char c = line[++i];
-                            v <<= 4;
-                            if (c >= '0' && c <= '9')
-                                v |= static_cast<unsigned>(c - '0');
-                            else if (c >= 'a' && c <= 'f')
-                                v |= static_cast<unsigned>(c - 'a' + 10);
-                            else if (c >= 'A' && c <= 'F')
-                                v |= static_cast<unsigned>(c - 'A' + 10);
-                            else
-                                fatal("result serde: bad \\u escape "
-                                      "for '", key, "'");
-                        }
-                        value += static_cast<char>(v);
-                        ++i;
-                        break;
-                      }
-                      // default: the literal char (quote, backslash)
-                      default: value += line[i++]; break;
-                    }
-                    continue;
-                }
-                value += line[i++];
-            }
-            if (i >= n)
-                fatal("result serde: unterminated string for '", key,
-                      "'");
-            ++i; // closing quote
-        } else {
-            const std::size_t end = line.find(' ', i);
-            value = line.substr(
-                i, end == std::string::npos ? end : end - i);
-            i = end == std::string::npos ? n : end;
-        }
-        out[key] = std::move(value);
-    }
-    return out;
-}
-
-const std::string&
-need(const std::map<std::string, std::string>& f, const char* key)
-{
-    const auto it = f.find(key);
-    if (it == f.end())
-        fatal("result serde: missing field '", key, "'");
-    return it->second;
-}
-
-std::uint64_t
-toU64(const std::string& s, const char* key)
-{
-    errno = 0;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (end == s.c_str() || *end != '\0' || errno == ERANGE)
-        fatal("result serde: bad integer for '", key, "': ", s);
-    return v;
-}
-
-double
-toF64(const std::string& s, const char* key)
-{
-    errno = 0;
-    char* end = nullptr;
-    const double v = std::strtod(s.c_str(), &end);
-    if (end == s.c_str() || *end != '\0')
-        fatal("result serde: bad number for '", key, "': ", s);
-    return v;
-}
-
-std::vector<std::string>
-splitCommas(const std::string& s)
-{
-    std::vector<std::string> out;
-    std::size_t at = 0;
-    while (at <= s.size()) {
-        const std::size_t c = s.find(',', at);
-        if (c == std::string::npos) {
-            out.push_back(s.substr(at));
-            break;
-        }
-        out.push_back(s.substr(at, c - at));
-        at = c + 1;
-    }
-    return out;
 }
 
 } // namespace
@@ -188,61 +67,6 @@ serializeResult(const ExperimentResult& r)
     }
     os << " faults=" << quote(fc);
     return os.str();
-}
-
-ExperimentResult
-deserializeResult(const std::string& line)
-{
-    if (line.compare(0, std::strlen(kMagic), kMagic) != 0)
-        fatal("result serde: missing ", kMagic, " magic");
-    const auto f = fields(line.substr(std::strlen(kMagic)));
-
-    ExperimentResult r;
-    r.app = need(f, "app");
-    r.config = need(f, "config");
-    r.execTime = toU64(need(f, "exec"), "exec");
-    r.threads =
-        static_cast<unsigned>(toU64(need(f, "threads"), "threads"));
-
-    const auto energies = splitCommas(need(f, "energy"));
-    const auto times = splitCommas(need(f, "time"));
-    if (energies.size() != r.energy.size() ||
-        times.size() != r.time.size())
-        fatal("result serde: expected ", r.energy.size(),
-              " energy/time buckets");
-    for (std::size_t b = 0; b < r.energy.size(); ++b) {
-        r.energy[b] = toF64(energies[b], "energy");
-        r.time[b] = toU64(times[b], "time");
-    }
-
-    thrifty::SyncStats& s = r.sync;
-    s.totalStallTicks = toF64(need(f, "stall"), "stall");
-    s.instances = toU64(need(f, "inst"), "inst");
-    s.arrivals = toU64(need(f, "arr"), "arr");
-    s.sleeps = toU64(need(f, "sleeps"), "sleeps");
-    s.spins = toU64(need(f, "spins"), "spins");
-    s.cutoffs = toU64(need(f, "cutoffs"), "cutoffs");
-    s.filteredUpdates = toU64(need(f, "filt"), "filt");
-    s.residualSpinTicks = toF64(need(f, "rticks"), "rticks");
-    s.residualSpins = toU64(need(f, "rspins"), "rspins");
-    s.watchdogFires = toU64(need(f, "wdog"), "wdog");
-    s.residualEscalations = toU64(need(f, "resc"), "resc");
-    s.quarantines = toU64(need(f, "quar"), "quar");
-    s.fallbackEpisodes = toU64(need(f, "fall"), "fall");
-
-    r.faultSpec = need(f, "spec");
-    const std::string& fc = need(f, "faults");
-    if (!fc.empty()) {
-        for (const std::string& pair : splitCommas(fc)) {
-            const std::size_t colon = pair.rfind(':');
-            if (colon == std::string::npos)
-                fatal("result serde: bad fault count '", pair, "'");
-            r.faultCounts.emplace_back(
-                pair.substr(0, colon),
-                toU64(pair.substr(colon + 1), "faults"));
-        }
-    }
-    return r;
 }
 
 } // namespace harness

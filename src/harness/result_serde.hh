@@ -1,18 +1,15 @@
 /**
  * @file
- * Lossless one-line serialization of ExperimentResult.
+ * One-line digest of an ExperimentResult.
  *
- * The line is a point's digest: the figure campaigns' `--only-point`
- * prints it, and the benchmark harness checksums it. It carries the
- * full result — every field the report renderers consume — so doubles
- * are emitted with max_digits10 precision and ticks verbatim:
- * deserialize(serialize(r)) reproduces bit-identical report output,
- * which the round-trip tests check.
+ * `paper_campaign --only-point` prints the line and the benchmark
+ * harness checksums it. It carries every field the report renderers
+ * consume — doubles in shortest round-trip form, ticks verbatim — so
+ * two results with equal lines render identical reports.
  *
  * The format is a single `TBRESULT1 key=value ...` line with quoted,
- * backslash-escaped strings — cheap enough to parse without a JSON
- * library. The per-departure trace is intentionally not
- * carried: campaigns never enable it.
+ * JSON-escaped strings. The per-departure trace and the episode
+ * ledger are not carried.
  */
 
 #ifndef TB_HARNESS_RESULT_SERDE_HH_
@@ -27,12 +24,6 @@ namespace harness {
 
 /** Serialize @p r to one self-contained line (no trailing newline). */
 std::string serializeResult(const ExperimentResult& r);
-
-/**
- * Rebuild a result from serializeResult() output. Throws FatalError
- * on malformed input (wrong magic, missing field, bad number).
- */
-ExperimentResult deserializeResult(const std::string& line);
 
 } // namespace harness
 } // namespace tb

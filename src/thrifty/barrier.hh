@@ -104,73 +104,6 @@ struct SyncStats
     std::vector<BarrierEpisode> episodes;
 };
 
-/**
- * Per-thread sharding of one SyncStats sink.
- *
- * Each simulated thread records its barrier bookkeeping in its own
- * shard — shard 0 aliases the experiment's target SyncStats — and
- * merge() folds the extras back after the queues are drained, in
- * thread order. A simulation runs on one host thread, so the shards
- * are not there for safety: they fix the order of the merged trace
- * and episode records (thread by thread, not interleaved by event
- * time), and the golden artifacts pin that order.
- */
-class SyncLedger
-{
-  public:
-    /** @param num_threads shard count; @p target shard 0 / merge sink. */
-    SyncLedger(unsigned num_threads, SyncStats& target)
-        : target_(target), extras_(num_threads ? num_threads - 1 : 0)
-    {}
-
-    /** Thread @p tid's shard (tid 0 gets the target itself). */
-    SyncStats&
-    shard(ThreadId tid)
-    {
-        if (tid == 0)
-            return target_;
-        SyncStats& s = extras_.at(tid - 1);
-        // Recording options live on the target; mirror them so a
-        // shard taken before or after the run sees the same switches.
-        s.traceEnabled = target_.traceEnabled;
-        s.episodesEnabled = target_.episodesEnabled;
-        return s;
-    }
-
-    /** The merge sink (== shard 0). */
-    SyncStats& target() { return target_; }
-
-    /** Fold every extra shard into the target and clear it. */
-    void
-    merge()
-    {
-        for (SyncStats& s : extras_) {
-            target_.totalStallTicks += s.totalStallTicks;
-            target_.instances += s.instances;
-            target_.arrivals += s.arrivals;
-            target_.sleeps += s.sleeps;
-            target_.spins += s.spins;
-            target_.cutoffs += s.cutoffs;
-            target_.filteredUpdates += s.filteredUpdates;
-            target_.residualSpinTicks += s.residualSpinTicks;
-            target_.residualSpins += s.residualSpins;
-            target_.watchdogFires += s.watchdogFires;
-            target_.residualEscalations += s.residualEscalations;
-            target_.quarantines += s.quarantines;
-            target_.fallbackEpisodes += s.fallbackEpisodes;
-            for (BarrierTraceEntry& e : s.trace)
-                target_.trace.push_back(e);
-            for (BarrierEpisode& e : s.episodes)
-                target_.episodes.push_back(std::move(e));
-            s = SyncStats{};
-        }
-    }
-
-  private:
-    SyncStats& target_;
-    std::vector<SyncStats> extras_;
-};
-
 /** Abstract barrier (one static call site). */
 class Barrier
 {
@@ -186,13 +119,6 @@ class Barrier
 
     /** The static identifier (PC) of this barrier. */
     virtual BarrierPc pc() const = 0;
-
-    /**
-     * Fold per-thread stat shards into the experiment's SyncStats.
-     * Must be called after the machine's queues are drained and before
-     * the stats are read; a no-op for barriers that do not shard.
-     */
-    virtual void mergeStats() {}
 };
 
 } // namespace thrifty

@@ -21,12 +21,6 @@ threadBit(ThreadId tid)
 // LastValuePredictor
 // ----------------------------------------------------------------------
 
-void
-LastValuePredictor::prepare(BarrierPc pc)
-{
-    table[pc]; // default entry: no value, nothing disabled
-}
-
 std::optional<Tick>
 LastValuePredictor::predict(BarrierPc pc, ThreadId tid) const
 {
@@ -78,12 +72,6 @@ MovingAveragePredictor::MovingAveragePredictor(double a)
 {
     if (alpha <= 0.0 || alpha > 1.0)
         fatal("moving-average alpha must be in (0,1], got ", alpha);
-}
-
-void
-MovingAveragePredictor::prepare(BarrierPc pc)
-{
-    table[pc];
 }
 
 std::optional<Tick>

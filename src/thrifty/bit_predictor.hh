@@ -38,14 +38,6 @@ class BitPredictor
     virtual ~BitPredictor() = default;
 
     /**
-     * Pre-insert barrier @p pc's table entry (idempotent; keeps any
-     * recorded state). Called at barrier construction, so the event
-     * path only looks entries up and updates them in place and never
-     * inserts one.
-     */
-    virtual void prepare(BarrierPc pc) = 0;
-
-    /**
      * Predict the interval time of the upcoming instance of barrier
      * @p pc for thread @p tid. Empty if there is no history yet or
      * prediction is disabled for this (pc, tid) — the thread then
@@ -76,7 +68,6 @@ class BitPredictor
 class LastValuePredictor : public BitPredictor
 {
   public:
-    void prepare(BarrierPc pc) override;
     std::optional<Tick> predict(BarrierPc pc,
                                 ThreadId tid) const override;
     void update(BarrierPc pc, Tick actual_bit) override;
@@ -105,7 +96,6 @@ class MovingAveragePredictor : public BitPredictor
     /** @param alpha weight of the newest sample, in (0, 1]. */
     explicit MovingAveragePredictor(double alpha = 0.5);
 
-    void prepare(BarrierPc pc) override;
     std::optional<Tick> predict(BarrierPc pc,
                                 ThreadId tid) const override;
     void update(BarrierPc pc, Tick actual_bit) override;

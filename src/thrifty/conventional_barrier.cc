@@ -17,7 +17,7 @@ ConventionalBarrier::ConventionalBarrier(EventQueue& queue, BarrierPc pc,
       barrierPc(pc),
       total(num_threads),
       backend(memory.backend()),
-      ledger_(num_threads, stats),
+      syncStats(stats),
       localSense(num_threads, 0),
       arrivalTick(num_threads, 0),
       snapInstance(num_threads, 0)
@@ -39,7 +39,7 @@ ConventionalBarrier::arrive(cpu::ThreadContext& tc,
     const ThreadId tid = tc.tid();
     if (tid >= total)
         panic(name(), ": thread ", tid, " outside barrier population");
-    ++ledger_.shard(tid).arrivals;
+    ++syncStats.arrivals;
     arrivalTick[tid] = tc.curTick();
     const std::uint64_t want = localSense[tid] ^ 1u;
     localSense[tid] = static_cast<std::uint8_t>(want);
@@ -66,7 +66,7 @@ ConventionalBarrier::arrive(cpu::ThreadContext& tc,
             snapInstance[tid] = instanceIdx;
             if (old + 1 == total) {
                 ++instanceIdx;
-                ++ledger_.shard(tid).instances;
+                ++syncStats.instances;
             }
             return old;
         },
@@ -80,17 +80,17 @@ ConventionalBarrier::arrive(cpu::ThreadContext& tc,
                                  o->onBarrierReleased(
                                      mem::lineAddr(flagAddr),
                                      snapInstance[tid]);
-                             ledger_.shard(tid).totalStallTicks +=
+                             syncStats.totalStallTicks +=
                                  static_cast<double>(tc.curTick() -
                                                      arrivalTick[tid]);
                              cont();
                          });
                 return;
             }
-            ++ledger_.shard(tid).spins;
+            ++syncStats.spins;
             spinOnFlag(tc, flagAddr, want,
                        [this, &tc, tid, cont = std::move(cont)]() {
-                           ledger_.shard(tid).totalStallTicks +=
+                           syncStats.totalStallTicks +=
                                static_cast<double>(tc.curTick() -
                                                    arrivalTick[tid]);
                            cont();

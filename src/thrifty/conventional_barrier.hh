@@ -12,8 +12,8 @@
  * Partitioning discipline: the dynamic instance index is home-confined
  * — it advances only inside the check-in fetch-op at the count's home,
  * and each thread reads back the instance it checked into from its own
- * Snap slot. Statistics are charged to per-thread shards (SyncLedger)
- * and folded after the run by mergeStats().
+ * Snap slot. Statistics are charged straight to the experiment's
+ * SyncStats.
  */
 
 #ifndef TB_THRIFTY_CONVENTIONAL_BARRIER_HH_
@@ -51,8 +51,6 @@ class ConventionalBarrier : public Barrier, public SimObject
 
     BarrierPc pc() const override { return barrierPc; }
 
-    void mergeStats() override { ledger_.merge(); }
-
     /** Dynamic instances completed so far (stable once drained). */
     std::uint64_t instances() const { return instanceIdx; }
 
@@ -66,7 +64,7 @@ class ConventionalBarrier : public Barrier, public SimObject
     BarrierPc barrierPc;
     unsigned total;
     mem::Backend& backend;
-    SyncLedger ledger_;
+    SyncStats& syncStats;
 
     Addr countAddr;
     Addr flagAddr;

@@ -42,10 +42,6 @@ ThriftyBarrier::ThriftyBarrier(EventQueue& queue, BarrierPc pc,
     flagAddr = base + mem::kLineBytes;
     bitAddr = base + 2 * mem::kLineBytes;
     homeNode = memory.addressMap().home(countAddr);
-    // Pre-insert this PC's predictor entry: runtime accesses (all at
-    // homeNode) then never mutate the table structure, so barriers
-    // whose homes land in different partitions touch disjoint entries.
-    runtime.predictor().prepare(pc);
 }
 
 ThriftyBarrier::~ThriftyBarrier()
@@ -61,7 +57,7 @@ ThriftyBarrier::arrive(cpu::ThreadContext& tc, std::function<void()> cont)
     if (tid >= total)
         panic(name(), ": thread ", tid, " outside barrier population");
 
-    SyncStats& st = runtime.stats(tid);
+    SyncStats& st = runtime.stats();
     ++st.arrivals;
     const Tick now = tc.curTick();
     const Tick brts_tid = runtime.brts(tid);
@@ -149,7 +145,7 @@ ThriftyBarrier::homeCheckIn(ThreadId tid, std::uint64_t old,
             if (static_cast<double>(actual_bit) >
                 cfg.underpredictionFilter * static_cast<double>(*prev)) {
                 skip_update = true;
-                ++runtime.stats(tid).filteredUpdates;
+                ++runtime.stats().filteredUpdates;
             }
         }
     }
@@ -157,7 +153,7 @@ ThriftyBarrier::homeCheckIn(ThreadId tid, std::uint64_t old,
         runtime.predictor().update(barrierPc, actual_bit);
 
     ++instanceIdx;
-    ++runtime.stats(tid).instances;
+    ++runtime.stats().instances;
 
     if (cfg.oracle && !arrivedEarly.empty()) {
         // The release notification to each parked thread is real
@@ -208,7 +204,7 @@ ThriftyBarrier::lastArrival(cpu::ThreadContext& tc, ThreadId tid,
                               {"bit", actual_bit}});
                      }
                      runtime.advanceBrts(tid, actual_bit);
-                     runtime.stats(tid).totalStallTicks +=
+                     runtime.stats().totalStallTicks +=
                          static_cast<double>(tc.curTick() -
                                              arrivalTick[tid]);
                      traceDeparture(tid, actual_bit);
@@ -223,7 +219,7 @@ ThriftyBarrier::earlyArrival(cpu::ThreadContext& tc, ThreadId tid,
                              std::function<void()> cont)
 {
     const ThriftyConfig& cfg = runtime.config();
-    SyncStats& st = runtime.stats(tid);
+    SyncStats& st = runtime.stats();
 
     if (cfg.oracle) {
         park(tc, tid, std::move(cont));
@@ -275,7 +271,7 @@ ThriftyBarrier::earlyArrival(cpu::ThreadContext& tc, ThreadId tid,
         flagAddr, want,
         [this, &tc, tid, want, state, predicted_wake,
          cont = std::move(cont)](bool already_flipped) mutable {
-            SyncStats& stats = runtime.stats(tid);
+            SyncStats& stats = runtime.stats();
             if (already_flipped) {
                 // The thread never slept, so no wake-up timestamp is
                 // recorded (the cutoff only judges actual sleepers).
@@ -325,7 +321,7 @@ ThriftyBarrier::earlyArrival(cpu::ThreadContext& tc, ThreadId tid,
                     conf.hardening.watchdogMin);
                 watchdog[tid] = tc.eventQueue().scheduleIn(
                     bound, [this, &tc, tid]() {
-                        ++runtime.stats(tid).watchdogFires;
+                        ++runtime.stats().watchdogFires;
                         episodeFaulty[tid] = 1;
                         tc.controller().forceWake(
                             mem::WakeReason::Watchdog);
@@ -359,7 +355,7 @@ ThriftyBarrier::earlyArrival(cpu::ThreadContext& tc, ThreadId tid,
                     std::function<void()> finish =
                         [this, &tc, tid,
                          cont = std::move(cont)]() mutable {
-                            SyncStats& stf = runtime.stats(tid);
+                            SyncStats& stf = runtime.stats();
                             stf.residualSpinTicks +=
                                 static_cast<double>(tc.curTick() -
                                                     wakeTick[tid]);
@@ -385,8 +381,7 @@ ThriftyBarrier::earlyArrival(cpu::ThreadContext& tc, ThreadId tid,
                             c.hardening.residualSpinBudget,
                             c.hardening.recheckInterval,
                             [this, tid]() {
-                                ++runtime.stats(tid)
-                                      .residualEscalations;
+                                ++runtime.stats().residualEscalations;
                                 episodeFaulty[tid] = 1;
                             },
                             std::move(finish));
@@ -416,7 +411,7 @@ ThriftyBarrier::depart(cpu::ThreadContext& tc, ThreadId tid,
             if (static_cast<double>(penalty) >
                 cfg.overpredictionThreshold *
                     static_cast<double>(bit_val)) {
-                ++runtime.stats(tid).cutoffs;
+                ++runtime.stats().cutoffs;
                 // The cutoff flips home-confined predictor state, so
                 // the disable rides to the PC's home as a control
                 // message with real NoC cost; predictions snapshotted
@@ -430,7 +425,7 @@ ThriftyBarrier::depart(cpu::ThreadContext& tc, ThreadId tid,
         }
         if (episodeOpen[tid]) {
             episodeOpen[tid] = 0;
-            SyncStats& st = runtime.stats(tid);
+            SyncStats& st = runtime.stats();
             if (st.episodesEnabled) {
                 BarrierEpisode ep = std::move(pendingEpisode[tid]);
                 ep.actualBit = bit_val;
@@ -438,7 +433,7 @@ ThriftyBarrier::depart(cpu::ThreadContext& tc, ThreadId tid,
                 st.episodes.push_back(std::move(ep));
             }
         }
-        runtime.stats(tid).totalStallTicks +=
+        runtime.stats().totalStallTicks +=
             static_cast<double>(tc.curTick() - arrivalTick[tid]);
         traceDeparture(tid, bit_val);
         cont();
@@ -456,9 +451,9 @@ ThriftyBarrier::park(cpu::ThreadContext& tc, ThreadId tid,
         releaseReady[tid] = 0;
         const Tick bit = releaseBit[tid];
         const Tick stall = tc.curTick() - arrivalTick[tid];
-        accrueOracleDwell(tc.cpu(), stall, tid);
+        accrueOracleDwell(tc.cpu(), stall);
         runtime.advanceBrts(tid, bit);
-        runtime.stats(tid).totalStallTicks +=
+        runtime.stats().totalStallTicks +=
             static_cast<double>(stall);
         traceDeparture(tid, bit);
         tc.eventQueue().scheduleIn(0, std::move(cont));
@@ -484,9 +479,9 @@ ThriftyBarrier::oracleRelease(ThreadId tid, Tick actual_bit)
     parkedTc[tid] = nullptr;
     parkedCont[tid] = nullptr;
     const Tick stall = tc.curTick() - arrivalTick[tid];
-    accrueOracleDwell(tc.cpu(), stall, tid);
+    accrueOracleDwell(tc.cpu(), stall);
     runtime.advanceBrts(tid, actual_bit);
-    runtime.stats(tid).totalStallTicks += static_cast<double>(stall);
+    runtime.stats().totalStallTicks += static_cast<double>(stall);
     traceDeparture(tid, actual_bit);
     tc.cpu().resumeAccounting();
     // Perfect wake-up: the thread resumes at the notification.
@@ -494,12 +489,11 @@ ThriftyBarrier::oracleRelease(ThreadId tid, Tick actual_bit)
 }
 
 void
-ThriftyBarrier::accrueOracleDwell(cpu::Cpu& cpu, Tick stall,
-                                  ThreadId tid)
+ThriftyBarrier::accrueOracleDwell(cpu::Cpu& cpu, Tick stall)
 {
     const power::PowerParams& pp = cpu.powerParams();
     const ThriftyConfig& cfg = runtime.config();
-    SyncStats& st = runtime.stats(tid);
+    SyncStats& st = runtime.stats();
 
     // Perfect knowledge: pick the minimum-energy option between
     // spinning the whole stall and each sleep state that fits.
@@ -537,7 +531,7 @@ ThriftyBarrier::accrueOracleDwell(cpu::Cpu& cpu, Tick stall,
 void
 ThriftyBarrier::traceDeparture(ThreadId tid, Tick bit)
 {
-    SyncStats& st = runtime.stats(tid);
+    SyncStats& st = runtime.stats();
     if (!st.traceEnabled)
         return;
     BarrierTraceEntry e;

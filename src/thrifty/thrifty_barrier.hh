@@ -80,8 +80,6 @@ class ThriftyBarrier : public Barrier, public SimObject
 
     BarrierPc pc() const override { return barrierPc; }
 
-    void mergeStats() override { runtime.mergeStats(); }
-
     /** Dynamic instances completed so far (stable once drained). */
     std::uint64_t instances() const { return instanceIdx; }
 
@@ -133,7 +131,7 @@ class ThriftyBarrier : public Barrier, public SimObject
     void oracleRelease(ThreadId tid, Tick actual_bit);
 
     /** Oracle mode: analytic energy accounting of one parked dwell. */
-    void accrueOracleDwell(cpu::Cpu& cpu, Tick stall, ThreadId tid);
+    void accrueOracleDwell(cpu::Cpu& cpu, Tick stall);
 
     /** Append a trace record if tracing is on. */
     void traceDeparture(ThreadId tid, Tick bit);

@@ -11,7 +11,7 @@ ThriftyRuntime::ThriftyRuntime(unsigned num_threads,
     : threads(num_threads),
       cfg(config),
       pred(makePredictor(config.predictorKind)),
-      ledger_(num_threads, stats),
+      syncStats(stats),
       brts_(num_threads, 0)
 {
     if (num_threads == 0)

@@ -52,25 +52,15 @@ class ThriftyRuntime
      * executes in an event of pc's count-line home node, as that
      * node's stream (ThriftyBarrier routes all predictor traffic
      * through the check-in fetch-op and control messages to home).
-     * prepare() in the barrier constructor pre-inserts entries so
-     * runtime access never mutates the table structure.
+     * A PC with no entry yet reads as a default one (no history,
+     * nothing disabled).
      */
     BitPredictor& predictor() { return *pred; }
     const BitPredictor& predictor() const { return *pred; }
 
-    /**
-     * Thread @p tid's synchronization-stat shard. Barrier code must
-     * charge counters here from the thread's own execution context;
-     * mergeStats() folds the shards into the experiment's SyncStats
-     * after the run (see SyncLedger).
-     */
-    SyncStats& stats(ThreadId tid) { return ledger_.shard(tid); }
-
-    /** The experiment's merge sink (== thread 0's shard). */
-    SyncStats& stats() { return ledger_.target(); }
-
-    /** Fold all per-thread shards into the target (post-run). */
-    void mergeStats() { ledger_.merge(); }
+    /** The experiment's synchronization statistics. Every barrier
+     *  of the program charges them directly. */
+    SyncStats& stats() { return syncStats; }
 
     /** Attach a structured-trace sink shared by all barriers of the
      *  program (nullptr detaches). */
@@ -110,7 +100,7 @@ class ThriftyRuntime
         if (it == quarantine_.end() || it->second.remaining == 0)
             return false;
         --it->second.remaining;
-        ++ledger_.shard(tid).fallbackEpisodes;
+        ++syncStats.fallbackEpisodes;
         return true;
     }
 
@@ -132,7 +122,7 @@ class ThriftyRuntime
         q.remaining = h.quarantineBase
                       << std::min(q.exponent, h.quarantineMaxExponent);
         ++q.exponent;
-        ++ledger_.shard(tid).quarantines;
+        ++syncStats.quarantines;
     }
 
     /** Number of (thread, barrier) pairs currently quarantined. */
@@ -156,7 +146,7 @@ class ThriftyRuntime
     unsigned threads;
     ThriftyConfig cfg;
     std::unique_ptr<BitPredictor> pred;
-    SyncLedger ledger_;
+    SyncStats& syncStats;
     obs::TraceSink* trace_ = nullptr;
     std::vector<Tick> brts_;
     std::map<std::pair<ThreadId, BarrierPc>, QuarantineState> quarantine_;

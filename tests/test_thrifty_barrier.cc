@@ -49,8 +49,6 @@ driveRounds(Machine& m, thrifty::Barrier& barrier, unsigned instances,
     for (ThreadId t = 0; t < n; ++t)
         round(t, 0);
     m.run();
-    // Counters land in per-thread shards; fold them before asserts.
-    barrier.mergeStats();
 }
 
 /** Imbalanced schedule: thread 0 is always ~1ms late. */
@@ -226,6 +224,39 @@ TEST(ThriftyBarrier, OverpredictionCutoffDisablesPrediction)
     EXPECT_EQ(r.stats.instances, 8u);
 }
 
+TEST(ThriftyBarrier, StatsCompleteRightAfterRun)
+{
+    // examples/prediction_tour's run: thread 0 straggles and the
+    // interval crashes at instance 5. Every thread's sleeps, cutoffs
+    // and instances are in the SyncStats as soon as the queue drains:
+    // the stats are read right after Machine::run(), with no other
+    // call in between.
+    Rig r;
+    const auto delay = [](ThreadId tid, unsigned inst) -> Tick {
+        const Tick base = inst < 5 ? Tick{2 * kMillisecond}
+                                   : Tick{120 * kMicrosecond};
+        return tid == 0 ? base + base / 8 : base;
+    };
+    std::function<void(ThreadId, unsigned)> round =
+        [&](ThreadId tid, unsigned inst) {
+            if (inst >= 8)
+                return;
+            r.m.thread(tid).compute(delay(tid, inst), [&, tid, inst]() {
+                r.barrier->arrive(r.m.thread(tid), [&, tid, inst]() {
+                    round(tid, inst + 1);
+                });
+            });
+        };
+    for (ThreadId t = 0; t < 4; ++t)
+        round(t, 0);
+    r.m.run();
+    EXPECT_EQ(r.stats.arrivals, 32u);
+    EXPECT_EQ(r.stats.sleeps, 15u);
+    EXPECT_EQ(r.stats.spins, 9u);
+    EXPECT_EQ(r.stats.cutoffs, 3u);
+    EXPECT_EQ(r.stats.instances, 8u);
+}
+
 TEST(ThriftyBarrier, CutoffDisabledWhenThresholdNegative)
 {
     ThriftyConfig cfg = ThriftyConfig::thrifty();
@@ -334,7 +365,6 @@ TEST(ThriftyBarrier, FalseWakeupSurvivesViaResidualSpin)
             r.m.memory().controller(1).injectSpuriousInvalidation(flag);
         });
     r.m.run();
-    r.barrier->mergeStats();
     // Everyone still departs, and not before the slow thread arrived.
     for (Tick d : departs)
         EXPECT_GE(d, kMillisecond);
@@ -376,8 +406,6 @@ TEST(ThriftyBarrier, MixedConventionalAndThriftyCoexist)
     for (ThreadId t = 0; t < 4; ++t)
         round(t, 0);
     m.run();
-    tb.mergeStats();
-    cb.mergeStats();
     // Six rounds, alternating thrifty/conventional: six instances.
     EXPECT_EQ(stats.instances, 6u);
     EXPECT_GT(stats.sleeps, 0u);
