@@ -37,7 +37,7 @@ run(double imbalance_cv, const thrifty::ThriftyConfig& cfg,
 
     mp::MpFabric fabric(m.eventQueue(), m.network());
     thrifty::SyncStats stats;
-    mp::MpRuntime rt(n, cfg, stats);
+    thrifty::ThriftyRuntime rt(n, cfg, stats);
     std::vector<cpu::Cpu*> cpus;
     for (NodeId i = 0; i < n; ++i)
         cpus.push_back(&m.cpu(i));

@@ -7,23 +7,8 @@
 namespace tb {
 namespace mp {
 
-MpRuntime::MpRuntime(unsigned num_threads,
-                     const thrifty::ThriftyConfig& config,
-                     thrifty::SyncStats& stats)
-    : threads(num_threads),
-      cfg(config),
-      pred(thrifty::makePredictor(config.predictorKind)),
-      syncStats(stats),
-      brts_(num_threads, 0)
-{
-    if (num_threads == 0)
-        fatal("MP runtime needs at least one thread");
-    if (cfg.oracle)
-        fatal("oracle mode is not implemented for the MP barrier");
-}
-
 MpBarrier::MpBarrier(EventQueue& queue, thrifty::BarrierPc pc,
-                     MpRuntime& rt, MpFabric& fabric_,
+                     thrifty::ThriftyRuntime& rt, MpFabric& fabric_,
                      std::vector<cpu::Cpu*> cpu_list,
                      NodeId coordinator, std::string name)
     : SimObject(queue, std::move(name)),
@@ -35,6 +20,9 @@ MpBarrier::MpBarrier(EventQueue& queue, thrifty::BarrierPc pc,
       total(rt.numThreads()),
       waiters(total)
 {
+    if (runtime.config().oracle)
+        fatal(this->name(),
+              ": oracle mode is not implemented for the MP barrier");
     if (cpus.size() < total)
         fatal(this->name(), ": need one CPU per thread");
     if (coord >= fabric.numNodes())
@@ -98,15 +86,9 @@ MpBarrier::wait(ThreadId tid)
 
     // Predict the stall ahead, exactly as in the shared-memory
     // design (Section 3.2).
-    const power::SleepState* state = nullptr;
-    Tick predicted_wake = 0;
-    if (auto bit = runtime.predictor().predict(barrierPc, tid)) {
-        predicted_wake = runtime.brts(tid) + *bit;
-        if (predicted_wake > curTick())
-            state = cfg.states.select(predicted_wake - curTick());
-    }
-
-    if (!state) {
+    const thrifty::SleepChoice choice = runtime.chooseSleep(
+        runtime.predictor().predict(barrierPc, tid), tid, curTick());
+    if (!choice.state) {
         // Poll the NIC for the release (the MP spinloop).
         ++st.spins;
         w.spinning = true;
@@ -121,17 +103,16 @@ MpBarrier::wait(ThreadId tid)
         });
     }
     if (cfg.wakeup != thrifty::WakeupPolicy::External) {
-        const Tick lead = state->transitionLatency;
-        const Tick target = predicted_wake > curTick() + lead
-                                ? predicted_wake - lead
-                                : curTick();
+        const Tick target =
+            curTick() + thrifty::wakeTimerDelay(choice.predictedWake,
+                                                curTick(), *choice.state);
         w.timer.cancel();
         w.timer = eq.schedule(target, [this, tid]() {
             cpus[tid]->wakeRequest(mem::WakeReason::Timer);
         });
     }
 
-    cpu.enterSleep(*state, [this, tid](mem::WakeReason) {
+    cpu.enterSleep(*choice.state, [this, tid](mem::WakeReason) {
         Waiter& ww = waiters[tid];
         ww.wakeTick = curTick();
         if (ww.released) {
@@ -158,23 +139,8 @@ MpBarrier::onArrive(const MpMessage& msg)
     const Tick actual_bit = curTick() - lastReleaseTick;
     lastReleaseTick = curTick();
 
-    const thrifty::ThriftyConfig& cfg = runtime.config();
-    bool skip = false;
-    if (cfg.underpredictionFilter > 0.0) {
-        if (auto prev = runtime.predictor().stored(barrierPc)) {
-            if (static_cast<double>(actual_bit) >
-                cfg.underpredictionFilter *
-                    static_cast<double>(*prev)) {
-                skip = true;
-                ++runtime.stats().filteredUpdates;
-            }
-        }
-    }
-    if (!skip)
-        runtime.predictor().update(barrierPc, actual_bit);
-
+    runtime.recordInterval(barrierPc, actual_bit);
     ++instanceIdx;
-    ++runtime.stats().instances;
 
     for (NodeId n = 0; n < total; ++n) {
         MpMessage m;
@@ -222,38 +188,16 @@ void
 MpBarrier::depart(ThreadId tid)
 {
     Waiter& w = waiters[tid];
-    const thrifty::ThriftyConfig& cfg = runtime.config();
-
     runtime.advanceBrts(tid, w.publishedBit);
     const Tick release_ts = runtime.brts(tid);
-    if (w.wakeTick != kTickNever && cfg.overpredictionThreshold >= 0.0 &&
-        w.wakeTick > release_ts) {
-        const Tick penalty = w.wakeTick - release_ts;
-        if (static_cast<double>(penalty) >
-            cfg.overpredictionThreshold *
-                static_cast<double>(w.publishedBit)) {
-            runtime.predictor().disable(barrierPc, tid);
-            ++runtime.stats().cutoffs;
-        }
-    }
-    runtime.stats().totalStallTicks +=
-        static_cast<double>(curTick() - w.arrival);
-
-    thrifty::SyncStats& st = runtime.stats();
-    if (st.traceEnabled) {
-        thrifty::BarrierTraceEntry e;
-        e.pc = barrierPc;
-        e.instance = w.instance;
-        e.tid = tid;
-        e.bit = w.publishedBit;
-        const Tick compute = w.arrival > release_ts - w.publishedBit
-                                 ? w.arrival -
-                                       (release_ts - w.publishedBit)
-                                 : 0;
-        e.compute = std::min(compute, w.publishedBit);
-        e.stall = e.bit - e.compute;
-        st.trace.push_back(e);
-    }
+    if (runtime.overpredicted(w.wakeTick, release_ts, w.publishedBit))
+        runtime.predictor().disable(barrierPc, tid);
+    // Compute time since the old BRTS; 0 if the thread arrived
+    // before it.
+    const Tick old_brts = release_ts - w.publishedBit;
+    const Tick compute = w.arrival > old_brts ? w.arrival - old_brts : 0;
+    runtime.recordDeparture(barrierPc, w.instance, tid, w.publishedBit,
+                            compute, curTick() - w.arrival);
 
     w.waiting = false;
     auto cont = std::move(w.cont);

@@ -24,52 +24,28 @@
  * its own release instant; the BRTS chain absorbs the skew exactly
  * as in the shared-memory design.
  *
- * Configuration reuses ThriftyConfig: sleep-state table, wake-up
- * policy, overprediction cutoff and underprediction filter all apply
- * unchanged. An empty state table yields the conventional polling
- * barrier (the MP baseline).
+ * The runtime is the shared-memory barriers' thrifty::ThriftyRuntime
+ * (one runtime, one policy, three wait mechanisms): its predictor,
+ * BRTS chain, sleep-state choice, timer aim, cutoff, filter and
+ * departure record apply unchanged; only the wait and wake plumbing
+ * here is MP-specific. An empty state table yields the conventional
+ * polling barrier (the MP baseline). Oracle mode is not modelled.
  */
 
 #ifndef TB_MP_MP_BARRIER_HH_
 #define TB_MP_MP_BARRIER_HH_
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "cpu/cpu.hh"
 #include "mp/mp_endpoint.hh"
 #include "sim/sim_object.hh"
-#include "thrifty/barrier.hh"
-#include "thrifty/bit_predictor.hh"
-#include "thrifty/thrifty_config.hh"
+#include "thrifty/thrifty_runtime.hh"
 
 namespace tb {
 namespace mp {
-
-/** Shared state of all MP thrifty barriers in one program. */
-class MpRuntime
-{
-  public:
-    MpRuntime(unsigned num_threads, const thrifty::ThriftyConfig& cfg,
-              thrifty::SyncStats& stats);
-
-    unsigned numThreads() const { return threads; }
-    const thrifty::ThriftyConfig& config() const { return cfg; }
-    thrifty::BitPredictor& predictor() { return *pred; }
-    thrifty::SyncStats& stats() { return syncStats; }
-
-    Tick brts(ThreadId tid) const { return brts_.at(tid); }
-    void advanceBrts(ThreadId tid, Tick bit) { brts_.at(tid) += bit; }
-
-  private:
-    unsigned threads;
-    thrifty::ThriftyConfig cfg;
-    std::unique_ptr<thrifty::BitPredictor> pred;
-    thrifty::SyncStats& syncStats;
-    std::vector<Tick> brts_;
-};
 
 /**
  * One static message-passing barrier. The CPU at each node is driven
@@ -82,13 +58,13 @@ class MpBarrier : public SimObject
     /**
      * @param queue       Simulation event queue.
      * @param pc          Static identifier of this barrier.
-     * @param runtime     Shared MP thrifty runtime.
+     * @param runtime     Shared thrifty runtime (oracle unsupported).
      * @param fabric      Message endpoints (one per node).
      * @param cpus        The per-node CPUs (indexed by NodeId).
      * @param coordinator Node hosting the arrival counter.
      */
     MpBarrier(EventQueue& queue, thrifty::BarrierPc pc,
-              MpRuntime& runtime, MpFabric& fabric,
+              thrifty::ThriftyRuntime& runtime, MpFabric& fabric,
               std::vector<cpu::Cpu*> cpus, NodeId coordinator,
               std::string name);
 
@@ -118,7 +94,7 @@ class MpBarrier : public SimObject
     void depart(ThreadId tid);
 
     thrifty::BarrierPc barrierPc;
-    MpRuntime& runtime;
+    thrifty::ThriftyRuntime& runtime;
     MpFabric& fabric;
     std::vector<cpu::Cpu*> cpus;
     NodeId coord;

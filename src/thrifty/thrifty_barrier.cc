@@ -123,10 +123,7 @@ ThriftyBarrier::homeCheckIn(ThreadId tid, std::uint64_t old,
             arrivedEarly.push_back(tid);
             return;
         }
-        if (auto bit = runtime.predictor().predict(barrierPc, tid)) {
-            sn.hasPrediction = 1;
-            sn.predictedBit = *bit;
-        }
+        sn.prediction = runtime.predictor().predict(barrierPc, tid);
         return;
     }
 
@@ -136,24 +133,8 @@ ThriftyBarrier::homeCheckIn(ThreadId tid, std::uint64_t old,
     const Tick actual_bit = home_now - brts_tid;
     sn.last = 1;
     sn.actualBit = actual_bit;
-
-    // Feed the predictor, unless the sample is inordinately large
-    // (context switch / I/O filter, Section 3.4.2).
-    bool skip_update = false;
-    if (cfg.underpredictionFilter > 0.0) {
-        if (auto prev = runtime.predictor().stored(barrierPc)) {
-            if (static_cast<double>(actual_bit) >
-                cfg.underpredictionFilter * static_cast<double>(*prev)) {
-                skip_update = true;
-                ++runtime.stats().filteredUpdates;
-            }
-        }
-    }
-    if (!skip_update)
-        runtime.predictor().update(barrierPc, actual_bit);
-
+    runtime.recordInterval(barrierPc, actual_bit);
     ++instanceIdx;
-    ++runtime.stats().instances;
 
     if (cfg.oracle && !arrivedEarly.empty()) {
         // The release notification to each parked thread is real
@@ -204,10 +185,10 @@ ThriftyBarrier::lastArrival(cpu::ThreadContext& tc, ThreadId tid,
                               {"bit", actual_bit}});
                      }
                      runtime.advanceBrts(tid, actual_bit);
-                     runtime.stats().totalStallTicks +=
-                         static_cast<double>(tc.curTick() -
-                                             arrivalTick[tid]);
-                     traceDeparture(tid, actual_bit);
+                     runtime.recordDeparture(
+                         barrierPc, instance, tid, actual_bit,
+                         computeTime[tid],
+                         tc.curTick() - arrivalTick[tid]);
                      cont();
                  });
     });
@@ -242,17 +223,10 @@ ThriftyBarrier::earlyArrival(cpu::ThreadContext& tc, ThreadId tid,
     }
 
     // The prediction was snapshotted at the home's serialization
-    // point; estimated wake-up = BRTS + predicted BIT, stall =
-    // wake-up - now (Section 3.2.1).
-    const power::SleepState* state = nullptr;
-    Tick predicted_wake = 0;
-    if (snap[tid].hasPrediction) {
-        predicted_wake = runtime.brts(tid) + snap[tid].predictedBit;
-        if (predicted_wake > tc.curTick())
-            state = cfg.states.select(predicted_wake - tc.curTick());
-    }
-
-    if (!state) {
+    // point.
+    const SleepChoice choice =
+        runtime.chooseSleep(snap[tid].prediction, tid, tc.curTick());
+    if (!choice.state) {
         // No/insufficient prediction, cutoff in force, or stall too
         // short for any state: the sleep() call returns immediately
         // and the thread spins the traditional way.
@@ -269,7 +243,7 @@ ThriftyBarrier::earlyArrival(cpu::ThreadContext& tc, ThreadId tid,
     // the sleep if the flag already flipped.
     tc.controller().armFlagMonitor(
         flagAddr, want,
-        [this, &tc, tid, want, state, predicted_wake,
+        [this, &tc, tid, want, choice,
          cont = std::move(cont)](bool already_flipped) mutable {
             SyncStats& stats = runtime.stats();
             if (already_flipped) {
@@ -280,19 +254,7 @@ ThriftyBarrier::earlyArrival(cpu::ThreadContext& tc, ThreadId tid,
             }
 
             const ThriftyConfig& conf = runtime.config();
-            if (conf.wakeup != WakeupPolicy::External) {
-                // Fire early enough that the upward transition
-                // completes right at the predicted release.
-                const Tick lead = state->transitionLatency;
-                const Tick target =
-                    predicted_wake > tc.curTick() + lead
-                        ? predicted_wake - lead
-                        : tc.curTick();
-                tc.controller().armWakeTimer(target - tc.curTick());
-            }
-            if (conf.wakeup == WakeupPolicy::Internal)
-                tc.controller().disarmFlagMonitor();
-
+            runtime.armWakeup(tc, choice);
             ++stats.sleeps;
             if (stats.episodesEnabled ||
                 TB_TRACED(runtime.traceSink(),
@@ -302,18 +264,19 @@ ThriftyBarrier::earlyArrival(cpu::ThreadContext& tc, ThreadId tid,
                 ep.pc = barrierPc;
                 ep.instance = snap[tid].instance;
                 ep.tid = tid;
-                ep.predictedBit = predicted_wake - runtime.brts(tid);
+                ep.predictedBit =
+                    choice.predictedWake - runtime.brts(tid);
                 ep.sleepTick = tc.curTick();
-                ep.sleepState = state->name;
+                ep.sleepState = choice.state->name;
                 episodeOpen[tid] = 1;
             }
             if (conf.hardening.enabled) {
                 // Safety watchdog: no sleep episode outlives a bounded
                 // multiple of its own prediction, even if both wake-up
                 // mechanisms fail (lost invalidation + dead timer).
-                const Tick stall = predicted_wake > tc.curTick()
-                                       ? predicted_wake - tc.curTick()
-                                       : 0;
+                const Tick wake = choice.predictedWake;
+                const Tick stall =
+                    wake > tc.curTick() ? wake - tc.curTick() : 0;
                 const Tick bound = std::max(
                     static_cast<Tick>(
                         conf.hardening.watchdogFactor *
@@ -328,7 +291,7 @@ ThriftyBarrier::earlyArrival(cpu::ThreadContext& tc, ThreadId tid,
                     });
             }
             tc.cpu().enterSleep(
-                *state,
+                *choice.state,
                 [this, &tc, tid, want,
                  cont = std::move(cont)](mem::WakeReason reason) mutable {
                     watchdog[tid].cancel();
@@ -403,25 +366,16 @@ ThriftyBarrier::depart(cpu::ThreadContext& tc, ThreadId tid,
                          std::uint64_t bit_val) mutable {
         runtime.advanceBrts(tid, bit_val);
         const Tick release_ts = runtime.brts(tid);
-        const ThriftyConfig& cfg = runtime.config();
-        if (wakeTick[tid] != kTickNever &&
-            cfg.overpredictionThreshold >= 0.0 &&
-            wakeTick[tid] > release_ts) {
-            const Tick penalty = wakeTick[tid] - release_ts;
-            if (static_cast<double>(penalty) >
-                cfg.overpredictionThreshold *
-                    static_cast<double>(bit_val)) {
-                ++runtime.stats().cutoffs;
-                // The cutoff flips home-confined predictor state, so
-                // the disable rides to the PC's home as a control
-                // message with real NoC cost; predictions snapshotted
-                // before it lands still count as enabled.
-                fab.sendControl(static_cast<NodeId>(tid), homeNode,
-                                mem::kCtrlBytes, [this, tid]() {
-                                    runtime.predictor().disable(
-                                        barrierPc, tid);
-                                });
-            }
+        if (runtime.overpredicted(wakeTick[tid], release_ts, bit_val)) {
+            // The cutoff flips home-confined predictor state, so the
+            // disable rides to the PC's home as a control message
+            // with real NoC cost; predictions snapshotted before it
+            // lands still count as enabled.
+            fab.sendControl(static_cast<NodeId>(tid), homeNode,
+                            mem::kCtrlBytes, [this, tid]() {
+                                runtime.predictor().disable(barrierPc,
+                                                            tid);
+                            });
         }
         if (episodeOpen[tid]) {
             episodeOpen[tid] = 0;
@@ -433,9 +387,9 @@ ThriftyBarrier::depart(cpu::ThreadContext& tc, ThreadId tid,
                 st.episodes.push_back(std::move(ep));
             }
         }
-        runtime.stats().totalStallTicks +=
-            static_cast<double>(tc.curTick() - arrivalTick[tid]);
-        traceDeparture(tid, bit_val);
+        runtime.recordDeparture(barrierPc, snap[tid].instance, tid,
+                                bit_val, computeTime[tid],
+                                tc.curTick() - arrivalTick[tid]);
         cont();
     });
 }
@@ -453,9 +407,8 @@ ThriftyBarrier::park(cpu::ThreadContext& tc, ThreadId tid,
         const Tick stall = tc.curTick() - arrivalTick[tid];
         accrueOracleDwell(tc.cpu(), stall);
         runtime.advanceBrts(tid, bit);
-        runtime.stats().totalStallTicks +=
-            static_cast<double>(stall);
-        traceDeparture(tid, bit);
+        runtime.recordDeparture(barrierPc, snap[tid].instance, tid, bit,
+                                computeTime[tid], stall);
         tc.eventQueue().scheduleIn(0, std::move(cont));
         return;
     }
@@ -481,8 +434,8 @@ ThriftyBarrier::oracleRelease(ThreadId tid, Tick actual_bit)
     const Tick stall = tc.curTick() - arrivalTick[tid];
     accrueOracleDwell(tc.cpu(), stall);
     runtime.advanceBrts(tid, actual_bit);
-    runtime.stats().totalStallTicks += static_cast<double>(stall);
-    traceDeparture(tid, actual_bit);
+    runtime.recordDeparture(barrierPc, snap[tid].instance, tid,
+                            actual_bit, computeTime[tid], stall);
     tc.cpu().resumeAccounting();
     // Perfect wake-up: the thread resumes at the notification.
     tc.eventQueue().scheduleIn(0, std::move(cont));
@@ -526,22 +479,6 @@ ThriftyBarrier::accrueOracleDwell(cpu::Cpu& cpu, Tick stall)
     cpu.accrueManual(power::Bucket::Sleep,
                      stall - 2 * best->transitionLatency, sleep_w);
     ++st.sleeps;
-}
-
-void
-ThriftyBarrier::traceDeparture(ThreadId tid, Tick bit)
-{
-    SyncStats& st = runtime.stats();
-    if (!st.traceEnabled)
-        return;
-    BarrierTraceEntry e;
-    e.pc = barrierPc;
-    e.instance = snap[tid].instance;
-    e.tid = tid;
-    e.bit = bit;
-    e.compute = std::min(computeTime[tid], bit);
-    e.stall = bit - e.compute;
-    st.trace.push_back(e);
 }
 
 } // namespace thrifty

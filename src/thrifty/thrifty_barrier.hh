@@ -46,6 +46,7 @@
 #define TB_THRIFTY_THRIFTY_BARRIER_HH_
 
 #include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -96,9 +97,8 @@ class ThriftyBarrier : public Barrier, public SimObject
     struct Snap
     {
         std::uint64_t instance = 0; ///< dynamic instance checked into
-        Tick predictedBit = 0;      ///< predictor's BIT (early arrivals)
+        std::optional<Tick> prediction; ///< predictor's BIT (early)
         Tick actualBit = 0;         ///< measured BIT (last arrival)
-        std::uint8_t hasPrediction = 0;
         std::uint8_t last = 0;      ///< this check-in closed the count
     };
 
@@ -132,9 +132,6 @@ class ThriftyBarrier : public Barrier, public SimObject
 
     /** Oracle mode: analytic energy accounting of one parked dwell. */
     void accrueOracleDwell(cpu::Cpu& cpu, Tick stall);
-
-    /** Append a trace record if tracing is on. */
-    void traceDeparture(ThreadId tid, Tick bit);
 
     BarrierPc barrierPc;
     ThriftyRuntime& runtime;

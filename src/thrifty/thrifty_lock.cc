@@ -4,6 +4,7 @@
 
 #include "sim/logging.hh"
 #include "thrifty/spin_wait.hh"
+#include "thrifty/thrifty_runtime.hh"
 
 namespace tb {
 namespace thrifty {
@@ -113,11 +114,9 @@ ThriftyLock::waitForRelease(cpu::ThreadContext& tc, ThreadId tid,
                 tryAcquire(tc, tid, std::move(cont));
                 return;
             }
-            if (use_timer) {
-                const Tick lead = state->transitionLatency;
-                tc.controller().armWakeTimer(
-                    remaining > lead ? remaining - lead : 0);
-            }
+            if (use_timer)
+                tc.controller().armWakeTimer(wakeTimerDelay(
+                    curTick() + remaining, curTick(), *state));
             ++stats.sleeps;
             tc.cpu().enterSleep(
                 *state, [this, &tc, tid,

@@ -1,13 +1,22 @@
 /**
  * @file
- * Per-application thrifty-barrier runtime state.
+ * Per-application thrifty-barrier runtime state and the sleep()
+ * policy.
  *
  * The BIT predictor table and the per-thread barrier release
  * timestamps (BRTS) span *all* barriers of a program: BIT is the time
  * between consecutive barrier releases regardless of which static
  * barrier they belong to, and each thread's BRTS advances at every
- * release (Section 3.2.1). All ThriftyBarrier instances of one
- * program therefore share one runtime.
+ * release (Section 3.2.1). Every thrifty barrier of one program —
+ * central (ThriftyBarrier), combining tree (TreeBarrier) or message
+ * passing (mp::MpBarrier) — therefore shares one runtime.
+ *
+ * The runtime is also the one home of the policy rules of Sections
+ * 3.2-3.4: record a measured interval (underprediction filter), choose
+ * a sleep state, aim the wake-up timer, apply the overprediction
+ * cutoff and record a departure. The barriers differ only in how a
+ * thread waits and is woken (one runtime, one policy, three wait
+ * mechanisms).
  */
 
 #ifndef TB_THRIFTY_THRIFTY_RUNTIME_HH_
@@ -16,9 +25,12 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
 #include <utility>
 #include <vector>
 
+#include "cpu/thread_context.hh"
+#include "power/sleep_states.hh"
 #include "sim/types.hh"
 #include "thrifty/barrier.hh"
 #include "thrifty/bit_predictor.hh"
@@ -32,7 +44,28 @@ class TraceSink;
 
 namespace thrifty {
 
-/** Shared state of all thrifty barriers in one program. */
+/**
+ * Delay to program into the wake-up timer so that the upward
+ * transition out of @p state completes right at @p predicted_wake
+ * (Section 3.3.2): max(predicted_wake - now - transition latency, 0).
+ */
+inline Tick
+wakeTimerDelay(Tick predicted_wake, Tick now,
+               const power::SleepState& state)
+{
+    const Tick lead = state.transitionLatency;
+    return predicted_wake > now + lead ? predicted_wake - now - lead
+                                       : 0;
+}
+
+/** Outcome of the sleep() call: a state to enter, or spin. */
+struct SleepChoice
+{
+    const power::SleepState* state = nullptr; ///< null: spin
+    Tick predictedWake = 0; ///< BRTS + predicted BIT (if predicted)
+};
+
+/** Shared state and policy of all thrifty barriers in one program. */
 class ThriftyRuntime
 {
   public:
@@ -77,6 +110,105 @@ class ThriftyRuntime
     advanceBrts(ThreadId tid, Tick bit)
     {
         brts_.at(tid) += bit;
+    }
+
+    // ------------------------------------------------------------------
+    // The sleep() policy (Sections 3.2-3.4), shared by every barrier.
+    // ------------------------------------------------------------------
+
+    /**
+     * The last arrival measured @p actual_bit for barrier @p pc: train
+     * the predictor, unless the sample is inordinately large against
+     * the stored BIT (context switch / I/O filter, Section 3.4.2), and
+     * count one completed instance.
+     */
+    void
+    recordInterval(BarrierPc pc, Tick actual_bit)
+    {
+        const std::optional<Tick> prev =
+            cfg.underpredictionFilter > 0.0 ? pred->stored(pc)
+                                            : std::nullopt;
+        if (prev && static_cast<double>(actual_bit) >
+                        cfg.underpredictionFilter *
+                            static_cast<double>(*prev))
+            ++syncStats.filteredUpdates;
+        else
+            pred->update(pc, actual_bit);
+        ++syncStats.instances;
+    }
+
+    /**
+     * The sleep() call of an early thread (Section 3.3): estimated
+     * wake-up = BRTS + @p bit, stall = wake-up - @p now, and the
+     * deepest state whose round trip fits in the stall. No prediction
+     * (warm-up, cutoff in force) or no fitting state means spin.
+     */
+    SleepChoice
+    chooseSleep(std::optional<Tick> bit, ThreadId tid, Tick now) const
+    {
+        SleepChoice c;
+        if (bit) {
+            c.predictedWake = brts(tid) + *bit;
+            if (c.predictedWake > now)
+                c.state = cfg.states.select(c.predictedWake - now);
+        }
+        return c;
+    }
+
+    /**
+     * Commit @p c's wake-up policy on @p tc's cache controller, whose
+     * flag monitor is armed: the timer (internal/hybrid) aims at the
+     * predicted wake; internal-only drops the monitor.
+     */
+    void
+    armWakeup(cpu::ThreadContext& tc, const SleepChoice& c) const
+    {
+        if (cfg.wakeup != WakeupPolicy::External)
+            tc.controller().armWakeTimer(
+                wakeTimerDelay(c.predictedWake, tc.curTick(), *c.state));
+        if (cfg.wakeup == WakeupPolicy::Internal)
+            tc.controller().disarmFlagMonitor();
+    }
+
+    /**
+     * Overprediction cutoff (Section 3.3.3): true, and one cutoff
+     * counted, if a thread that woke at @p wake (kTickNever: it never
+     * slept) overshot its release @p release_ts by more than the
+     * threshold times @p bit. The caller disables the prediction.
+     */
+    bool
+    overpredicted(Tick wake, Tick release_ts, Tick bit)
+    {
+        if (wake == kTickNever || cfg.overpredictionThreshold < 0.0 ||
+            wake <= release_ts)
+            return false;
+        if (static_cast<double>(wake - release_ts) <=
+            cfg.overpredictionThreshold * static_cast<double>(bit))
+            return false;
+        ++syncStats.cutoffs;
+        return true;
+    }
+
+    /**
+     * Charge one departure: @p waited ticks of barrier stall and, if
+     * tracing, the (compute, stall) split of interval @p bit, where
+     * @p compute is clamped to the interval.
+     */
+    void
+    recordDeparture(BarrierPc pc, std::uint64_t instance, ThreadId tid,
+                    Tick bit, Tick compute, Tick waited)
+    {
+        syncStats.totalStallTicks += static_cast<double>(waited);
+        if (!syncStats.traceEnabled)
+            return;
+        BarrierTraceEntry e;
+        e.pc = pc;
+        e.instance = instance;
+        e.tid = tid;
+        e.bit = bit;
+        e.compute = std::min(compute, bit);
+        e.stall = bit - e.compute;
+        syncStats.trace.push_back(e);
     }
 
     // ------------------------------------------------------------------

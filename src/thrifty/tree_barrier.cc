@@ -70,8 +70,8 @@ TreeBarrier::arrive(cpu::ThreadContext& tc, std::function<void()> cont)
     arrivalInstance[tid] = instanceIdx;
 
     ascend(tc, tid, 0, tid / radix, tid % radix,
-           [this, &tc, tid, cont = std::move(cont)](Tick bit) mutable {
-               finishThread(tc, tid, bit, std::move(cont));
+           [this, tid, cont = std::move(cont)](Tick bit) mutable {
+               finishThread(tid, bit, std::move(cont));
            });
 }
 
@@ -129,23 +129,8 @@ TreeBarrier::ascend(cpu::ThreadContext& tc, ThreadId tid,
             // This group IS the root: its last arriver is the
             // paper's "last thread".
             const Tick actual_bit = curTick() - runtime.brts(tid);
-            const ThriftyConfig& cfg = runtime.config();
-            bool skip = false;
-            if (cfg.underpredictionFilter > 0.0) {
-                if (auto prev =
-                        runtime.predictor().stored(barrierPc)) {
-                    if (static_cast<double>(actual_bit) >
-                        cfg.underpredictionFilter *
-                            static_cast<double>(*prev)) {
-                        skip = true;
-                        ++runtime.stats().filteredUpdates;
-                    }
-                }
-            }
-            if (!skip)
-                runtime.predictor().update(barrierPc, actual_bit);
+            runtime.recordInterval(barrierPc, actual_bit);
             ++instanceIdx;
-            ++runtime.stats().instances;
             release_down(actual_bit);
         });
 }
@@ -155,48 +140,39 @@ TreeBarrier::thriftyWait(cpu::ThreadContext& tc, ThreadId tid,
                          Group& group, std::uint64_t want,
                          std::function<void()> cont)
 {
-    const ThriftyConfig& cfg = runtime.config();
-    SyncStats& st = runtime.stats();
-
-    const power::SleepState* state = nullptr;
-    Tick predicted_wake = 0;
-    if (auto bit = runtime.predictor().predict(barrierPc, tid)) {
-        predicted_wake = runtime.brts(tid) + *bit;
-        if (predicted_wake > curTick())
-            state = cfg.states.select(predicted_wake - curTick());
-    }
-
-    if (!state) {
-        ++st.spins;
+    const SleepChoice choice = runtime.chooseSleep(
+        runtime.predictor().predict(barrierPc, tid), tid, curTick());
+    if (!choice.state) {
+        ++runtime.stats().spins;
         spinOnFlag(tc, group.flag, want, std::move(cont));
         return;
     }
 
     tc.controller().armFlagMonitor(
         group.flag, want,
-        [this, &tc, tid, &group, want, state, predicted_wake,
+        [this, &tc, tid, &group, want, choice,
          cont = std::move(cont)](bool already_flipped) mutable {
             if (already_flipped) {
                 cont();
                 return;
             }
-            const ThriftyConfig& conf = runtime.config();
-            if (conf.wakeup != WakeupPolicy::External) {
-                const Tick lead = state->transitionLatency;
-                const Tick target =
-                    predicted_wake > curTick() + lead
-                        ? predicted_wake - lead
-                        : curTick();
-                tc.controller().armWakeTimer(target - curTick());
-            }
-            if (conf.wakeup == WakeupPolicy::Internal)
-                tc.controller().disarmFlagMonitor();
+            runtime.armWakeup(tc, choice);
             ++runtime.stats().sleeps;
             tc.cpu().enterSleep(
-                *state, [this, &tc, tid, &group, want,
-                         cont = std::move(cont)](mem::WakeReason) mutable {
+                *choice.state,
+                [this, &tc, tid, &group, want,
+                 cont = std::move(cont)](mem::WakeReason) mutable {
                     wakeTick[tid] = curTick();
-                    spinOnFlag(tc, group.flag, want, std::move(cont));
+                    // Residual spin: verify the group flag flipped.
+                    spinOnFlag(tc, group.flag, want,
+                               [this, tid, cont = std::move(cont)]() {
+                                   SyncStats& st = runtime.stats();
+                                   st.residualSpinTicks +=
+                                       static_cast<double>(
+                                           curTick() - wakeTick[tid]);
+                                   ++st.residualSpins;
+                                   cont();
+                               });
                 });
         });
 }
@@ -213,37 +189,15 @@ TreeBarrier::releaseGroup(cpu::ThreadContext& tc, Group& group,
 }
 
 void
-TreeBarrier::finishThread(cpu::ThreadContext& tc, ThreadId tid,
-                          Tick bit, std::function<void()> cont)
+TreeBarrier::finishThread(ThreadId tid, Tick bit,
+                          std::function<void()> cont)
 {
-    (void)tc;
     runtime.advanceBrts(tid, bit);
-    const Tick release_ts = runtime.brts(tid);
-    const ThriftyConfig& cfg = runtime.config();
-    if (wakeTick[tid] != kTickNever &&
-        cfg.overpredictionThreshold >= 0.0 &&
-        wakeTick[tid] > release_ts) {
-        const Tick penalty = wakeTick[tid] - release_ts;
-        if (static_cast<double>(penalty) >
-            cfg.overpredictionThreshold * static_cast<double>(bit)) {
-            runtime.predictor().disable(barrierPc, tid);
-            ++runtime.stats().cutoffs;
-        }
-    }
-    runtime.stats().totalStallTicks +=
-        static_cast<double>(curTick() - arrivalTick[tid]);
-
-    SyncStats& st = runtime.stats();
-    if (st.traceEnabled) {
-        BarrierTraceEntry e;
-        e.pc = barrierPc;
-        e.instance = arrivalInstance[tid];
-        e.tid = tid;
-        e.bit = bit;
-        e.compute = std::min(computeTime[tid], bit);
-        e.stall = e.bit - e.compute;
-        st.trace.push_back(e);
-    }
+    if (runtime.overpredicted(wakeTick[tid], runtime.brts(tid), bit))
+        runtime.predictor().disable(barrierPc, tid);
+    runtime.recordDeparture(barrierPc, arrivalInstance[tid], tid, bit,
+                            computeTime[tid],
+                            curTick() - arrivalTick[tid]);
     cont();
 }
 

@@ -113,8 +113,7 @@ class TreeBarrier : public Barrier, public SimObject
                       std::function<void()> cont);
 
     /** Final per-thread bookkeeping (BRTS, cutoff, stats, trace). */
-    void finishThread(cpu::ThreadContext& tc, ThreadId tid, Tick bit,
-                      std::function<void()> cont);
+    void finishThread(ThreadId tid, Tick bit, std::function<void()> cont);
 
     BarrierPc barrierPc;
     ThriftyRuntime& runtime;

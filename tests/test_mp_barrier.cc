@@ -23,9 +23,9 @@ using harness::SystemConfig;
 using mp::MpBarrier;
 using mp::MpFabric;
 using mp::MpMessage;
-using mp::MpRuntime;
 using thrifty::SyncStats;
 using thrifty::ThriftyConfig;
+using thrifty::ThriftyRuntime;
 
 TEST(MpEndpoint, DeliversMessagesWithPayload)
 {
@@ -94,13 +94,13 @@ struct Rig
     Machine m{SystemConfig::small(2)}; // 4 nodes
     MpFabric fabric;
     SyncStats stats;
-    std::unique_ptr<MpRuntime> rt;
+    std::unique_ptr<ThriftyRuntime> rt;
     std::unique_ptr<MpBarrier> barrier;
 
     explicit Rig(ThriftyConfig cfg = ThriftyConfig::thrifty())
         : fabric(m.eventQueue(), m.network())
     {
-        rt = std::make_unique<MpRuntime>(4, cfg, stats);
+        rt = std::make_unique<ThriftyRuntime>(4, cfg, stats);
         std::vector<cpu::Cpu*> cpus;
         for (NodeId n = 0; n < 4; ++n)
             cpus.push_back(&m.cpu(n));
@@ -282,9 +282,15 @@ TEST(MpBarrier, DoubleArrivalPanics)
 
 TEST(MpBarrier, OracleModeUnsupported)
 {
+    Machine m(SystemConfig::small(2));
+    MpFabric fabric(m.eventQueue(), m.network());
     SyncStats stats;
+    ThriftyRuntime rt(4, ThriftyConfig::oracleHalt(), stats);
+    std::vector<cpu::Cpu*> cpus;
+    for (NodeId n = 0; n < 4; ++n)
+        cpus.push_back(&m.cpu(n));
     EXPECT_THROW(
-        MpRuntime(4, ThriftyConfig::oracleHalt(), stats),
+        MpBarrier(m.eventQueue(), 0x77, rt, fabric, cpus, 0, "mpb"),
         FatalError);
 }
 

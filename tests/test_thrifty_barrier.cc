@@ -3,7 +3,8 @@
  * Unit tests for the thrifty barrier mechanism itself: warm-up,
  * conditional sleep, state selection, wake-up policies, the
  * overprediction cutoff, the underprediction filter, oracle parking,
- * and false wake-ups.
+ * and false wake-ups — plus boundary tests of the policy rules every
+ * barrier shares through ThriftyRuntime.
  */
 
 #include <gtest/gtest.h>
@@ -429,6 +430,98 @@ TEST(ThriftyBarrier, IdealRequiresOracle)
     cfg.ideal = true;
     cfg.oracle = false;
     EXPECT_THROW(ThriftyRuntime(4, cfg, stats), FatalError);
+}
+
+// ----------------------------------------------------------------------
+// The shared sleep() policy rules (ThriftyRuntime), at their boundaries.
+// ----------------------------------------------------------------------
+
+TEST(ThriftyRuntime, FilterRecordsExactlyFilterTimesStored)
+{
+    SyncStats stats;
+    ThriftyConfig cfg = ThriftyConfig::thrifty();
+    cfg.underpredictionFilter = 10.0;
+    ThriftyRuntime rt(4, cfg, stats);
+    rt.recordInterval(0x1, 1000);
+    rt.recordInterval(0x1, 10001); // one tick over 10 x 1000: filtered
+    EXPECT_EQ(stats.filteredUpdates, 1u);
+    EXPECT_EQ(rt.predictor().stored(0x1), Tick{1000});
+    rt.recordInterval(0x1, 10000); // exactly 10 x 1000: recorded
+    EXPECT_EQ(stats.filteredUpdates, 1u);
+    EXPECT_EQ(rt.predictor().stored(0x1), Tick{10000});
+    EXPECT_EQ(stats.instances, 3u); // filtered samples still count
+}
+
+TEST(ThriftyRuntime, FilterZeroRecordsEverything)
+{
+    SyncStats stats;
+    ThriftyConfig cfg = ThriftyConfig::thrifty();
+    cfg.underpredictionFilter = 0.0;
+    ThriftyRuntime rt(4, cfg, stats);
+    rt.recordInterval(0x1, 1000);
+    rt.recordInterval(0x1, 1000 * 1000);
+    EXPECT_EQ(stats.filteredUpdates, 0u);
+    EXPECT_EQ(rt.predictor().stored(0x1), Tick{1000 * 1000});
+    EXPECT_EQ(stats.instances, 2u);
+}
+
+TEST(ThriftyRuntime, CutoffFiresOnlyPastThresholdTimesBit)
+{
+    SyncStats stats;
+    ThriftyConfig cfg = ThriftyConfig::thrifty();
+    cfg.overpredictionThreshold = 0.25;
+    ThriftyRuntime rt(4, cfg, stats);
+    const Tick release = 50000, bit = 4000; // 0.25 x 4000 = 1000
+    EXPECT_FALSE(rt.overpredicted(release + 1000, release, bit));
+    EXPECT_EQ(stats.cutoffs, 0u);
+    EXPECT_TRUE(rt.overpredicted(release + 1001, release, bit));
+    EXPECT_EQ(stats.cutoffs, 1u);
+}
+
+TEST(ThriftyRuntime, CutoffNeverFiresWhenOffOrOnTime)
+{
+    SyncStats stats;
+    ThriftyConfig cfg = ThriftyConfig::thrifty();
+    ThriftyRuntime on(4, cfg, stats);
+    const Tick release = 50000, bit = 4000;
+    EXPECT_FALSE(on.overpredicted(release, release, bit));
+    EXPECT_FALSE(on.overpredicted(release - 1, release, bit));
+    EXPECT_FALSE(on.overpredicted(kTickNever, release, bit)); // spun
+    cfg.overpredictionThreshold = -1.0;
+    ThriftyRuntime off(4, cfg, stats);
+    EXPECT_FALSE(off.overpredicted(release + 100 * bit, release, bit));
+    EXPECT_EQ(stats.cutoffs, 0u);
+}
+
+TEST(ThriftyRuntime, WakeTimerDelayClampsAtZero)
+{
+    power::SleepState s;
+    s.transitionLatency = 300;
+    const Tick wake = 10000;
+    EXPECT_EQ(thrifty::wakeTimerDelay(wake, 9000, s), Tick{700});
+    EXPECT_EQ(thrifty::wakeTimerDelay(wake, wake - 301, s), Tick{1});
+    EXPECT_EQ(thrifty::wakeTimerDelay(wake, wake - 300, s), Tick{0});
+    EXPECT_EQ(thrifty::wakeTimerDelay(wake, wake - 1, s), Tick{0});
+    EXPECT_EQ(thrifty::wakeTimerDelay(wake, wake + 5, s), Tick{0});
+}
+
+TEST(ThriftyRuntime, ChooseSleepSpinsWithoutFittingPrediction)
+{
+    SyncStats stats;
+    ThriftyRuntime rt(4, ThriftyConfig::thrifty(), stats);
+    rt.advanceBrts(1, 5000);
+    // No prediction (warm-up, cutoff in force): spin.
+    EXPECT_EQ(rt.chooseSleep(std::nullopt, 1, 5000).state, nullptr);
+    // Predicted wake already passed: spin.
+    const thrifty::SleepChoice late = rt.chooseSleep(100, 1, 5100);
+    EXPECT_EQ(late.state, nullptr);
+    EXPECT_EQ(late.predictedWake, Tick{5100});
+    // A long stall ahead picks the deepest state.
+    const thrifty::SleepChoice deep =
+        rt.chooseSleep(Tick{10 * kMillisecond}, 1, 5000);
+    ASSERT_NE(deep.state, nullptr);
+    EXPECT_EQ(deep.state->name, "Sleep3");
+    EXPECT_EQ(deep.predictedWake, 5000 + Tick{10 * kMillisecond});
 }
 
 } // namespace

@@ -122,6 +122,17 @@ TEST(TreeBarrier, SleepsAfterWarmup)
     EXPECT_EQ(r.stats.instances, 4u);
 }
 
+TEST(TreeBarrier, EverySleepEndsInAChargedResidualSpin)
+{
+    // Like the central barrier, a tree sleeper re-checks its group
+    // flag after waking; that residual spin is charged per sleep.
+    Rig r(3, 2);
+    r.drive(6, imbalanced);
+    EXPECT_GT(r.stats.sleeps, 0u);
+    EXPECT_EQ(r.stats.residualSpins, r.stats.sleeps);
+    EXPECT_GE(r.stats.residualSpinTicks, 0.0);
+}
+
 TEST(TreeBarrier, SavesEnergyLikeCentralThrifty)
 {
     double base_energy = 0.0, tree_energy = 0.0;
